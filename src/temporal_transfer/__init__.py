@@ -63,8 +63,10 @@ from .ringsim import (
     equilibrium_speed,
     rollout_measure,
     simulate,
+    simulate_many,
     step,
     train_and_measure,
+    train_and_measure_many,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -282,8 +282,9 @@ def cmd_ring(args) -> int:
         if args.action == "baseline":
             unguided = replace(config, n_guided=0)
             lines = ["seed,mean_speed,speed_std"]
-            for seed in range(args.seeds):
-                result = ringsim.simulate(unguided, None, seed)
+            for seed, result in enumerate(ringsim.simulate_many(unguided, range(args.seeds))):
+                if result.collision is not None:
+                    raise result.collision
                 lines.append(f"{seed},{result.mean_speed:.6g},{result.speed_std:.6g}")
         elif args.action == "eval":
             res = ringsim.train_and_measure(
@@ -298,10 +299,9 @@ def cmd_ring(args) -> int:
             unguided = replace(config, n_guided=0)
             baseline = ringsim.rollout_measure(unguided, None, args.seed)
             lines = ["delta,achieved,baseline,policy_id"]
-            for delta in deltas:
-                res = ringsim.train_and_measure(
-                    config, delta, search_budget=args.budget, seed=args.seed
-                )
+            for res in ringsim.train_and_measure_many(
+                config, deltas, search_budget=args.budget, seed=args.seed
+            ):
                 lines.append(f"{res.delta:.6g},{res.achieved:.6g},{baseline:.6g},{res.policy_id}")
     except (ringsim.CollisionError, ringsim.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

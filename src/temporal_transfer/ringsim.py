@@ -5,6 +5,14 @@ law. The guided vehicle (index 0) applies a zero-order-hold command: a raw
 acceleration, or a target speed tracked through a relaxation law. Rollouts
 are deterministic per seed; the mean speed of all vehicles over the scored
 horizon is the task performance.
+
+One integrator advances a batch of rings held as (rows, n_vehicles) arrays.
+Each row has its own seed, hold length and policy; a row that collides
+leaves the batch while the others run on. `step`, `simulate` and
+`rollout_measure` are one-row calls of it, and the policy search advances
+all its hold durations in lockstep. The integrator is elementwise apart
+from reductions along single rows, so a row's numbers do not depend on the
+batch it ran in.
 """
 
 from __future__ import annotations
@@ -79,33 +87,37 @@ class RingConfig:
             raise ValueError("vehicles do not fit on the ring")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        steps = self.guidance.hold / self.dt
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-            raise ValueError(
-                f"hold {self.guidance.hold} is not a positive multiple of dt {self.dt}"
-            )
+        _hold_steps("hold", self.guidance.hold, self.dt)
 
     @property
     def hold_steps(self) -> int:
         return round(self.guidance.hold / self.dt)
 
 
+def _hold_steps(name: str, seconds: float, dt: float) -> int:
+    """Whole simulation steps in `seconds`, which must be a positive multiple of dt."""
+    steps = seconds / dt
+    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ValueError(f"{name} {seconds} is not a positive multiple of dt {dt}")
+    return round(steps)
+
+
 @dataclass
 class RingState:
-    """Unwrapped positions (monotone per vehicle), speeds, and the held command."""
+    """Unwrapped positions (monotone per vehicle) and speeds at time t."""
 
     positions: np.ndarray
     speeds: np.ndarray
-    held_command: float | None = None
     t: float = 0.0
 
 
 def ring_gaps(positions: np.ndarray, config: RingConfig) -> np.ndarray:
-    """Bumper-to-bumper gap to each vehicle's leader (index i+1, wrapping)."""
-    gaps = np.empty_like(positions)
-    gaps[:-1] = positions[1:] - positions[:-1] - config.vehicle_length
-    gaps[-1] = positions[0] + config.circumference - positions[-1] - config.vehicle_length
-    return gaps
+    """Bumper-to-bumper gap to each vehicle's leader (index i+1, wrapping),
+    along the last axis: one ring, or a (rows, n_vehicles) batch of them."""
+    leaders = np.concatenate(
+        (positions[..., 1:], positions[..., :1] + config.circumference), axis=-1
+    )
+    return leaders - positions - config.vehicle_length
 
 
 def equilibrium_speed(config: RingConfig) -> float:
@@ -139,34 +151,68 @@ def idm_acceleration(speeds: np.ndarray, gaps: np.ndarray, lead_speeds: np.ndarr
     return p.a_max * (1 - (speeds / p.v_desired) ** p.exponent - (s_star / gaps) ** 2)
 
 
+def _advance(
+    positions: np.ndarray,
+    speeds: np.ndarray,
+    gaps: np.ndarray,
+    config: RingConfig,
+    commands: np.ndarray | None = None,
+    guided: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integrator: one dt for every row of a (rows, n_vehicles) batch.
+
+    `gaps` are the rows' current ring gaps. `commands` holds each row's held
+    command for its guided vehicle (None: no row is guided); `guided` masks
+    the rows it applies to (None: all of them). Semi-implicit: speeds update
+    first, then positions. Speeds clamp to [0, v_desired] for default
+    vehicles and [0, speed_limit] for a commanded guided vehicle. Returns
+    the new positions, speeds and gaps; a row with a non-positive gap has
+    collided.
+    """
+    lead_speeds = np.concatenate((speeds[:, 1:], speeds[:, :1]), axis=1)
+    accel = idm_acceleration(speeds, gaps, lead_speeds, config.idm)
+    caps = np.full(speeds.shape, config.idm.v_desired)
+    if commands is not None:
+        g = config.guidance
+        if g.mode == "acceleration":
+            raw = commands
+        else:
+            v0 = speeds[:, 0]
+            raw = g.alpha * (commands - v0) + g.beta * (lead_speeds[:, 0] - v0)
+        raw = np.minimum(np.maximum(raw, -g.accel_cap), g.accel_cap)
+        if guided is None:
+            accel[:, 0] = raw
+            caps[:, 0] = config.speed_limit
+        else:
+            accel[:, 0] = np.where(guided, raw, accel[:, 0])
+            caps[guided, 0] = config.speed_limit
+    new_speeds = np.minimum(np.maximum(speeds + accel * config.dt, 0.0), caps)
+    new_positions = positions + new_speeds * config.dt
+    return new_positions, new_speeds, ring_gaps(new_positions, config)
+
+
+def _collision(gaps: np.ndarray, time: float) -> CollisionError:
+    """The error for one ring's gaps after a step that overlapped vehicles."""
+    follower = int(np.argmin(gaps))
+    return CollisionError(follower, (follower + 1) % len(gaps), time)
+
+
 def step(state: RingState, config: RingConfig, command: float | None = None) -> RingState:
     """Advance one dt with the given held command on the guided vehicle.
 
-    Semi-implicit integration: speeds update first, then positions. Speeds
-    clamp to [0, v_desired] for default vehicles and [0, speed_limit] for a
-    commanded guided vehicle. A non-positive gap after the move raises
-    CollisionError.
+    A one-row call of the batch integrator. A non-positive gap after the
+    move raises CollisionError.
     """
-    gaps = ring_gaps(state.positions, config)
-    lead_speeds = np.roll(state.speeds, -1)
-    accel = idm_acceleration(state.speeds, gaps, lead_speeds, config.idm)
-    caps = np.full(config.n_vehicles, config.idm.v_desired)
-    if command is not None and config.n_guided >= 1:
-        g = config.guidance
-        if g.mode == "acceleration":
-            accel[0] = min(max(command, -g.accel_cap), g.accel_cap)
-        else:
-            raw = g.alpha * (command - state.speeds[0]) + g.beta * (lead_speeds[0] - state.speeds[0])
-            accel[0] = min(max(raw, -g.accel_cap), g.accel_cap)
-        caps[0] = config.speed_limit
-    new_speeds = np.clip(state.speeds + accel * config.dt, 0.0, caps)
-    new_positions = state.positions + new_speeds * config.dt
-    new_t = state.t + config.dt
-    new_gaps = ring_gaps(new_positions, config)
-    if np.any(new_gaps <= 0):
-        follower = int(np.argmin(new_gaps))
-        raise CollisionError(follower, (follower + 1) % config.n_vehicles, new_t)
-    return RingState(positions=new_positions, speeds=new_speeds, held_command=command, t=new_t)
+    positions, speeds = state.positions[np.newaxis], state.speeds[np.newaxis]
+    guided = command is not None and config.n_guided >= 1
+    positions, speeds, gaps = _advance(
+        positions, speeds, ring_gaps(positions, config), config,
+        np.array([command], dtype=float) if guided else None,
+    )
+    t = state.t + config.dt
+    if (gaps <= 0).any():
+        raise _collision(gaps[0], t)
+    return RingState(positions=positions[0], speeds=speeds[0], t=t)
 
 
 def initial_state(config: RingConfig, seed: int) -> RingState:
@@ -189,58 +235,129 @@ def initial_state(config: RingConfig, seed: int) -> RingState:
 
 @dataclass
 class RolloutResult:
-    mean_speed: float
+    mean_speed: float           # -inf if the rollout collided
     speed_std: float            # time-mean of the across-vehicle speed std, scored window
     commands: list[float]       # one entry per hold boundary, simulation order
     n_scored_steps: int
     speeds_log: np.ndarray | None = None     # (steps, n) when recorded
     positions_log: np.ndarray | None = None  # (steps, n), wrapped, when recorded
     commands_log: np.ndarray | None = None   # (steps,) applied command, nan if unguided
+    collision: CollisionError | None = None  # what ended a collided rollout
+
+
+def simulate_many(
+    config: RingConfig, seeds, policies=None, holds=None, record: bool = False
+) -> list[RolloutResult]:
+    """Warmup-plus-horizon rollouts of a batch of rings, one row per seed.
+
+    Row r starts from initial_state(config, seeds[r]). Its policy
+    (policies[r]; None leaves the row unguided) is called at every boundary
+    of its hold, holds[r] seconds (default: the config's hold), with the
+    (ego speed, leader speed, headway) observed at that instant; the command
+    is held until the row's next boundary. Guidance is active from t=0.
+
+    A row that collides stops there and the others run on. Its result has
+    mean_speed -inf, speed_std nan, the commands issued so far, NaN logs
+    from the colliding step on, and the CollisionError that `simulate`
+    raises for it.
+    """
+    n_rows = len(seeds)
+    policies = [None] * n_rows if policies is None else list(policies)
+    holds = [config.guidance.hold] * n_rows if holds is None else list(holds)
+    if len(policies) != n_rows or len(holds) != n_rows:
+        raise ValueError(
+            f"{n_rows} seeds, {len(policies)} policies and {len(holds)} holds: one each per row"
+        )
+    if not n_rows:
+        return []
+    hold_steps = [_hold_steps("hold", hold, config.dt) for hold in holds]
+    n_warm = round(config.warmup / config.dt)
+    n_score = round(config.horizon / config.dt)
+    if n_score < 1:
+        raise ValueError(f"horizon {config.horizon} is shorter than one step of {config.dt}")
+    total = n_warm + n_score
+    starts = {seed: initial_state(config, seed) for seed in dict.fromkeys(seeds)}
+    positions = np.array([starts[seed].positions for seed in seeds])
+    speeds = np.array([starts[seed].speeds for seed in seeds])
+    gaps = ring_gaps(positions, config)
+    guided = np.array([p is not None and config.n_guided >= 1 for p in policies])
+    commands = np.zeros(n_rows)         # held command of each live row
+    issued: list[list[float]] = [[] for _ in range(n_rows)]
+    collisions: list[CollisionError | None] = [None] * n_rows
+    speed_sum = np.zeros(n_rows)
+    std_sum = np.zeros(n_rows)
+    if record:
+        speeds_log = np.full((n_rows, total, config.n_vehicles), np.nan)
+        positions_log = np.full((n_rows, total, config.n_vehicles), np.nan)
+        commands_log = np.full((n_rows, total), np.nan)
+    live = np.arange(n_rows)            # the row of each line of the arrays
+    dropped = True                      # live changed: rebuild the policy schedule
+    t = 0.0
+    for i in range(total):
+        if dropped:
+            steer = guided[live]
+            callers = [(line, live[line], hold_steps[live[line]]) for line in np.flatnonzero(steer)]
+            mask = None if steer.all() else steer
+            dropped = False
+        for line, row, every in callers:
+            if i % every == 0:
+                command = float(policies[row]((speeds[line, 0], speeds[line, 1], gaps[line, 0])))
+                commands[line] = command
+                issued[row].append(command)
+        positions, speeds, gaps = _advance(
+            positions, speeds, gaps, config, commands if callers else None, mask
+        )
+        t += config.dt
+        overlap = gaps <= 0
+        if overlap.any():
+            hit = overlap.any(axis=1)
+            for line in np.flatnonzero(hit):
+                collisions[live[line]] = _collision(gaps[line], t)
+            keep = ~hit
+            live, positions, speeds, gaps = live[keep], positions[keep], speeds[keep], gaps[keep]
+            commands, speed_sum, std_sum = commands[keep], speed_sum[keep], std_sum[keep]
+            dropped = True
+            if not len(live):
+                break
+        if record:
+            speeds_log[live, i] = speeds
+            positions_log[live, i] = positions % config.circumference
+            commands_log[live, i] = np.where(guided[live], commands, np.nan)
+        if i >= n_warm:
+            # Row-wise numpy mean and std, sharing the mean: the same
+            # operations as speeds.mean(axis=1) and speeds.std(axis=1).
+            mean = speeds.sum(axis=1, keepdims=True) / config.n_vehicles
+            deviation = speeds - mean
+            speed_sum += mean[:, 0]
+            std_sum += np.sqrt((deviation * deviation).sum(axis=1) / config.n_vehicles)
+    mean_speed = np.full(n_rows, -np.inf)
+    speed_std = np.full(n_rows, np.nan)
+    mean_speed[live] = speed_sum / n_score
+    speed_std[live] = std_sum / n_score
+    return [
+        RolloutResult(
+            mean_speed=float(mean_speed[row]),
+            speed_std=float(speed_std[row]),
+            commands=issued[row],
+            n_scored_steps=n_score,
+            speeds_log=speeds_log[row] if record else None,
+            positions_log=positions_log[row] if record else None,
+            commands_log=commands_log[row] if record else None,
+            collision=collisions[row],
+        )
+        for row in range(n_rows)
+    ]
 
 
 def simulate(config: RingConfig, policy, seed: int, record: bool = False) -> RolloutResult:
-    """Full warmup-plus-horizon rollout; guidance is active from t=0.
+    """Full warmup-plus-horizon rollout of one ring: a one-row simulate_many.
 
-    The policy is called at every hold boundary with (ego speed, leader
-    speed, headway) observed at that instant; its command is held until the
-    next boundary.
+    Raises the rollout's CollisionError if it collides.
     """
-    state = initial_state(config, seed)
-    n_warm = round(config.warmup / config.dt)
-    n_score = round(config.horizon / config.dt)
-    total = n_warm + n_score
-    guided = policy is not None and config.n_guided >= 1
-    hold_steps = config.hold_steps
-    command: float | None = None
-    commands: list[float] = []
-    speed_sum = 0.0
-    std_sum = 0.0
-    speeds_log = np.empty((total, config.n_vehicles)) if record else None
-    positions_log = np.empty((total, config.n_vehicles)) if record else None
-    commands_log = np.full(total, np.nan) if record else None
-    for i in range(total):
-        if guided and i % hold_steps == 0:
-            gap0 = ring_gaps(state.positions, config)[0]
-            command = float(policy((state.speeds[0], state.speeds[1], gap0)))
-            commands.append(command)
-        state = step(state, config, command if guided else None)
-        if i >= n_warm:
-            speed_sum += float(state.speeds.mean())
-            std_sum += float(state.speeds.std())
-        if record:
-            speeds_log[i] = state.speeds
-            positions_log[i] = state.positions % config.circumference
-            if guided:
-                commands_log[i] = command
-    return RolloutResult(
-        mean_speed=speed_sum / n_score,
-        speed_std=std_sum / n_score,
-        commands=commands,
-        n_scored_steps=n_score,
-        speeds_log=speeds_log,
-        positions_log=positions_log,
-        commands_log=commands_log,
-    )
+    result = simulate_many(config, [seed], [policy], record=record)[0]
+    if result.collision is not None:
+        raise result.collision
+    return result
 
 
 def rollout_measure(config: RingConfig, policy, seed: int) -> float:
@@ -310,62 +427,85 @@ _PARAM_HI = np.array([10.0, 2.0, 1.0])
 _REFINE_SCALE = np.array([1.2, 0.4, 0.15])
 
 
-def train_and_measure(
-    config: RingConfig, delta: float, search_budget: int = 24, seed: int = 0
-) -> EvaluatorResult:
-    """Black-box policy search at one hold duration.
+def train_and_measure_many(
+    config: RingConfig, deltas, search_budget: int = 24, seed: int = 0
+) -> list[EvaluatorResult]:
+    """Black-box policy search at each hold duration, all durations in lockstep.
 
-    Seeded uniform lattice over the three policy weights, then local
-    refinement around the incumbent. Every candidate is scored on the same
-    seeded rollout (paired comparison); candidates that collide score -inf.
-    Returns the best achieved mean speed.
+    Per duration: a seeded uniform lattice over the three policy weights,
+    then local refinement around the incumbent. Every candidate is scored on
+    the same seeded rollout (paired comparison); candidates that collide
+    score -inf. The lattice candidates of all durations run as one batch,
+    then each refinement round as one batch with a row per duration. Each
+    duration draws its proposals from its own (seed, hold steps) generator
+    and keeps its own incumbent, so its result is that of a search at that
+    duration alone. Returns the best achieved mean speed per duration; the
+    first duration, in input order, whose candidates all collided raises
+    TrainingError.
     """
     if search_budget < 1:
         raise ValueError(f"search budget must be >= 1, got {search_budget}")
-    steps = delta / config.dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise ValueError(f"delta {delta} is not a positive multiple of dt {config.dt}")
-    cfg = replace(config, guidance=replace(config.guidance, hold=delta, mode="speed"))
+    deltas = list(deltas)
+    mode = config.guidance.mode
+    if mode != "speed":
+        raise ValueError(
+            f"the policy search emits target speeds; guidance mode {mode!r} is not supported"
+        )
+    generators = [
+        np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
+        for delta in deltas
+    ]
+
+    def score(weights, holds) -> list[float]:
+        policies = [LinearSpeedPolicy(w[0], w[1], w[2], config) for w in weights]
+        return [r.mean_speed for r in simulate_many(config, [seed] * len(weights), policies, holds)]
+
     lattice = [
         np.array([w0, w1, w2])
         for w0 in _LATTICE_W0
         for (w1, w2) in _LATTICE_FEEDBACK
     ]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, round(delta / config.dt)]))
-    candidates: list[np.ndarray] = lattice[:search_budget]
-    scores: list[float] = []
-    collisions = 0
-    best_i = -1
-    for i in range(search_budget):
-        if i >= len(candidates):
-            # Local refinement: Gaussian proposals around the incumbent,
-            # shrinking as the budget is spent.
-            base = candidates[best_i]
-            shrink = 0.85 ** (i - len(lattice))
-            proposal = base + rng.normal(size=3) * _REFINE_SCALE * shrink
-            candidates.append(np.clip(proposal, _PARAM_LO, _PARAM_HI))
-        w = candidates[i]
-        policy = LinearSpeedPolicy(w[0], w[1], w[2], cfg)
-        try:
-            score = rollout_measure(cfg, policy, seed)
-        except CollisionError:
-            score = -np.inf
-            collisions += 1
-        scores.append(score)
-        if best_i < 0 or score > scores[best_i]:
-            best_i = i
-    if not np.isfinite(scores[best_i]):
-        raise TrainingError(
-            f"all {search_budget} candidate rollouts collided at delta={delta:.6g} "
-            f"(seed={seed})"
-        )
-    w = candidates[best_i]
-    return EvaluatorResult(
-        delta=delta,
-        achieved=float(scores[best_i]),
-        policy_id=f"ring[w0={w[0]:.4g},w1={w[1]:.4g},w2={w[2]:.4g}]@{delta:.6g}s",
-        cost=float(search_budget),
-    )
+    first = lattice[:search_budget]
+    flat = score(first * len(deltas), [delta for delta in deltas for _ in first])
+    candidates = [list(first) for _ in deltas]
+    scores = [flat[k * len(first) : (k + 1) * len(first)] for k in range(len(deltas))]
+    # The first best candidate is the incumbent.
+    best = [max(range(len(s)), key=s.__getitem__) for s in scores]
+    for i in range(len(first), search_budget):
+        # Local refinement: Gaussian proposals around each incumbent,
+        # shrinking as the budget is spent.
+        shrink = 0.85 ** (i - len(lattice))
+        proposals = [
+            np.clip(c[b] + rng.normal(size=3) * _REFINE_SCALE * shrink, _PARAM_LO, _PARAM_HI)
+            for c, b, rng in zip(candidates, best, generators)
+        ]
+        for k, value in enumerate(score(proposals, deltas)):
+            candidates[k].append(proposals[k])
+            scores[k].append(value)
+            if value > scores[k][best[k]]:
+                best[k] = i
+    results = []
+    for delta, c, s, b in zip(deltas, candidates, scores, best):
+        if not np.isfinite(s[b]):
+            raise TrainingError(
+                f"all {search_budget} candidate rollouts collided at delta={delta:.6g} "
+                f"(seed={seed})"
+            )
+        w = c[b]
+        results.append(EvaluatorResult(
+            delta=delta,
+            achieved=float(s[b]),
+            policy_id=f"ring[w0={w[0]:.4g},w1={w[1]:.4g},w2={w[2]:.4g}]@{delta:.6g}s",
+            cost=float(search_budget),
+        ))
+    return results
+
+
+def train_and_measure(
+    config: RingConfig, delta: float, search_budget: int = 24, seed: int = 0
+) -> EvaluatorResult:
+    """Black-box policy search at one hold duration (see train_and_measure_many)."""
+    return train_and_measure_many(config, [delta], search_budget, seed)[0]
 
 
 def trajectory_csv_text(result: RolloutResult, config: RingConfig) -> str:
@@ -398,10 +538,13 @@ _CONFIG_KEYS = {
     "speed_limit": ("speed_limit", float),
     "simulation_step": ("dt", float),
     "dt": ("dt", float),
-    "warmup_steps": ("warmup", float),
     "warmup": ("warmup", float),
-    "timestep_horizon": ("horizon", float),
     "horizon": ("horizon", float),
+}
+# Step counts, converted to seconds with the dt in force for the file.
+_STEP_KEYS = {
+    "warmup_steps": "warmup",
+    "timestep_horizon": "horizon",
 }
 _IDM_KEYS = {
     "maximum_acceleration": ("a_max", float),
@@ -426,9 +569,15 @@ _GUIDANCE_KEYS = {
 
 
 def load_ring_config(path, base: RingConfig | None = None) -> RingConfig:
-    """Plain key=value overrides (one per line, # comments) onto a base config."""
+    """Plain key=value overrides (one per line, # comments) onto a base config.
+
+    Durations are seconds, except the `*_steps`-style keys of _STEP_KEYS,
+    which count simulation steps of the file's dt (or the base's). When a
+    duration is set more than once, the last line wins.
+    """
     base = base or RingConfig()
     cfg: dict = {}
+    steps: dict = {}
     idm: dict = {}
     guidance: dict = {}
     with open(path) as fh:
@@ -443,6 +592,11 @@ def load_ring_config(path, base: RingConfig | None = None) -> RingConfig:
             if key in _CONFIG_KEYS:
                 name, cast = _CONFIG_KEYS[key]
                 cfg[name] = cast(value)
+                steps.pop(name, None)
+            elif key in _STEP_KEYS:
+                name = _STEP_KEYS[key]
+                steps[name] = int(value)
+                cfg.pop(name, None)
             elif key in _IDM_KEYS:
                 name, cast = _IDM_KEYS[key]
                 idm[name] = cast(value)
@@ -451,6 +605,9 @@ def load_ring_config(path, base: RingConfig | None = None) -> RingConfig:
                 guidance[name] = cast(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+    dt = cfg.get("dt", base.dt)
+    for name, count in steps.items():
+        cfg[name] = count * dt
     return replace(
         base,
         idm=replace(base.idm, **idm),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import temporal_transfer
-from temporal_transfer.ringsim import RingConfig, simulate
+from temporal_transfer.ringsim import RingConfig, simulate_many
 
 RING = RingConfig()
 RING_UNGUIDED = replace(RING, n_guided=0)
@@ -30,4 +30,5 @@ def cli_env() -> dict[str, str]:
 
 @pytest.fixture(scope="session")
 def ring_baselines():
-    return [simulate(RING_UNGUIDED, None, seed) for seed in range(10)]
+    """Unguided full-scale rollouts of seeds 0-9, run as one batch."""
+    return simulate_many(RING_UNGUIDED, range(10))

@@ -150,6 +150,29 @@ class TestRing:
         assert lines[0] == "delta,achieved,baseline,policy_id"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
+    def test_acceleration_mode_flag_is_rejected(self, action, tmp_path, capsys):
+        # The policy search emits target speeds; it must not train speed
+        # guidance under an acceleration-mode request.
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(RING_FAST)
+        code, out, err = run_cli(
+            ["ring", *action, "--budget", "2", "--mode", "acceleration", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "'acceleration'" in err
+
+    @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
+    def test_acceleration_mode_config_is_rejected(self, action, tmp_path, capsys):
+        cfg = tmp_path / "accel.cfg"
+        cfg.write_text(RING_FAST + "mode = acceleration\n")
+        code, out, err = run_cli(["ring", *action, "--budget", "2", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "'acceleration'" in err
+
 
 class TestExportPlot:
     def test_melts_iterations(self, tmp_path, capsys):

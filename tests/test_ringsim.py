@@ -1,9 +1,13 @@
 """Ring micro-simulation: dynamics, guidance, determinism, search."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from temporal_transfer.cli import main
 
 from temporal_transfer.ringsim import (
     CollisionError,
@@ -21,8 +25,10 @@ from temporal_transfer.ringsim import (
     ring_gaps,
     rollout_measure,
     simulate,
+    simulate_many,
     step,
     train_and_measure,
+    train_and_measure_many,
     trajectory_csv_text,
 )
 from temporal_transfer.trainers import RingTrainer, TrainingError
@@ -141,9 +147,10 @@ class TestRollouts:
         # full scale, paired seeds: steady guidance absorbs the waves
         config = replace(RingConfig(), guidance=replace(RingConfig().guidance, hold=0.5))
         v_e = equilibrium_speed(config)
-        for seed, base in enumerate(ring_baselines):
-            guided = rollout_measure(config, ConstantPolicy(v_e), seed)
-            assert guided >= base.mean_speed
+        seeds = range(len(ring_baselines))
+        guided = simulate_many(config, seeds, [ConstantPolicy(v_e)] * len(seeds))
+        for run, base in zip(guided, ring_baselines):
+            assert run.mean_speed >= base.mean_speed
 
     def test_hold_refinement_replay_bit_exact(self):
         coarse_cfg = replace(FAST, guidance=replace(FAST.guidance, hold=2.0))
@@ -174,6 +181,14 @@ class TestTrainAndMeasure:
             train_and_measure(FAST, 1.0, search_budget=0, seed=0)
         with pytest.raises(ValueError):
             train_and_measure(FAST, 0.25, search_budget=2, seed=0)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(replace(FAST, horizon=0.0), None, seed=0)
+
+    def test_acceleration_mode_rejected(self):
+        # LinearSpeedPolicy emits target speeds, not accelerations.
+        config = replace(FAST, guidance=replace(FAST.guidance, mode="acceleration"))
+        with pytest.raises(ValueError, match="'acceleration'"):
+            train_and_measure(config, 1.0, search_budget=1, seed=0)
 
     def test_deterministic(self):
         config = replace(FAST, warmup=50.0, horizon=100.0)
@@ -224,9 +239,22 @@ class TestConfig:
         config = load_ring_config(path)
         assert config.circumference == 300.0
         assert config.n_vehicles == 20
-        assert config.warmup == 100.0
+        assert config.warmup == 10.0  # 100 steps of the default 0.1 s
         assert config.idm.time_headway == 1.4
         assert config.guidance.alpha == 0.5
+
+    def test_step_keys_use_the_files_dt(self, tmp_path):
+        path = tmp_path / "ring.cfg"
+        path.write_text(
+            "timestep_horizon = 50\n"
+            "warmup_steps = 30\n"
+            "warmup = 7\n"          # the last setting of a duration wins
+            "simulation_step = 0.2\n"
+        )
+        config = load_ring_config(path)
+        assert config.dt == 0.2
+        assert config.horizon == 10.0
+        assert config.warmup == 7.0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -249,3 +277,220 @@ class TestRingTrainer:
         result = trainer.evaluate(1.0)
         assert result.achieved >= 0.0
         assert "ring[" in result.policy_id
+
+
+# ---------------------------------------------------------------------------
+# The batch integrator against one-row calls and the scalar loop it replaced.
+
+SHORT = RingConfig(warmup=10.0, horizon=30.0)
+HOLDS = (0.1, 1.0, 5.0, 40.0)
+LATTICE = [(w0, w1, w2) for w0 in (2.0, 4.0, 6.0, 8.0) for w1, w2 in ((0.0, 0.0), (0.6, 0.1), (1.2, 0.2))]
+# 30 vehicles on 250 m: most guided candidates collide.
+CRAMPED = RingConfig(n_vehicles=30, warmup=10.0, horizon=20.0)
+
+
+def reference_rollout(config, policy, seed):
+    """The one-ring loop on 1-D arrays that the batch integrator replaced.
+
+    Returns (speeds_log, positions_log, commands, mean_speed, speed_std), or
+    raises CollisionError."""
+    state = initial_state(config, seed)
+    positions, speeds, t = state.positions, state.speeds, 0.0
+    g, n = config.guidance, config.n_vehicles
+    n_warm = round(config.warmup / config.dt)
+    n_score = round(config.horizon / config.dt)
+    guided = policy is not None and config.n_guided >= 1
+
+    def gaps_of(x):
+        gaps = np.empty_like(x)
+        gaps[:-1] = x[1:] - x[:-1] - config.vehicle_length
+        gaps[-1] = x[0] + config.circumference - x[-1] - config.vehicle_length
+        return gaps
+
+    speeds_log, positions_log, commands = [], [], []
+    speed_sum = std_sum = 0.0
+    for i in range(n_warm + n_score):
+        gaps = gaps_of(positions)
+        if guided and i % config.hold_steps == 0:
+            commands.append(float(policy((speeds[0], speeds[1], gaps[0]))))
+        lead = np.roll(speeds, -1)
+        accel = idm_acceleration(speeds, gaps, lead, config.idm)
+        caps = np.full(n, config.idm.v_desired)
+        if guided:
+            command = commands[-1]
+            raw = command if g.mode == "acceleration" else (
+                g.alpha * (command - speeds[0]) + g.beta * (lead[0] - speeds[0]))
+            accel[0] = min(max(raw, -g.accel_cap), g.accel_cap)
+            caps[0] = config.speed_limit
+        speeds = np.clip(speeds + accel * config.dt, 0.0, caps)
+        positions = positions + speeds * config.dt
+        t += config.dt
+        after = gaps_of(positions)
+        if np.any(after <= 0):
+            follower = int(np.argmin(after))
+            raise CollisionError(follower, (follower + 1) % n, t)
+        if i >= n_warm:
+            speed_sum += float(speeds.mean())
+            std_sum += float(speeds.std())
+        speeds_log.append(speeds)
+        positions_log.append(positions % config.circumference)
+    return np.array(speeds_log), np.array(positions_log), commands, speed_sum / n_score, std_sum / n_score
+
+
+def _policy_kinds(config):
+    """Policy factories: a ScriptedPolicy is consumed as it runs, so each
+    rollout needs a fresh one."""
+    script = [float(v) for v in np.linspace(2.0, 6.0, 7)] * 60
+    return [
+        lambda: None,
+        lambda: ConstantPolicy(4.0),
+        lambda: ConstantPolicy(10.0),     # floors the guided car into its leader
+        lambda: ScriptedPolicy(script),
+        *[lambda w=w: LinearSpeedPolicy(*w, config) for w in LATTICE[::3]],
+        lambda: LinearSpeedPolicy(*LATTICE[-1], config),
+    ]
+
+
+def _policy_rows(config):
+    """(seed, hold, policy factory) rows: mixed seeds, holds and policy kinds."""
+    return [
+        (seed, hold, kind)
+        for k, kind in enumerate(_policy_kinds(config))
+        for seed, hold in [((3 * k) % 7, HOLDS[k % 4]), (k % 5, HOLDS[(k + 1) % 4])]
+    ]
+
+
+class TestBatchedIntegrator:
+    def test_rows_match_separate_simulate_calls(self):
+        rows = _policy_rows(SHORT)
+        batch = simulate_many(
+            SHORT, [r[0] for r in rows], [r[2]() for r in rows], [r[1] for r in rows], record=True
+        )
+        collided = 0
+        for (seed, hold, make), got in zip(rows, batch):
+            config = replace(SHORT, guidance=replace(SHORT.guidance, hold=hold))
+            if got.collision is not None:
+                with pytest.raises(CollisionError) as err:
+                    simulate(config, make(), seed, record=True)
+                assert str(err.value) == str(got.collision)
+                assert (err.value.pair, err.value.time) == (got.collision.pair, got.collision.time)
+                assert got.mean_speed == -math.inf
+                collided += 1
+                continue
+            one = simulate(config, make(), seed, record=True)
+            assert np.array_equal(got.speeds_log, one.speeds_log)
+            assert np.array_equal(got.positions_log, one.positions_log)
+            assert np.array_equal(got.commands_log, one.commands_log, equal_nan=True)
+            assert got.commands == one.commands
+            assert got.mean_speed == one.mean_speed
+            assert got.speed_std == one.speed_std
+        # some rows collide mid-run while the others carry on
+        assert 0 < collided < len(rows)
+        assert any(0 < r.collision.time < SHORT.warmup + SHORT.horizon - 1 for r in batch if r.collision)
+
+    def test_collided_row_stops_with_nan_logs(self):
+        got, clean = simulate_many(
+            SHORT, [0, 0], [ConstantPolicy(10.0), ConstantPolicy(4.0)], record=True
+        )
+        hit = round(got.collision.time / SHORT.dt) - 1  # index of the colliding step
+        assert np.isnan(got.speeds_log[hit:]).all() and not np.isnan(got.speeds_log[:hit]).any()
+        assert math.isnan(got.speed_std)
+        assert clean.collision is None and not np.isnan(clean.speeds_log).any()
+
+    # lattice, scripted, colliding lattice, colliding constant, unguided
+    @pytest.mark.parametrize("seed, hold, kind", [(0, 0.1, 4), (5, 1.0, 3), (2, 5.0, 6), (1, 1.0, 2), (4, 40.0, 0)])
+    def test_one_row_matches_reference_loop(self, seed, hold, kind):
+        config = replace(SHORT, guidance=replace(SHORT.guidance, hold=hold))
+        make = _policy_kinds(config)[kind]
+        try:
+            want = reference_rollout(config, make(), seed)
+        except CollisionError as exc:
+            with pytest.raises(CollisionError) as err:
+                simulate(config, make(), seed, record=True)
+            assert str(err.value) == str(exc)
+            return
+        got = simulate(config, make(), seed, record=True)
+        speeds_log, positions_log, commands, mean_speed, speed_std = want
+        assert np.array_equal(got.speeds_log, speeds_log)
+        assert np.array_equal(got.positions_log, positions_log)
+        assert got.commands == commands
+        assert (got.mean_speed, got.speed_std) == (mean_speed, speed_std)
+
+    def test_colliding_one_row_simulate_raises_todays_message(self):
+        with pytest.raises(CollisionError, match=r"^vehicle 0 hit vehicle 1 at t=2\.1s$"):
+            simulate(SHORT, ConstantPolicy(10.0), seed=0)
+
+    def test_collision_heavy_batch_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = simulate_many(
+                CRAMPED,
+                [0] * 48,
+                [LinearSpeedPolicy(*w, CRAMPED) for w in LATTICE] * 4,
+                [h for h in HOLDS for _ in LATTICE],
+            )
+            with pytest.raises(TrainingError):
+                train_and_measure_many(CRAMPED, HOLDS, 3, 0)
+        assert sum(r.collision is not None for r in results) >= 40
+
+
+class TestLockstepSearch:
+    DELTAS = (0.1, 1.0, 5.0, 15.0, 40.0)
+    CONFIG = RingConfig(warmup=10.0, horizon=20.0)
+
+    @pytest.mark.parametrize("budget", [1, 5, 12, 24])
+    def test_matches_separate_searches(self, budget):
+        many = train_and_measure_many(self.CONFIG, self.DELTAS, budget, 0)
+        for delta, got in zip(self.DELTAS, many):
+            one = train_and_measure(self.CONFIG, delta, budget, 0)
+            assert got == one  # achieved, policy_id, delta and cost
+
+    @pytest.mark.parametrize("deltas, failing", [((40.0, 5.0, 1.0, 0.1), 5), ((15.0, 1.0, 5.0), 1)])
+    def test_first_failing_delta_in_input_order_raises(self, deltas, failing):
+        with pytest.raises(TrainingError) as err:
+            train_and_measure_many(CRAMPED, deltas, 3, 0)
+        assert str(err.value) == f"all 3 candidate rollouts collided at delta={failing} (seed=0)"
+        with pytest.raises(TrainingError) as one:
+            train_and_measure(CRAMPED, float(failing), 3, 0)
+        assert str(one.value) == str(err.value)
+
+
+# Printed by the scalar simulator this batched one replaced.
+SWEEP_GOLDEN = {
+    "0": (
+        "delta,achieved,baseline,policy_id\n"
+        "0.1,4.46535,4.33998,ring[w0=4,w1=0,w2=0]@0.1s\n"
+        "1,4.46535,4.33998,ring[w0=4,w1=0,w2=0]@1s\n"
+        "5,4.46535,4.33998,ring[w0=4,w1=0,w2=0]@5s\n"
+        "15,4.46535,4.33998,ring[w0=4,w1=0,w2=0]@15s\n"
+        "40,4.46535,4.33998,ring[w0=4,w1=0,w2=0]@40s\n"
+    ),
+    "2024": (
+        "delta,achieved,baseline,policy_id\n"
+        "0.1,4.6007,4.35163,ring[w0=6.213,w1=1.104,w2=0.2269]@0.1s\n"
+        "1,4.61524,4.35163,ring[w0=6,w1=1.2,w2=0.2]@1s\n"
+        "5,4.46191,4.35163,ring[w0=4,w1=0,w2=0]@5s\n"
+        "15,4.46191,4.35163,ring[w0=4,w1=0,w2=0]@15s\n"
+        "40,4.46191,4.35163,ring[w0=4,w1=0,w2=0]@40s\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "2024"])
+def test_sweep_stdout_is_pinned(seed, capsys):
+    args = ["ring", "sweep", "--deltas", "0.1,1,5,15,40", "--warmup", "10", "--horizon", "40", "--seed", seed]
+    assert main(args) == 0
+    assert capsys.readouterr().out == SWEEP_GOLDEN[seed]
+
+
+def test_baseline_stdout_is_pinned(capsys):
+    assert main(["ring", "baseline", "--seeds", "6", "--warmup", "20", "--horizon", "40"]) == 0
+    assert capsys.readouterr().out == (
+        "seed,mean_speed,speed_std\n"
+        "0,4.3378,0.382062\n"
+        "1,4.35931,0.139537\n"
+        "2,4.35032,0.285159\n"
+        "3,4.3506,0.288697\n"
+        "4,4.35379,0.250314\n"
+        "5,4.35387,0.21416\n"
+    )
