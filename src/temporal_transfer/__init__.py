@@ -2,8 +2,8 @@
 
 Core pieces: the performance landscape and linear-gap model, the greedy,
 coarse-to-fine, random, and exhaustive selectors, closed-form coverage
-bounds with a brute-force certification oracle, pluggable task evaluators,
-and a single-lane ring micro-simulation as a real task backend.
+bounds with an exact best-subset certification oracle, pluggable task
+evaluators, and a single-lane ring micro-simulation as a real task backend.
 """
 
 from .landscape import (
@@ -40,7 +40,7 @@ from .theory import (
     steps_to_cover,
     suboptimality_bound,
 )
-from .oracle import CombinatorialGuardError, OracleResult, exhaustive_best, greedy_vs_oracle
+from .oracle import OracleResult, exhaustive_best, greedy_vs_oracle
 from .trainers import (
     CsvFormatError,
     CsvReplayTrainer,

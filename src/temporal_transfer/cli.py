@@ -20,7 +20,6 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import ringsim, theory
 from .landscape import (
-    GapModel,
     HoldRange,
     Landscape,
     apply_transfer,
@@ -50,12 +49,6 @@ class UsageError(ValueError):
     pass
 
 
-def _model_and_range(args) -> tuple[HoldRange, GapModel]:
-    hold_range = HoldRange(args.dmin, args.dmax, args.resolution)
-    model = symmetric_model(args.theta, args.jstar)
-    return hold_range, model
-
-
 def _report_rows(reports: list[BoundReport]) -> str:
     lines = ["claim,lhs,rhs,holds,slack"]
     for r in reports:
@@ -64,7 +57,8 @@ def _report_rows(reports: list[BoundReport]) -> str:
 
 
 def cmd_run(args) -> int:
-    hold_range, model = _model_and_range(args)
+    hold_range = HoldRange(args.dmin, args.dmax, args.resolution)
+    model = symmetric_model(args.theta, args.jstar)
     kind = SelectorKind(args.algo)
     trainer_params = {}
     if args.trainer == "csv":
@@ -175,7 +169,7 @@ def _verify_l2(kmax: int) -> list[BoundReport]:
     return rows
 
 
-def _verify_l3(grid_cells: int, kmax: int = 6) -> list[BoundReport]:
+def _verify_l3(grid_cells: int, kmax: int) -> list[BoundReport]:
     hold_range = HoldRange(0.0, 1.0, 1.0)
     model = symmetric_model(1.0, 1.0)
     coarse = oracle_mod.coarse_range(hold_range, grid_cells)
@@ -183,11 +177,7 @@ def _verify_l3(grid_cells: int, kmax: int = 6) -> list[BoundReport]:
     a_star = theory.full_area(hold_range, model)
     rows = []
     for k in range(1, kmax + 1):
-        try:
-            best = oracle_mod.exhaustive_best(hold_range, model, k, grid_cells)
-        except oracle_mod.CombinatorialGuardError as exc:
-            print(f"warning: L3 k={k} skipped: {exc}", file=sys.stderr)
-            continue
+        best = oracle_mod.exhaustive_best(hold_range, model, k, grid_cells)
         closed = theory.cttl_optimal_area(hold_range, model, k)
         rows.append(bound_report(f"L3-K{k}", abs(best.best_area - closed), cell, a_star))
     return rows
@@ -210,8 +200,8 @@ def cmd_verify(args) -> int:
             elif claim == "L2":
                 rows.extend(_verify_l2(args.kmax))
             elif claim == "L3":
-                rows.extend(_verify_l3(args.grid))
-        except (oracle_mod.CombinatorialGuardError, UnsupportedAssumptionError) as exc:
+                rows.extend(_verify_l3(args.grid, args.kmax))
+        except UnsupportedAssumptionError as exc:
             print(f"warning: {claim} skipped: {exc}", file=sys.stderr)
     text = _report_rows(rows)
     sys.stdout.write(text)
@@ -221,17 +211,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    hold_range, model = _model_and_range(args)
+    # The oracle and the bound see only the interval, never a fine grid.
+    hold_range = HoldRange(args.dmin, args.dmax, args.dmax - args.dmin)
+    model = symmetric_model(args.theta, args.jstar)
     lines = ["k,best_area,gttl_area,cttl_area,bound,holds"]
-    ideal = make_trainer("ideal", hold_range, j_star=args.jstar)
     coarse = oracle_mod.coarse_range(hold_range, args.grid)
     coarse_ideal = make_trainer("ideal", coarse, j_star=args.jstar)
     for k in range(1, args.kmax + 1):
-        try:
-            best = oracle_mod.exhaustive_best(hold_range, model, k, args.grid)
-        except oracle_mod.CombinatorialGuardError as exc:
-            print(f"warning: k={k} skipped: {exc}", file=sys.stderr)
-            continue
+        best = oracle_mod.exhaustive_best(hold_range, model, k, args.grid)
         gttl = run_gttl(coarse_ideal, model, coarse, budget=k, epsilon=0.0).area
         cttl = run_cttl(coarse_ideal, model, coarse, budget=k).area
         cell = coarse.resolution * model.j_star
@@ -371,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 
-    orc = sub.add_parser("oracle", help="brute-force best subsets vs simulated selectors")
+    orc = sub.add_parser("oracle", help="exact best subsets vs simulated selectors")
     orc.add_argument("--dmin", type=float, default=0.0)
     orc.add_argument("--dmax", type=float, default=1.0)
-    orc.add_argument("--resolution", type=float, default=0.025)
     orc.add_argument("--theta", type=float, default=1.0)
     orc.add_argument("--jstar", type=float, default=1.0)
     orc.add_argument("--grid", type=int, default=41)

@@ -1,15 +1,16 @@
-"""Brute-force certification of the selectors against exhaustive search.
+"""Exact certification of the selectors against the best K-subset.
 
-Enumerates every K-subset of a coarse duration grid under the ideal trainer
-(final landscapes are order-invariant there, so subsets suffice), integrates
-each resulting landscape exactly, and reports the maximizer. Used to certify
-the closed-form picks, areas, and suboptimality bounds independently of the
-formulas themselves.
+Under the ideal trainer a final landscape is the max-of-tents envelope of the
+chosen set (order plays no role), and between two consecutive chosen cells
+only their two tents can be the maximum. The area therefore splits into
+per-pair terms, and a dynamic program over the last chosen cell finds the
+best K-subset of a coarse grid exactly in O(K n^2), for asymmetric slopes
+too. Used to certify the closed-form picks, areas, and suboptimality bounds
+independently of the formulas themselves.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,14 +22,6 @@ from .selectors import run_gttl
 from .theory import BoundReport, bound_report
 from .trainers import IdealTrainer
 
-MAX_CELLS = 81
-MAX_SUBSETS = 10**7
-_CHUNK = 65536
-
-
-class CombinatorialGuardError(ValueError):
-    """Requested enumeration exceeds the subset budget."""
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -39,6 +32,8 @@ class OracleResult:
 
 def coarse_range(hold_range: HoldRange, coarse_cells: int) -> HoldRange:
     """Evaluation grid with coarse_cells points across the same interval."""
+    if coarse_cells < 2:
+        raise ValueError(f"coarse grid needs at least 2 cells, got {coarse_cells}")
     return HoldRange(
         d_min=hold_range.d_min,
         d_max=hold_range.d_max,
@@ -59,45 +54,62 @@ def _trapezoid_weights(rng: HoldRange) -> np.ndarray:
     return w
 
 
+def _area_tables(tents: np.ndarray, weights: np.ndarray, model: GapModel):
+    """Areas left of a first pick (cells t < i under tent i), between
+    consecutive picks i < j (cells i <= t < j under the larger tent; -inf
+    unless i < j) and right of a last pick (cells t >= i under tent i).
+
+    Tent i wins up to the crossover of the two unclamped lines and tent j
+    after it, so each entry is a difference of row-wise cumulative sums.
+    """
+    n = len(weights)
+    cum = np.zeros((n, n + 1))
+    np.cumsum(tents * weights, axis=1, out=cum[:, 1:])
+    idx = np.arange(n)
+    own = cum[idx, idx]  # row i summed over t < i
+    i, j = idx[:, None], idx[None, :]
+    slopes = model.theta_left + model.theta_right
+    # Crossover in grid units (the grid is uniform); flat tents split anywhere.
+    cross = (model.theta_right * i + model.theta_left * j) / slopes if slopes > 0 else i
+    split = np.minimum(np.floor(cross).astype(np.intp) + 1, j)
+    pair = (cum[i, split] - own[:, None]) + (own[None, :] - cum[j, split])
+    pair[i >= j] = -np.inf
+    return own, pair, cum[:, n] - own
+
+
 def exhaustive_best(
     hold_range: HoldRange, model: GapModel, k: int, coarse_cells: int = 41
 ) -> OracleResult:
-    """Best K-subset of the coarse grid by exact enumeration.
+    """Best K-subset of the coarse grid, exact over all C(coarse_cells, K).
 
-    Deterministic: subsets are scanned in lexicographic order and ties keep
-    the first maximizer.
+    Dynamic program over the last chosen cell: best[j] is the largest area
+    left of cell j with the picks so far ending at j. Ties go to the smaller
+    cell index. best_area is the trapezoid integral of the chosen subset's
+    max-of-tents envelope; evaluated_count is the number of K-subsets the
+    optimum is exact over.
     """
-    if coarse_cells > MAX_CELLS:
-        raise CombinatorialGuardError(f"coarse grid capped at {MAX_CELLS} cells, got {coarse_cells}")
-    total = math.comb(coarse_cells, k)
-    if total > MAX_SUBSETS:
-        raise CombinatorialGuardError(
-            f"C({coarse_cells}, {k}) = {total} subsets exceeds the {MAX_SUBSETS} budget"
-        )
+    if not 1 <= k <= coarse_cells:
+        raise ValueError(f"k must be in 1..{coarse_cells} for a {coarse_cells}-cell grid, got {k}")
     rng = coarse_range(hold_range, coarse_cells)
     grid = rng.grid()
     tents = _tent_matrix(grid, model)
     weights = _trapezoid_weights(rng)
-    best_area = -np.inf
-    best_idx: tuple[int, ...] = ()
-    combos = itertools.combinations(range(coarse_cells), k)
-    while True:
-        chunk = list(itertools.islice(combos, _CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
-        envelope = tents[idx[:, 0]].copy()
-        for j in range(1, k):
-            np.maximum(envelope, tents[idx[:, j]], out=envelope)
-        areas = envelope @ weights
-        local = int(np.argmax(areas))
-        if areas[local] > best_area:
-            best_area = float(areas[local])
-            best_idx = tuple(int(x) for x in idx[local])
+    left, pair, right = _area_tables(tents, weights, model)
+    best = left
+    back = []
+    for _ in range(k - 1):
+        totals = best[:, None] + pair
+        back.append(np.argmax(totals, axis=0))
+        best = totals.max(axis=0)
+    chosen = [int(np.argmax(best + right))]
+    for pointers in reversed(back):
+        chosen.append(int(pointers[chosen[-1]]))
+    chosen.reverse()
+    envelope = tents[chosen].max(axis=0)
     return OracleResult(
-        best_sequence=tuple(float(grid[i]) for i in best_idx),
-        best_area=best_area,
-        evaluated_count=total,
+        best_sequence=tuple(float(grid[i]) for i in chosen),
+        best_area=float(envelope @ weights),
+        evaluated_count=math.comb(coarse_cells, k),
     )
 
 
@@ -124,7 +136,7 @@ def greedy_vs_oracle(
 ) -> BoundReport:
     """Measured oracle-minus-greedy area gap checked against the bound.
 
-    The greedy run uses the same coarse grid as the enumeration; the bound
+    The greedy run uses the same coarse grid as the oracle; the bound
     allows one coarse cell of discretization slack.
     """
     rng = coarse_range(hold_range, coarse_cells)

@@ -242,6 +242,15 @@ def test_greedy_coverage_k17_exact_counterexample():
     assert areas[16] < exact_ghost_bound(17)
 
 
+def test_exact_optimum_k17_meets_ghost_bound():
+    """The shortfall above is greedy's, not the budget's: the best 17-subset of
+    the 401-point unit grid clears the ghost-cell bound that greedy misses."""
+    best = exhaustive_best(UNIT, UNIT_MODEL, 17, coarse_cells=401).best_area
+    assert best >= 63 / 64
+    assert best == pytest.approx(0.9853, abs=1e-12)
+    assert Fraction(63, 64) > Fraction(15299, 15552)
+
+
 class TestC6LandscapeInvariantSuite:
     TRIALS = 1000
 

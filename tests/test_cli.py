@@ -94,6 +94,24 @@ class TestVerify:
         assert code == 0
         assert out.count("true") >= 6
 
+    def test_l3_honours_kmax(self, capsys):
+        code, out, _ = run_cli(["verify", "--claims", "L3", "--kmax", "2"], capsys)
+        assert code == 0
+        claims = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert claims == ["L3-K1", "L3-K2"]
+
+    def test_oracle_claims_certified_beyond_81_cells(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--claims", "T1,L3", "--grid", "101", "--kmax", "3"], capsys
+        )
+        assert code == 0
+        assert err == ""
+        claims = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert claims == [
+            "T1-first-pick", "T1-first-area", "T1-pos-trisection", "T1-neg-trisection",
+            "L3-K1", "L3-K2", "L3-K3",
+        ]
+
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify", "--claims", "T9"], capsys)
         assert code == 2
@@ -115,6 +133,17 @@ class TestOracleCommand:
         assert lines[0] == "k,best_area,gttl_area,cttl_area,bound,holds"
         assert len(lines) == 3
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_resolution_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--resolution", "0.5"])
+        assert exc.value.code == 2
+        assert "--resolution" in capsys.readouterr().err
+
+    def test_k_beyond_grid_is_usage_error(self, capsys):
+        code, _, err = run_cli(["oracle", "--grid", "3", "--kmax", "4"], capsys)
+        assert code == 2
+        assert "k must be in 1..3" in err
 
 
 class TestRing:

@@ -1,23 +1,68 @@
-"""Brute-force enumeration and greedy certification."""
+"""The exact best-subset oracle, pinned to brute force, and greedy certification."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from temporal_transfer.landscape import HoldRange, Landscape, apply_transfer, symmetric_model
+from temporal_transfer.landscape import (
+    GapModel,
+    HoldRange,
+    Landscape,
+    apply_transfer,
+    symmetric_model,
+)
 from temporal_transfer.oracle import (
-    CombinatorialGuardError,
     best_marginal_cell,
     coarse_range,
     exhaustive_best,
     greedy_vs_oracle,
 )
 from temporal_transfer.selectors import run_cttl, run_gttl, run_rttl
+from temporal_transfer.theory import cttl_optimal_area
 from temporal_transfer.trainers import IdealTrainer
 
 UNIT = HoldRange(0, 1, 0.025)
 MODEL = symmetric_model(1.0, 1.0)
+SKEWED = GapModel(theta_left=2.0, theta_right=0.5, j_star=1.0)
+
+
+def envelope_areas(hold_range, model, cells, subsets):
+    """Trapezoid area of the max-of-tents landscape of each subset (rows of
+    grid indices), built directly from the gap model."""
+    grid = coarse_range(hold_range, cells).grid()
+    h = hold_range.width / (cells - 1)
+    weights = np.full(cells, h)
+    weights[0] = weights[-1] = h / 2
+    sources = grid[np.asarray(subsets)][..., None]  # (subsets, k, 1)
+    gaps = np.where(
+        grid >= sources, model.theta_right * (grid - sources), model.theta_left * (sources - grid)
+    )
+    envelope = np.maximum(model.j_star - gaps, 0.0).max(axis=-2)
+    return envelope @ weights
+
+
+def brute_force_area(hold_range, model, k, cells):
+    """Largest envelope area over every K-subset of the coarse grid."""
+    subsets = list(itertools.combinations(range(cells), k))
+    return float(envelope_areas(hold_range, model, cells, subsets).max())
+
+
+def assert_matches_brute_force(hold_range, model, k, cells):
+    result = exhaustive_best(hold_range, model, k, coarse_cells=cells)
+    want = brute_force_area(hold_range, model, k, cells)
+    assert result.best_area == pytest.approx(want, rel=1e-12, abs=0)
+    coarse = coarse_range(hold_range, cells)
+    picks = [coarse.index_of(d) for d in result.best_sequence]
+    assert len(picks) == k
+    assert picks == sorted(set(picks))
+    assert result.best_sequence == tuple(float(coarse.grid()[i]) for i in picks)
+    own = float(envelope_areas(hold_range, model, cells, [picks])[0])
+    assert own == pytest.approx(result.best_area, rel=1e-12, abs=0)
+    assert result.evaluated_count == math.comb(cells, k)
 
 
 class TestExhaustiveBest:
@@ -38,11 +83,23 @@ class TestExhaustiveBest:
         result = exhaustive_best(rng, MODEL, 11, coarse_cells=11)
         assert result.best_area == pytest.approx(1.0, rel=1e-12)
 
-    def test_guards(self):
-        with pytest.raises(CombinatorialGuardError):
-            exhaustive_best(UNIT, MODEL, 1, coarse_cells=101)
-        with pytest.raises(CombinatorialGuardError):
-            exhaustive_best(UNIT, MODEL, 20, coarse_cells=81)
+    def test_large_grids_are_solved(self):
+        for cells, k in ((101, 1), (81, 20)):
+            result = exhaustive_best(UNIT, MODEL, k, coarse_cells=cells)
+            cell = coarse_range(UNIT, cells).resolution * MODEL.j_star
+            assert abs(result.best_area - cttl_optimal_area(UNIT, MODEL, k)) <= cell
+            spaced = [round((2 * i + 1) / (2 * k) * (cells - 1)) for i in range(k)]
+            assert result.best_area >= envelope_areas(UNIT, MODEL, cells, [spaced])[0] - 1e-12
+            assert result.evaluated_count == math.comb(cells, k)
+
+    @pytest.mark.parametrize("k,cells", [(0, 41), (42, 41), (-1, 5)])
+    def test_rejects_k_outside_grid(self, k, cells):
+        with pytest.raises(ValueError, match="k must be in"):
+            exhaustive_best(UNIT, MODEL, k, coarse_cells=cells)
+
+    def test_rejects_grid_without_cells(self):
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            exhaustive_best(UNIT, MODEL, 1, coarse_cells=1)
 
     def test_shrinking_grid_changes_area_at_most_one_cell(self):
         fine = exhaustive_best(UNIT, MODEL, 2, coarse_cells=41)
@@ -55,6 +112,39 @@ class TestExhaustiveBest:
         a = exhaustive_best(UNIT, MODEL, 3, coarse_cells=21)
         b = exhaustive_best(UNIT, MODEL, 3, coarse_cells=21)
         assert a == b
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("model", [MODEL, SKEWED], ids=["symmetric", "skewed"])
+    @pytest.mark.parametrize("cells", range(5, 22))
+    def test_matches_enumeration(self, model, cells):
+        for k in range(1, 6):
+            assert_matches_brute_force(UNIT, model, k, cells)
+
+    @pytest.mark.parametrize(
+        "model",
+        [GapModel(0.0, 0.3, 2.0), GapModel(0.3, 0.0, 2.0), GapModel(0.0, 0.0, 2.0)],
+        ids=["flat-left", "flat-right", "flat"],
+    )
+    def test_one_sided_and_flat_tents(self, model):
+        wide = HoldRange(0, 10, 10)
+        for k in range(1, 5):
+            assert_matches_brute_force(wide, model, k, 11)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        theta_left=st.floats(0.0, 5.0),
+        theta_right=st.floats(0.0, 5.0),
+        j_star=st.floats(0.1, 4.0),
+        d_min=st.floats(0.0, 3.0),
+        width=st.floats(0.25, 4.0),
+        cells=st.integers(2, 15),
+        data=st.data(),
+    )
+    def test_random_models(self, theta_left, theta_right, j_star, d_min, width, cells, data):
+        k = data.draw(st.integers(1, min(4, cells)), label="k")
+        hold_range = HoldRange(d_min, d_min + width, width)
+        assert_matches_brute_force(hold_range, GapModel(theta_left, theta_right, j_star), k, cells)
 
 
 class TestGreedyVsOracle:
