@@ -67,10 +67,8 @@ class HoldRange:
 
     def index_of(self, duration: float) -> int:
         """Grid index of an on-grid duration; GridAlignmentError otherwise."""
-        i = round((duration - self.d_min) / self.resolution)
-        if i < 0 or i >= self.n_points or abs(self.point(i) - duration) > 1e-9 * max(
-            self.resolution, 1.0
-        ):
+        i = self.nearest_index(duration)
+        if abs(self.point(i) - duration) > 1e-9 * max(self.resolution, 1.0):
             raise GridAlignmentError(
                 f"duration {duration} is not on the [{self.d_min}, {self.d_max}] "
                 f"grid with resolution {self.resolution}"
@@ -80,10 +78,14 @@ class HoldRange:
     def point(self, index: int) -> float:
         return self.d_min + index * self.resolution
 
+    def nearest_index(self, duration: float) -> int:
+        """Index of the nearest grid duration (clamped to the range)."""
+        i = round((duration - self.d_min) / self.resolution)
+        return min(max(i, 0), self.n_points - 1)
+
     def snap(self, duration: float) -> float:
         """Nearest grid duration (clamped to the range)."""
-        i = round((duration - self.d_min) / self.resolution)
-        return self.point(min(max(i, 0), self.n_points - 1))
+        return self.point(self.nearest_index(duration))
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,6 @@ class Landscape:
 
     range: HoldRange
     values: np.ndarray
-    generation: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -157,7 +158,7 @@ class Landscape:
 
     @classmethod
     def zeros(cls, hold_range: HoldRange) -> "Landscape":
-        return cls(range=hold_range, values=np.zeros(hold_range.n_points), generation=0)
+        return cls(range=hold_range, values=np.zeros(hold_range.n_points))
 
     def value_at(self, duration: float) -> float:
         return float(self.values[self.range.index_of(duration)])
@@ -182,13 +183,37 @@ def apply_transfer(
     candidate = np.maximum(achieved - gaps, 0.0)
     new_values = np.maximum(land.values, candidate)
     new_values[idx] = achieved
-    return Landscape(range=land.range, values=new_values, generation=land.generation + 1)
+    return Landscape(range=land.range, values=new_values)
 
 
-def aggregate_area(land: Landscape) -> float:
-    """Trapezoidal integral of the estimates over the hold range."""
-    v = land.values
+def aggregate_area(land: Landscape, cap: float | None = None) -> float:
+    """Trapezoidal integral of the estimates over the hold range, each
+    estimate clipped at `cap` when one is given."""
+    v = land.values if cap is None else np.minimum(land.values, cap)
     return float(land.range.resolution * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def best_marginal_cell(
+    land: Landscape, model: GapModel, lo: float, hi: float, taken=()
+) -> tuple[float, float] | None:
+    """Grid cell in [lo, hi], outside the grid indices `taken`, whose ideal
+    transfer adds the most area: (duration, gain), or None if every cell is
+    taken.
+
+    Brute force over cells, ties to the coarser cell: the greedy selector's
+    duplicate fallback, and the independent check for the closed-form picks.
+    """
+    rng = land.range
+    base = aggregate_area(land)
+    best = None
+    for i in range(rng.nearest_index(lo), rng.nearest_index(hi) + 1):
+        if i in taken:
+            continue
+        d = rng.point(i)
+        gain = aggregate_area(apply_transfer(land, model, d, model.j_star)) - base
+        if best is None or gain >= best[1] - 1e-15:
+            best = (d, gain)
+    return best
 
 
 @dataclass(frozen=True)
@@ -216,23 +241,15 @@ def _classify(values: np.ndarray, tol: float) -> SlopeClass:
     return SlopeClass.NEGATIVE
 
 
-def segments(land: Landscape, sources) -> list[Segment]:
-    """Split the range at the selected source durations and classify each piece."""
+def segments(land: Landscape, picks) -> list[Segment]:
+    """Split the range at the picked grid indices and classify each piece."""
     rng = land.range
-    indices = sorted({rng.index_of(s) for s in sources})
-    boundaries = [0] + [i for i in indices if 0 < i < rng.n_points - 1] + [rng.n_points - 1]
-    boundaries = sorted(set(boundaries))
+    boundaries = sorted({0, rng.n_points - 1, *picks})
     tol = SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
-    out = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        out.append(
-            Segment(
-                left=rng.point(lo),
-                right=rng.point(hi),
-                slope_class=_classify(land.values[lo : hi + 1], tol),
-            )
-        )
-    return out
+    return [
+        Segment(rng.point(lo), rng.point(hi), _classify(land.values[lo : hi + 1], tol))
+        for lo, hi in zip(boundaries[:-1], boundaries[1:])
+    ]
 
 
 def write_landscape_csv(land: Landscape, path) -> None:

@@ -6,7 +6,9 @@ only their two tents can be the maximum. The area therefore splits into
 per-pair terms, and a dynamic program over the last chosen cell finds the
 best K-subset of a coarse grid exactly in O(K n^2), for asymmetric slopes
 too. Used to certify the closed-form picks, areas, and suboptimality bounds
-independently of the formulas themselves.
+independently of the formulas themselves. The picks are checked with
+best_marginal_cell, the brute-force scan that the greedy selector also
+falls back on; it lives with the landscape and is re-exported here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .landscape import GapModel, HoldRange, Landscape, aggregate_area, apply_transfer
+from .landscape import GapModel, HoldRange, best_marginal_cell  # noqa: F401  (re-exported)
 from .selectors import run_gttl
 from .theory import BoundReport, bound_report
 from .trainers import IdealTrainer
@@ -113,41 +115,24 @@ def exhaustive_best(
     )
 
 
-def best_marginal_cell(
-    land: Landscape, model: GapModel, lo: float, hi: float
-) -> tuple[float, float]:
-    """Grid cell in [lo, hi] whose ideal transfer adds the most area.
-
-    Brute force over cells; the independent check for the closed-form picks.
-    """
-    rng = land.range
-    base = aggregate_area(land)
-    best = None
-    for i in range(rng.index_of(rng.snap(lo)), rng.index_of(rng.snap(hi)) + 1):
-        d = rng.point(i)
-        gain = aggregate_area(apply_transfer(land, model, d, model.j_star)) - base
-        if best is None or gain > best[1]:
-            best = (d, gain)
-    return best
-
-
 def greedy_vs_oracle(
     hold_range: HoldRange, model: GapModel, k: int, coarse_cells: int = 41
-) -> BoundReport:
-    """Measured oracle-minus-greedy area gap checked against the bound.
+) -> tuple[OracleResult, float, BoundReport]:
+    """The optimum, the greedy area, and the measured oracle-minus-greedy
+    area gap checked against the bound.
 
     The greedy run uses the same coarse grid as the oracle; the bound
     allows one coarse cell of discretization slack.
     """
     rng = coarse_range(hold_range, coarse_cells)
-    oracle = exhaustive_best(hold_range, model, k, coarse_cells)
-    greedy = run_gttl(IdealTrainer(model.j_star, rng), model, rng, budget=k, epsilon=0.0)
-    gap = oracle.best_area - greedy.area
+    best = exhaustive_best(hold_range, model, k, coarse_cells)
+    greedy = run_gttl(IdealTrainer(model.j_star, rng), model, rng, budget=k, epsilon=0.0).area
     cell = rng.resolution * model.j_star
     bound = theory.suboptimality_bound(hold_range, model, k) if k >= 2 else 0.0
-    return bound_report(
+    report = bound_report(
         claim=f"T4-oracle-K{k}",
-        lhs=gap,
+        lhs=best.best_area - greedy,
         rhs=bound + cell,
         scale=theory.full_area(hold_range, model),
     )
+    return best, greedy, report

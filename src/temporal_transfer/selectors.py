@@ -18,9 +18,9 @@ from .landscape import (
     GapModel,
     HoldRange,
     Landscape,
-    SlopeClass,
     aggregate_area,
     apply_transfer,
+    best_marginal_cell,
     segments,
 )
 from .trainers import EvaluatorResult
@@ -47,71 +47,51 @@ class GridExhausted(RuntimeError):
 
 @dataclass
 class SelectionState:
-    """Everything accumulated across selection iterations."""
+    """Everything accumulated across selection iterations; picks are grid
+    indices of the landscape's range."""
 
     landscape: Landscape
-    sources: list[float] = field(default_factory=list)
+    picks: list[int] = field(default_factory=list)
     results: list[EvaluatorResult] = field(default_factory=list)
     area_history: list[float] = field(default_factory=list)
-    budget: int = 15
-    epsilon: float = 0.05
+
+    @property
+    def sources(self) -> list[float]:
+        """Picked durations, in pick order."""
+        return [self.landscape.range.point(i) for i in self.picks]
 
     @property
     def iteration(self) -> int:
-        return len(self.sources)
+        return len(self.picks)
 
     @property
     def area(self) -> float:
         return self.area_history[-1] if self.area_history else aggregate_area(self.landscape)
 
 
-def _fresh_state(hold_range: HoldRange, budget: int, epsilon: float = 0.0) -> SelectionState:
-    return SelectionState(landscape=Landscape.zeros(hold_range), budget=budget, epsilon=epsilon)
-
-
-def _train_and_apply(state: SelectionState, trainer, model: GapModel, delta: float) -> None:
+def _train_and_apply(state: SelectionState, trainer, model: GapModel, i: int) -> None:
+    rng = state.landscape.range
     snap = getattr(trainer, "snap_delta", None)
     if snap is not None:
-        snapped = state.landscape.range.snap(snap(delta))
+        snapped = rng.nearest_index(snap(rng.point(i)))
         # keep the exact grid pick when backend rounding would retrain an
         # already-selected task
-        if snapped not in state.sources:
-            delta = snapped
+        if snapped not in state.picks:
+            i = snapped
+    delta = rng.point(i)
     try:
         result = trainer.evaluate(delta)
     except Exception as exc:  # anytime property: partial state stays valid
         raise SelectionError(f"trainer failed at delta={delta:.6g}: {exc}", state) from exc
     state.landscape = apply_transfer(state.landscape, model, delta, result.achieved)
-    state.sources.append(delta)
+    state.picks.append(i)
     state.results.append(result)
     state.area_history.append(aggregate_area(state.landscape))
 
 
-def _marginal_gain(land: Landscape, model: GapModel, delta: float) -> float:
-    return aggregate_area(apply_transfer(land, model, delta, model.j_star)) - aggregate_area(land)
-
-
-def _segment_candidate(segment, model: GapModel, is_first: bool) -> tuple[float, float]:
-    """(pick, estimated gain) for one segment, tolerating asymmetric models."""
-    if model.symmetric:
-        return theory.optimal_pick_and_gain(segment, model, is_first)
-    # Heuristic outside the symmetric theory: slope-weighted point for fresh
-    # or V segments, trisection for monotone ones, mean slope for gains.
-    mean_theta = (model.theta_left + model.theta_right) / 2
-    length = segment.length
-    if is_first:
-        return theory.split_point(model, segment.left, segment.right), 0.75 * mean_theta * length**2
-    if segment.slope_class is SlopeClass.SYMMETRIC_V:
-        return theory.split_point(model, segment.left, segment.right), mean_theta * length**2 / 8
-    if segment.slope_class is SlopeClass.POSITIVE:
-        return (2 * segment.left + segment.right) / 3, mean_theta * length**2 / 3
-    if segment.slope_class is SlopeClass.NEGATIVE:
-        return (segment.left + 2 * segment.right) / 3, mean_theta * length**2 / 3
-    return (segment.left + segment.right) / 2, mean_theta * length**2 / 3
-
-
-def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> float:
-    """Pick of the segment with the largest estimated marginal area gain.
+def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
+    """Grid index of the pick of the segment with the largest estimated
+    marginal area gain.
 
     Ties (mirror segments, equal-gain candidates) go to the coarser (larger)
     duration. If the winning pick snaps onto an already-selected duration,
@@ -120,39 +100,23 @@ def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> float:
     """
     land = state.landscape
     rng = land.range
-    if rng.n_points < 2:
-        raise ValueError("hold range has no segments")
-    is_first = not state.sources
-    best = None  # (gain, candidate, segment)
-    for seg in segments(land, state.sources):
-        cand, gain = _segment_candidate(seg, model, is_first)
-        cand = rng.snap(cand)
-        if best is None or gain > best[0] + 1e-12 * (abs(best[0]) + 1.0) or (
-            abs(gain - best[0]) <= 1e-12 * (abs(best[0]) + 1.0) and cand > best[1]
-        ):
-            best = (gain, cand, seg)
-    _, candidate, seg = best
-    if candidate not in state.sources:
-        return candidate
-    taken = set(state.sources)
-
-    def best_fresh_cell(lo: int, hi: int):
-        found = None  # (gain, duration), ties to the coarser duration
-        for i in range(lo, hi + 1):
-            d = rng.point(i)
-            if d in taken:
-                continue
-            g = _marginal_gain(land, model, d)
-            if found is None or g > found[0] + 1e-15 or (g >= found[0] - 1e-15 and d > found[1]):
-                found = (g, d)
-        return found
-
-    fallback = best_fresh_cell(rng.index_of(seg.left), rng.index_of(seg.right))
-    if fallback is None:  # winning segment exhausted; widen to the whole grid
-        fallback = best_fresh_cell(0, rng.n_points - 1)
-    if fallback is None:
+    best = None  # (gain, index, segment)
+    for seg in segments(land, state.picks):
+        pick, gain = theory.optimal_pick_and_gain(seg, model, not state.picks)
+        i = rng.nearest_index(pick)
+        tol = 1e-12 * (abs(best[0]) + 1.0) if best else 0.0
+        if best is None or gain > best[0] + tol or (abs(gain - best[0]) <= tol and i > best[1]):
+            best = (gain, i, seg)
+    _, i, seg = best
+    if i not in state.picks:
+        return i
+    taken = set(state.picks)
+    found = best_marginal_cell(land, model, seg.left, seg.right, taken)
+    if found is None:  # winning segment exhausted; widen to the whole grid
+        found = best_marginal_cell(land, model, rng.d_min, rng.d_max, taken)
+    if found is None:
         raise GridExhausted("every grid duration has already been selected")
-    return fallback[1]
+    return rng.nearest_index(found[0])
 
 
 def run_gttl(
@@ -162,21 +126,33 @@ def run_gttl(
     budget: int = 15,
     epsilon: float = 0.05,
 ) -> SelectionState:
-    """Greedy selection until the area target or the training budget is hit."""
+    """Greedy selection until the covered area or the training budget is hit.
+
+    The covered area is that of the landscape clipped at j_star, so a result
+    above j_star cannot stand in for a stretch that is still uncovered.
+    """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    state = _fresh_state(hold_range, budget, epsilon)
+    state = SelectionState(landscape=Landscape.zeros(hold_range))
     if epsilon >= 1:  # degenerate: the coverage target is already met
         return state
-    a_star = theory.full_area(hold_range, model)
-    while state.area <= (1 - epsilon) * a_star and state.iteration < budget:
+    target = (1 - epsilon) * theory.full_area(hold_range, model)
+    while state.iteration < budget and aggregate_area(state.landscape, cap=model.j_star) <= target:
         try:
-            delta = find_greedy_transfer_point(state, model)
+            i = find_greedy_transfer_point(state, model)
         except GridExhausted:
             break
-        _train_and_apply(state, trainer, model, delta)
+        _train_and_apply(state, trainer, model, i)
+    return state
+
+
+def _run_plan(trainer, model: GapModel, hold_range: HoldRange, plan) -> SelectionState:
+    """Train the grid indices of a plan, known up front, in order."""
+    state = SelectionState(landscape=Landscape.zeros(hold_range))
+    for i in plan:
+        _train_and_apply(state, trainer, model, int(i))
     return state
 
 
@@ -196,10 +172,8 @@ def run_cttl(trainer, model: GapModel, hold_range: HoldRange, budget: int = 15) 
     """Train the coarse-to-fine schedule in order."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    state = _fresh_state(hold_range, budget)
-    for delta in cttl_schedule(hold_range, budget):
-        _train_and_apply(state, trainer, model, delta)
-    return state
+    plan = [hold_range.nearest_index(d) for d in cttl_schedule(hold_range, budget)]
+    return _run_plan(trainer, model, hold_range, plan)
 
 
 def run_rttl(
@@ -209,23 +183,15 @@ def run_rttl(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if budget > hold_range.n_points:
-        raise ValueError(
-            f"budget {budget} exceeds the {hold_range.n_points}-point grid"
-        )
+        raise ValueError(f"budget {budget} exceeds the {hold_range.n_points}-point grid")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(hold_range.n_points, size=budget, replace=False)
-    state = _fresh_state(hold_range, budget)
-    for i in picks:
-        _train_and_apply(state, trainer, model, hold_range.point(int(i)))
-    return state
+    plan = rng.choice(hold_range.n_points, size=budget, replace=False)
+    return _run_plan(trainer, model, hold_range, plan)
 
 
 def run_exhaustive(trainer, model: GapModel, hold_range: HoldRange) -> SelectionState:
     """Train every grid duration, merged in grid order."""
-    state = _fresh_state(hold_range, hold_range.n_points)
-    for i in range(hold_range.n_points):
-        _train_and_apply(state, trainer, model, hold_range.point(i))
-    return state
+    return _run_plan(trainer, model, hold_range, range(hold_range.n_points))
 
 
 def run_selector(

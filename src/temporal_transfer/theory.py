@@ -2,7 +2,9 @@
 
 Everything here is a pure function of the gap model and the hold range, used
 both by the greedy selector and by the verification suite that checks the
-simulated selectors against these formulas.
+simulated selectors against these formulas. The pick/gain rule is exact for
+symmetric models and a heuristic for asymmetric ones; the areas and bounds
+refuse all but symmetric models with a bounded slope.
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ def full_area(hold_range: HoldRange, model: GapModel) -> float:
 
 
 def split_point(model: GapModel, left: float, right: float) -> float:
-    """Slope-weighted optimal pick for a fresh or V-shaped stretch.
+    """Slope-weighted pick for a fresh or V-shaped stretch.
 
-    Reduces to the midpoint for symmetric models.
+    Exactly the midpoint (left + right) / 2 for symmetric models, theta = 0
+    included.
     """
+    if model.symmetric:
+        return (left + right) / 2
     return (model.theta_left * left + model.theta_right * right) / (
         model.theta_left + model.theta_right
     )
@@ -60,23 +65,21 @@ def split_point(model: GapModel, left: float, right: float) -> float:
 def optimal_pick_and_gain(
     segment: Segment, model: GapModel, is_first: bool
 ) -> tuple[float, float]:
-    """Optimal within-segment pick and its closed-form marginal area gain.
+    """Within-segment pick and its closed-form marginal area gain.
 
     is_first marks the untouched full range (estimate identically zero), which
     has its own gain row. Flat segments after the first pick fall back to the
-    monotone gain rule with a midpoint pick.
+    monotone gain rule with a midpoint pick. Exact for symmetric models. For
+    asymmetric ones the same rule is a heuristic: split_point for fresh and
+    V segments, trisection for monotone ones, and the mean slope
+    (theta_left + theta_right) / 2 in every gain.
     """
-    if not model.symmetric:
-        raise UnsupportedAssumptionError(
-            "gain formulas require a symmetric gap model; "
-            "use split_point for the asymmetric pick"
-        )
-    theta = model.theta
+    theta = (model.theta_left + model.theta_right) / 2
     length = segment.length
     if is_first:
-        return (segment.left + segment.right) / 2, 0.75 * theta * length**2
+        return split_point(model, segment.left, segment.right), 0.75 * theta * length**2
     if segment.slope_class is SlopeClass.SYMMETRIC_V:
-        return (segment.left + segment.right) / 2, theta * length**2 / 8
+        return split_point(model, segment.left, segment.right), theta * length**2 / 8
     if segment.slope_class is SlopeClass.POSITIVE:
         return (2 * segment.left + segment.right) / 3, theta * length**2 / 3
     if segment.slope_class is SlopeClass.NEGATIVE:

@@ -60,6 +60,35 @@ class TestRun:
         )
         assert code == 2
 
+    def test_noisy_greedy_spends_its_budget(self, tmp_path, capsys):
+        # Results above j* must not count as coverage: the stop test clips the
+        # landscape at j*, so with epsilon 0 every pick of the budget is made.
+        code, out, _ = run_cli(
+            ["run", "--algo", "gttl", "--trainer", "noisy", "--noise-eta", "0.1",
+             "--seed", "7", "--budget", "17", "--epsilon", "0", "--out", str(tmp_path / "n")],
+            capsys,
+        )
+        assert code == 0
+        assert out.startswith("gttl,17,")
+        assert len((tmp_path / "n_iterations.csv").read_text().splitlines()) == 18
+
+    def test_trainer_failure_writes_partial_csvs(self, tmp_path, capsys):
+        curve = tmp_path / "short.csv"
+        curve.write_text("delta,performance\n" + "".join(f"{i / 10:g},1\n" for i in range(251)))
+        code, out, err = run_cli(
+            ["run", "--algo", "gttl", "--trainer", "csv", "--csv", str(curve),
+             "--budget", "5", "--out", str(tmp_path / "p")],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "delta=33.3" in err
+        iterations = (tmp_path / "p_iterations.csv").read_text().splitlines()
+        assert iterations == ["iteration,delta,achieved,area", "1,20,1,30"]
+        landscape = (tmp_path / "p_landscape.csv").read_text().splitlines()
+        assert len(landscape) == 402
+        assert landscape[201] == "20,1"
+
     def test_csv_replay_reproduces_area_history(self, tmp_path, capsys):
         out1 = tmp_path / "ideal"
         code, _, _ = run_cli(

@@ -99,7 +99,6 @@ class TestApplyTransfer:
         assert land.value_at(30.0) == pytest.approx(0.75)
         assert land.value_at(0.0) == pytest.approx(0.5)
         assert land.value_at(20.0) == 1.0
-        assert land.generation == 1
 
     def test_second_transfer_takes_pointwise_max(self):
         land = apply_transfer(self.zero, self.model, 20.0, 1.0)
@@ -161,14 +160,14 @@ class TestSegments:
 
     def test_one_source_splits_positive_negative(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 20.0, 1.0)
-        segs = segments(land, [20.0])
+        segs = segments(land, [200])
         assert [s.slope_class for s in segs] == [SlopeClass.POSITIVE, SlopeClass.NEGATIVE]
         assert segs[0].right == segs[1].left == pytest.approx(20.0)
 
     def test_two_sources_give_symmetric_v_between(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 20.0, 1.0)
         land = apply_transfer(land, self.model, 33.3, 1.0)
-        segs = segments(land, [20.0, 33.3])
+        segs = segments(land, [200, 333])
         assert [s.slope_class for s in segs] == [
             SlopeClass.POSITIVE,
             SlopeClass.SYMMETRIC_V,
@@ -178,7 +177,7 @@ class TestSegments:
     def test_unequal_peaks_classified_by_net_change(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 10.0, 1.0)
         land = apply_transfer(land, self.model, 30.0, 0.4)
-        seg = segments(land, [10.0, 30.0])[1]
+        seg = segments(land, [100, 300])[1]
         assert seg.slope_class == SlopeClass.NEGATIVE
 
 

@@ -149,17 +149,17 @@ class TestAgainstBruteForce:
 
 class TestGreedyVsOracle:
     def test_first_pick_gap_is_zero(self):
-        report = greedy_vs_oracle(UNIT, MODEL, 1, coarse_cells=41)
+        _, _, report = greedy_vs_oracle(UNIT, MODEL, 1, coarse_cells=41)
         assert report.holds
         assert abs(report.lhs) <= 1e-9
 
     def test_k3_within_bound(self):
-        report = greedy_vs_oracle(UNIT, MODEL, 3, coarse_cells=41)
+        _, _, report = greedy_vs_oracle(UNIT, MODEL, 3, coarse_cells=41)
         assert report.holds
         assert report.rhs == pytest.approx(1 / 24 + 0.025)
 
     def test_k4_within_bound(self):
-        report = greedy_vs_oracle(UNIT, MODEL, 4, coarse_cells=41)
+        _, _, report = greedy_vs_oracle(UNIT, MODEL, 4, coarse_cells=41)
         assert report.holds
         assert report.rhs == pytest.approx(1 / 18 + 0.025)
 

@@ -59,20 +59,20 @@ class FailingTrainer(IdealTrainer):
 class TestFindGreedyTransferPoint:
     def test_fresh_state_picks_midpoint(self):
         state = SelectionState(landscape=Landscape.zeros(WIDE))
-        assert find_greedy_transfer_point(state, WIDE_MODEL) == pytest.approx(20.0)
+        assert WIDE.point(find_greedy_transfer_point(state, WIDE_MODEL)) == pytest.approx(20.0)
 
     def test_second_pick_breaks_tie_toward_coarser(self):
         land = apply_transfer(Landscape.zeros(WIDE), WIDE_MODEL, 20.0, 1.0)
-        state = SelectionState(landscape=land, sources=[20.0])
-        pick = find_greedy_transfer_point(state, WIDE_MODEL)
+        state = SelectionState(landscape=land, picks=[200])
+        pick = WIDE.point(find_greedy_transfer_point(state, WIDE_MODEL))
         assert pick == pytest.approx(33.3)  # (20 + 2*40)/3 snapped to grid
 
     def test_positive_segment_alone_gives_trisection(self):
         rng = HoldRange(0, 20, 0.1)
         model = symmetric_model(1 / 40, 1.0)
         land = apply_transfer(Landscape.zeros(rng), model, 20.0, 1.0)
-        state = SelectionState(landscape=land, sources=[20.0])
-        assert find_greedy_transfer_point(state, model) == pytest.approx(6.7)
+        state = SelectionState(landscape=land, picks=[200])
+        assert rng.point(find_greedy_transfer_point(state, model)) == pytest.approx(6.7)
 
     def test_duplicate_guard_returns_fresh_cell(self):
         rng = HoldRange(0, 1, 0.5)  # grid {0, 0.5, 1}
@@ -80,8 +80,8 @@ class TestFindGreedyTransferPoint:
         land = Landscape.zeros(rng)
         for d in (0.5, 1.0):
             land = apply_transfer(land, model, d, 1.0)
-        state = SelectionState(landscape=land, sources=[0.5, 1.0])
-        assert find_greedy_transfer_point(state, model) == 0.0
+        state = SelectionState(landscape=land, picks=[1, 2])
+        assert rng.point(find_greedy_transfer_point(state, model)) == 0.0
 
 
 class TestRunGttl:
@@ -108,6 +108,21 @@ class TestRunGttl:
         # 0.75*A* covered by the first pick; epsilon=0.3 accepts that
         state = run_gttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=10, epsilon=0.3)
         assert state.sources == [20.0]
+
+    def test_results_above_j_star_do_not_count_as_coverage(self):
+        class Overshooting(IdealTrainer):
+            def evaluate(self, delta, seed=None):
+                return EvaluatorResult(delta=delta, achieved=1.25, policy_id="over")
+
+        # The first pick, at 20 s, covers 40 of raw area, above the
+        # 0.95 * W * j* = 38 target, but only 37.5 of it lies below j*.
+        state = run_gttl(Overshooting(1.0, WIDE), WIDE_MODEL, WIDE, budget=40, epsilon=0.05)
+        assert 1 < state.iteration < 40
+        assert aggregate_area(state.landscape, cap=1.0) > 0.95 * 40
+        before = Landscape.zeros(WIDE)
+        for d in state.sources[:-1]:
+            before = apply_transfer(before, WIDE_MODEL, d, 1.25)
+        assert aggregate_area(before, cap=1.0) <= 0.95 * 40
 
     def test_invalid_arguments(self):
         trainer = IdealTrainer(1.0, WIDE)

@@ -47,14 +47,30 @@ class TestOptimalPickAndGain:
         point, _ = optimal_pick_and_gain(seg, WIDE_MODEL, is_first=False)
         assert point == pytest.approx((10 + 80) / 3)
 
-    def test_asymmetric_model_refused_but_point_exposed(self):
+    def test_asymmetric_model_uses_weighted_split_and_mean_slope(self):
         model = GapModel(theta_left=0.2, theta_right=0.1, j_star=1.0)
-        seg = Segment(0.0, 30.0, SlopeClass.SYMMETRIC_V)
-        with pytest.raises(UnsupportedAssumptionError):
-            optimal_pick_and_gain(seg, model, is_first=False)
-        assert split_point(model, 0.0, 30.0) == pytest.approx(
-            (0.2 * 0 + 0.1 * 30) / 0.3
-        )
+        weighted = (0.2 * 0 + 0.1 * 30) / 0.3
+        mean = 0.15
+        assert split_point(model, 0.0, 30.0) == pytest.approx(weighted)
+        cases = [
+            (SlopeClass.FLAT, True, weighted, 0.75 * mean * 900),
+            (SlopeClass.SYMMETRIC_V, False, weighted, mean * 900 / 8),
+            (SlopeClass.POSITIVE, False, 10.0, mean * 900 / 3),
+            (SlopeClass.NEGATIVE, False, 20.0, mean * 900 / 3),
+            (SlopeClass.FLAT, False, 15.0, mean * 900 / 3),
+        ]
+        for slope_class, is_first, point, gain in cases:
+            got = optimal_pick_and_gain(Segment(0.0, 30.0, slope_class), model, is_first)
+            assert got == pytest.approx((point, gain))
+
+    def test_split_point_is_exact_midpoint_for_symmetric_models(self):
+        # Segments of an odd number of cells: the midpoint is half a cell
+        # off the grid, where a rounding difference would move the snapped pick.
+        for theta in (0.0, 1 / 40, 1.0, 3.7):
+            model = symmetric_model(theta, 1.0)
+            for lo, cells in ((0, 1), (3, 7), (17, 333), (199, 201)):
+                left, right = WIDE.point(lo), WIDE.point(lo + cells)
+                assert split_point(model, left, right) == (left + right) / 2
 
 
 class TestGhostCellLowerBound:
