@@ -12,6 +12,7 @@ from .landscape import (
     HoldRange,
     Landscape,
     Segment,
+    Segments,
     SlopeClass,
     aggregate_area,
     apply_transfer,

@@ -8,7 +8,9 @@ keeps the pointwise best estimate seen so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -37,6 +39,7 @@ class HoldRange:
     d_min: float
     d_max: float
     resolution: float = 0.1
+    n_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.d_min < self.d_max:
@@ -49,14 +52,11 @@ class HoldRange:
                 f"range width {self.d_max - self.d_min} is not a whole number of "
                 f"{self.resolution}-cells"
             )
+        object.__setattr__(self, "n_cells", round(cells))
 
     @property
     def width(self) -> float:
         return self.d_max - self.d_min
-
-    @property
-    def n_cells(self) -> int:
-        return round((self.d_max - self.d_min) / self.resolution)
 
     @property
     def n_points(self) -> int:
@@ -78,10 +78,12 @@ class HoldRange:
     def point(self, index: int) -> float:
         return self.d_min + index * self.resolution
 
-    def nearest_index(self, duration: float) -> int:
-        """Index of the nearest grid duration (clamped to the range)."""
-        i = round((duration - self.d_min) / self.resolution)
-        return min(max(i, 0), self.n_points - 1)
+    def nearest_index(self, duration):
+        """Index of the nearest grid duration, halves to even, clamped to the
+        range: an int for one duration, an index array for an array of them."""
+        i = np.rint((duration - self.d_min) / self.resolution)
+        i = np.minimum(np.maximum(i, 0.0), self.n_cells)
+        return int(i) if i.ndim == 0 else i.astype(np.intp)
 
     def snap(self, duration: float) -> float:
         """Nearest grid duration (clamped to the range)."""
@@ -173,8 +175,8 @@ def apply_transfer(
     overrides any prior extrapolation there). Elsewhere it is the pointwise
     max of the old estimate and achieved minus the gap, clamped at 0.
     """
-    if achieved < 0:
-        raise ValueError(f"achieved performance must be >= 0, got {achieved}")
+    if not (math.isfinite(achieved) and achieved >= 0):
+        raise ValueError(f"achieved performance must be finite and >= 0, got {achieved}")
     idx = land.range.index_of(d_source)
     grid = land.range.grid()
     dist_left = np.maximum(d_source - grid, 0.0)  # targets finer than the source
@@ -228,28 +230,60 @@ class Segment:
     def length(self) -> float:
         return self.right - self.left
 
-
-def _classify(values: np.ndarray, tol: float) -> SlopeClass:
-    v_left, v_right = values[0], values[-1]
-    if values.max() - values.min() <= tol:
-        return SlopeClass.FLAT
-    interior_min = values.min()
-    if interior_min < min(v_left, v_right) - tol and abs(v_left - v_right) <= tol:
-        return SlopeClass.SYMMETRIC_V
-    if v_right > v_left:
-        return SlopeClass.POSITIVE
-    return SlopeClass.NEGATIVE
+    def by_class(self, values: dict):
+        """The value given for this segment's slope class."""
+        return values[self.slope_class]
 
 
-def segments(land: Landscape, picks) -> list[Segment]:
-    """Split the range at the picked grid indices and classify each piece."""
+# Classification order, first match wins; a segment's code is the position
+# of its class here.
+_CLASS_ORDER = (SlopeClass.FLAT, SlopeClass.SYMMETRIC_V, SlopeClass.POSITIVE, SlopeClass.NEGATIVE)
+
+
+@dataclass(frozen=True, eq=False)
+class Segments(Sequence):
+    """A landscape's segments in grid order, held as parallel arrays;
+    indexing and iteration give `Segment`s."""
+
+    left: np.ndarray
+    right: np.ndarray
+    codes: np.ndarray  # positions in _CLASS_ORDER
+
+    def by_class(self, values: dict) -> np.ndarray:
+        """Per segment, the constant given for its slope class; for tuples of
+        constants, one array per tuple entry."""
+        return np.array([values[c] for c in _CLASS_ORDER])[self.codes].T
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k: int) -> Segment:
+        return Segment(float(self.left[k]), float(self.right[k]), _CLASS_ORDER[self.codes[k]])
+
+
+def segments(land: Landscape, picks) -> Segments:
+    """Split the range at the picked grid indices and classify every piece at
+    once, all values of a piece within SLOPE_TOL (relative to the largest
+    estimate) counting as equal: FLAT if they are all equal; SYMMETRIC_V if
+    the ends are equal and the minimum lies below both; else POSITIVE or
+    NEGATIVE by the sign of the net change.
+    """
     rng = land.range
-    boundaries = sorted({0, rng.n_points - 1, *picks})
-    tol = SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
-    return [
-        Segment(rng.point(lo), rng.point(hi), _classify(land.values[lo : hi + 1], tol))
-        for lo, hi in zip(boundaries[:-1], boundaries[1:])
-    ]
+    v = land.values
+    bounds = np.array(sorted({0, rng.n_cells, *picks}))
+    ends = v[bounds]
+    v_left, v_right = ends[:-1], ends[1:]
+    # reduceat spans [lo, next lo); the shared right end is folded in after
+    top = np.maximum(np.maximum.reduceat(v, bounds[:-1]), v_right)
+    bottom = np.minimum(np.minimum.reduceat(v, bounds[:-1]), v_right)
+    tol = SLOPE_TOL * max(float(np.abs(v).max()), 1e-300)
+    rise = v_right - v_left
+    # codes are positions in _CLASS_ORDER; later assignments win, which keeps its order
+    codes = np.where(rise > 0, 2, 3)
+    codes[(bottom < np.minimum(v_left, v_right) - tol) & (np.abs(rise) <= tol)] = 1
+    codes[top - bottom <= tol] = 0
+    points = rng.d_min + bounds * rng.resolution
+    return Segments(points[:-1], points[1:], codes)
 
 
 def write_landscape_csv(land: Landscape, path) -> None:

@@ -91,25 +91,26 @@ def _train_and_apply(state: SelectionState, trainer, model: GapModel, i: int) ->
 
 def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     """Grid index of the pick of the segment with the largest estimated
-    marginal area gain.
+    marginal area gain, all segments scored at once.
 
-    Ties (mirror segments, equal-gain candidates) go to the coarser (larger)
-    duration. If the winning pick snaps onto an already-selected duration,
-    the best non-duplicate grid cell inside the winning segment is used
-    instead, ranked by true marginal gain.
+    Gains within 1e-12 * (|best| + 1) of the best tie, and ties (mirror
+    segments, equal-gain candidates) go to the coarser (larger) index, then
+    to the earlier segment. If the winning pick is an already-selected
+    index, the best non-duplicate grid cell inside the winning segment is
+    used instead, ranked by true marginal gain.
     """
     land = state.landscape
     rng = land.range
-    best = None  # (gain, index, segment)
-    for seg in segments(land, state.picks):
-        pick, gain = theory.optimal_pick_and_gain(seg, model, not state.picks)
-        i = rng.nearest_index(pick)
-        tol = 1e-12 * (abs(best[0]) + 1.0) if best else 0.0
-        if best is None or gain > best[0] + tol or (abs(gain - best[0]) <= tol and i > best[1]):
-            best = (gain, i, seg)
-    _, i, seg = best
+    segs = segments(land, state.picks)
+    picks, gains = theory.optimal_pick_and_gain(segs, model, not state.picks)
+    idx = rng.nearest_index(picks)
+    best = gains.max()
+    near = gains >= best - 1e-12 * (abs(best) + 1.0)
+    k = int(np.argmax(np.where(near, idx, -1)))
+    i = int(idx[k])
     if i not in state.picks:
         return i
+    seg = segs[k]
     taken = set(state.picks)
     found = best_marginal_cell(land, model, seg.left, seg.right, taken)
     if found is None:  # winning segment exhausted; widen to the whole grid
@@ -156,24 +157,26 @@ def _run_plan(trainer, model: GapModel, hold_range: HoldRange, plan) -> Selectio
     return state
 
 
+def _cttl_plan(hold_range: HoldRange, budget: int) -> np.ndarray:
+    """Grid indices of the coarse-to-fine schedule."""
+    k = np.arange(budget)
+    durations = hold_range.d_max - (2 * k + 1) / (2 * budget) * hold_range.width
+    return hold_range.nearest_index(durations)
+
+
 def cttl_schedule(hold_range: HoldRange, budget: int) -> list[float]:
     """Coarse-to-fine schedule: K equally spaced durations, snapped to grid.
 
     Starts at d_max - width/(2K) and steps down by width/K.
     """
-    width = hold_range.width
-    return [
-        hold_range.snap(hold_range.d_max - (2 * k + 1) / (2 * budget) * width)
-        for k in range(budget)
-    ]
+    return [hold_range.point(int(i)) for i in _cttl_plan(hold_range, budget)]
 
 
 def run_cttl(trainer, model: GapModel, hold_range: HoldRange, budget: int = 15) -> SelectionState:
     """Train the coarse-to-fine schedule in order."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    plan = [hold_range.nearest_index(d) for d in cttl_schedule(hold_range, budget)]
-    return _run_plan(trainer, model, hold_range, plan)
+    return _run_plan(trainer, model, hold_range, _cttl_plan(hold_range, budget))
 
 
 def run_rttl(

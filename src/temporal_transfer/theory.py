@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .landscape import GapModel, HoldRange, Segment, SlopeClass
+from .landscape import GapModel, HoldRange, SlopeClass
 
 
 class UnsupportedAssumptionError(ValueError):
@@ -49,23 +49,30 @@ def full_area(hold_range: HoldRange, model: GapModel) -> float:
     return hold_range.width * model.j_star
 
 
+def _split_weights(model: GapModel) -> tuple[float, float]:
+    """Weights of the left and right ends in the split point: equal for
+    symmetric models, theta = 0 included, and the slopes otherwise."""
+    if model.symmetric:
+        return 1, 1
+    return model.theta_left, model.theta_right
+
+
+def _weighted_point(w_left, w_right, left, right):
+    return (w_left * left + w_right * right) / (w_left + w_right)
+
+
 def split_point(model: GapModel, left: float, right: float) -> float:
     """Slope-weighted pick for a fresh or V-shaped stretch.
 
     Exactly the midpoint (left + right) / 2 for symmetric models, theta = 0
     included.
     """
-    if model.symmetric:
-        return (left + right) / 2
-    return (model.theta_left * left + model.theta_right * right) / (
-        model.theta_left + model.theta_right
-    )
+    return _weighted_point(*_split_weights(model), left, right)
 
 
-def optimal_pick_and_gain(
-    segment: Segment, model: GapModel, is_first: bool
-) -> tuple[float, float]:
-    """Within-segment pick and its closed-form marginal area gain.
+def optimal_pick_and_gain(segs, model: GapModel, is_first: bool):
+    """Within-segment picks and their closed-form marginal area gains: arrays
+    for all the segments of a `Segments` at once, floats for one `Segment`.
 
     is_first marks the untouched full range (estimate identically zero), which
     has its own gain row. Flat segments after the first pick fall back to the
@@ -75,17 +82,19 @@ def optimal_pick_and_gain(
     (theta_left + theta_right) / 2 in every gain.
     """
     theta = (model.theta_left + model.theta_right) / 2
-    length = segment.length
+    length = segs.right - segs.left
     if is_first:
-        return split_point(model, segment.left, segment.right), 0.75 * theta * length**2
-    if segment.slope_class is SlopeClass.SYMMETRIC_V:
-        return split_point(model, segment.left, segment.right), theta * length**2 / 8
-    if segment.slope_class is SlopeClass.POSITIVE:
-        return (2 * segment.left + segment.right) / 3, theta * length**2 / 3
-    if segment.slope_class is SlopeClass.NEGATIVE:
-        return (segment.left + 2 * segment.right) / 3, theta * length**2 / 3
-    # Flat after the first pick: no direction to trisect toward.
-    return (segment.left + segment.right) / 2, theta * length**2 / 3
+        return split_point(model, segs.left, segs.right), 0.75 * theta * (length * length)
+    # per slope class: the weights of the two ends in the pick, and the gain's divisor
+    w_left, w_right, divisor = segs.by_class({
+        SlopeClass.SYMMETRIC_V: (*_split_weights(model), 8),
+        # trisection: a third of the way from the lower end
+        SlopeClass.POSITIVE: (2, 1, 3),
+        SlopeClass.NEGATIVE: (1, 2, 3),
+        SlopeClass.FLAT: (1, 1, 3),  # after the first pick: no direction to trisect toward
+    })
+    pick = _weighted_point(w_left, w_right, segs.left, segs.right)
+    return pick, theta * (length * length) / divisor
 
 
 def _require_bounded_symmetric(hold_range: HoldRange, model: GapModel, what: str) -> float:

@@ -9,6 +9,7 @@ search (see ringsim).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class EvaluatorResult:
     cost: float = 1.0
 
     def __post_init__(self):
-        if self.achieved < 0:
-            raise ValueError(f"achieved performance must be >= 0, got {self.achieved}")
+        if not (math.isfinite(self.achieved) and self.achieved >= 0):
+            raise ValueError(f"achieved performance must be finite and >= 0, got {self.achieved}")
 
 
 class IdealTrainer:
@@ -141,8 +142,8 @@ class CsvReplayTrainer:
 def load_csv_landscape(path) -> CsvReplayTrainer:
     """Parse a delta,performance CSV into a replay backend.
 
-    Rejects malformed rows, non-increasing deltas, and negative performance,
-    reporting the 1-based line number.
+    Rejects malformed rows, non-finite fields, non-increasing deltas, and
+    negative performance, reporting the 1-based line number.
     """
     deltas, performances = [], []
     with open(path) as fh:
@@ -159,6 +160,8 @@ def load_csv_landscape(path) -> CsvReplayTrainer:
             d, p = float(parts[0]), float(parts[1])
         except ValueError:
             raise CsvFormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+        if not (math.isfinite(d) and math.isfinite(p)):
+            raise CsvFormatError(f"{path}:{lineno}: non-finite field in {line!r}")
         if deltas and d <= deltas[-1]:
             raise CsvFormatError(f"{path}:{lineno}: deltas must be strictly increasing")
         if p < 0:

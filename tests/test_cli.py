@@ -89,6 +89,19 @@ class TestRun:
         assert len(landscape) == 402
         assert landscape[201] == "20,1"
 
+    def test_non_finite_csv_is_usage_error(self, tmp_path, capsys):
+        curve = tmp_path / "bad.csv"
+        curve.write_text("delta,performance\n0,1\n20,nan\n40,inf\n")
+        code, out, err = run_cli(
+            ["run", "--algo", "gttl", "--trainer", "csv", "--csv", str(curve),
+             "--budget", "3", "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{curve}:3: non-finite" in err
+        assert not (tmp_path / "b_landscape.csv").exists()
+
     def test_csv_replay_reproduces_area_history(self, tmp_path, capsys):
         out1 = tmp_path / "ideal"
         code, _, _ = run_cli(

@@ -1,0 +1,243 @@
+"""The vectorised segment classification and greedy pick, pinned to the
+per-segment Python references they replaced.
+
+The references below are kept as they were written before the selection
+core was vectorised: `reference_classify` classifies one slice of the
+landscape at a time, and `reference_pick` walks the segments in grid order,
+calling the scalar pick/gain rule once per segment and keeping the running
+best under the tie rule. Landscapes come from random `apply_transfer`
+sequences (hypothesis) and from replayed greedy runs, whose mirror segments
+tie in gain at every step.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from temporal_transfer.landscape import (
+    SLOPE_TOL,
+    GapModel,
+    HoldRange,
+    Landscape,
+    Segment,
+    SlopeClass,
+    apply_transfer,
+    best_marginal_cell,
+    segments,
+    symmetric_model,
+)
+from temporal_transfer.selectors import (
+    GridExhausted,
+    SelectionState,
+    find_greedy_transfer_point,
+    run_gttl,
+)
+from temporal_transfer.trainers import IdealTrainer, NoisyTrainer
+
+
+def reference_classify(values, tol):
+    v_left, v_right = values[0], values[-1]
+    if values.max() - values.min() <= tol:
+        return SlopeClass.FLAT
+    interior_min = values.min()
+    if interior_min < min(v_left, v_right) - tol and abs(v_left - v_right) <= tol:
+        return SlopeClass.SYMMETRIC_V
+    if v_right > v_left:
+        return SlopeClass.POSITIVE
+    return SlopeClass.NEGATIVE
+
+
+def reference_segments(land, picks):
+    rng = land.range
+    boundaries = sorted({0, rng.n_points - 1, *picks})
+    tol = SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
+    return [
+        Segment(rng.point(lo), rng.point(hi), reference_classify(land.values[lo : hi + 1], tol))
+        for lo, hi in zip(boundaries[:-1], boundaries[1:])
+    ]
+
+
+def reference_pick_and_gain(segment, model, is_first):
+    theta = (model.theta_left + model.theta_right) / 2
+    length = segment.length
+    if model.symmetric:
+        split = (segment.left + segment.right) / 2
+    else:
+        split = (model.theta_left * segment.left + model.theta_right * segment.right) / (
+            model.theta_left + model.theta_right
+        )
+    if is_first:
+        return split, 0.75 * theta * length**2
+    if segment.slope_class is SlopeClass.SYMMETRIC_V:
+        return split, theta * length**2 / 8
+    if segment.slope_class is SlopeClass.POSITIVE:
+        return (2 * segment.left + segment.right) / 3, theta * length**2 / 3
+    if segment.slope_class is SlopeClass.NEGATIVE:
+        return (segment.left + 2 * segment.right) / 3, theta * length**2 / 3
+    return (segment.left + segment.right) / 2, theta * length**2 / 3
+
+
+def reference_pick(state, model):
+    """Grid index of the greedy pick, or None when every cell is taken."""
+    land = state.landscape
+    rng = land.range
+    best = None  # (gain, index, segment)
+    for seg in reference_segments(land, state.picks):
+        pick, gain = reference_pick_and_gain(seg, model, not state.picks)
+        i = min(max(round((pick - rng.d_min) / rng.resolution), 0), rng.n_points - 1)
+        tol = 1e-12 * (abs(best[0]) + 1.0) if best else 0.0
+        if best is None or gain > best[0] + tol or (abs(gain - best[0]) <= tol and i > best[1]):
+            best = (gain, i, seg)
+    _, i, seg = best
+    if i not in state.picks:
+        return i
+    taken = set(state.picks)
+    found = best_marginal_cell(land, model, seg.left, seg.right, taken)
+    if found is None:
+        found = best_marginal_cell(land, model, rng.d_min, rng.d_max, taken)
+    return None if found is None else rng.nearest_index(found[0])
+
+
+def assert_matches_reference(state, model):
+    land = state.landscape
+    got = [(s.left, s.right, s.slope_class) for s in segments(land, state.picks)]
+    want = [(s.left, s.right, s.slope_class) for s in reference_segments(land, state.picks)]
+    assert got == want
+    want_pick = reference_pick(state, model)
+    if want_pick is None:
+        with pytest.raises(GridExhausted):
+            find_greedy_transfer_point(state, model)
+    else:
+        assert find_greedy_transfer_point(state, model) == want_pick
+
+
+# Slopes are 0 or at least 1e-3, so distinct gains differ by far more than
+# the 1e-12 tie tolerance and the one-pass tie rule must agree exactly with
+# the running-best one; `test_tie_rule_with_tiny_gains` covers the rest.
+SLOPES = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+RESOLUTIONS = st.sampled_from([0.1, 0.025, 0.5, 1.0, 0.3])
+
+
+@st.composite
+def landscapes(draw, slopes=SLOPES):
+    """(state, model): a landscape built by a random apply_transfer sequence."""
+    resolution = draw(RESOLUTIONS)
+    n_cells = draw(st.integers(1, 40))
+    d_min = draw(st.sampled_from([0.0, 0.1, 2.5]))
+    rng = HoldRange(d_min, d_min + n_cells * resolution, resolution)
+    j_star = draw(st.floats(0.1, 4.0))
+    if draw(st.booleans()):
+        model = symmetric_model(draw(slopes), j_star)
+    else:
+        model = GapModel(draw(slopes), draw(slopes), j_star)
+    n = rng.n_points
+    picks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 12)))
+    for end in (0, n - 1):
+        if end not in picks and draw(st.booleans()):
+            picks.insert(draw(st.integers(0, len(picks))), end)
+    if draw(st.booleans()):  # mirror every pick: equal-gain segments on both sides
+        picks += [n - 1 - i for i in picks if n - 1 - i not in picks]
+    # ideal, noisy, or off j* by a few slope tolerances (classes at their edges)
+    kind = draw(st.sampled_from(["ideal", "noisy", "jitter"]))
+    land = Landscape.zeros(rng)
+    for i in picks:
+        if kind == "noisy":
+            achieved = draw(st.floats(0.0, 1.5 * j_star))
+        elif kind == "jitter":
+            achieved = j_star * (1 - draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0])) * SLOPE_TOL)
+        else:
+            achieved = j_star
+        land = apply_transfer(land, model, rng.point(i), achieved)
+    return SelectionState(landscape=land, picks=picks), model
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(landscapes())
+    def test_random_transfer_sequences(self, case):
+        state, model = case
+        assert_matches_reference(state, model)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(landscapes(slopes=st.floats(0.0, 5.0)))
+    def test_segments_at_any_slope(self, case):
+        # Slopes far below the slope tolerance give dips and bumps near it.
+        state, _ = case
+        land = state.landscape
+        got = [(s.left, s.right, s.slope_class) for s in segments(land, state.picks)]
+        want = [(s.left, s.right, s.slope_class) for s in reference_segments(land, state.picks)]
+        assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        steps=st.lists(st.sampled_from([-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0]),
+                       min_size=2, max_size=30),
+        scale=st.floats(0.1, 4.0),
+        data=st.data(),
+    )
+    def test_segments_of_values_near_the_tolerance(self, steps, scale, data):
+        # Any values, not only tent envelopes: each lies a few slope
+        # tolerances off a common level, so every test of the classifier
+        # is met at and around its edge.
+        rng = HoldRange(0, len(steps) - 1, 1)
+        land = Landscape(rng, scale * (1 + np.array(steps) * SLOPE_TOL))
+        picks = data.draw(st.lists(st.integers(0, rng.n_cells), unique=True, max_size=8))
+        got = [(s.left, s.right, s.slope_class) for s in segments(land, picks)]
+        want = [(s.left, s.right, s.slope_class) for s in reference_segments(land, picks)]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            symmetric_model(1 / 40, 1.0),
+            symmetric_model(0.0, 1.0),
+            GapModel(theta_left=0.05, theta_right=0.01, j_star=1.0),
+            GapModel(theta_left=0.0, theta_right=0.03, j_star=1.0),
+        ],
+        ids=["tight", "zero", "skewed", "one-sided"],
+    )
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_every_step_of_greedy_runs(self, model, noisy):
+        # Greedy runs split mirror segments in turn and, on a small grid,
+        # reach 1-cell segments and the duplicate fallback.
+        for rng in (HoldRange(0, 40, 0.1), HoldRange(0, 3, 0.1), HoldRange(1, 2, 0.25)):
+            trainer = (NoisyTrainer(1.0, rng, eta=0.3, seed=5) if noisy
+                       else IdealTrainer(1.0, rng))
+            budget = min(rng.n_points, 40)
+            run = run_gttl(trainer, model, rng, budget=budget, epsilon=0.0)
+            state = SelectionState(landscape=Landscape.zeros(rng))
+            for i, result in zip(run.picks, run.results):
+                assert_matches_reference(state, model)
+                land = apply_transfer(state.landscape, model, rng.point(i), result.achieved)
+                state.landscape = land
+                state.picks.append(i)
+            assert_matches_reference(state, model)
+
+    def test_one_cell_segments_and_full_grid(self):
+        rng = HoldRange(0, 1, 0.25)
+        model = symmetric_model(1.0, 1.0)
+        land = Landscape.zeros(rng)
+        picks = []
+        for i in (0, 1, 3, 4, 2):
+            land = apply_transfer(land, model, rng.point(i), 1.0)
+            picks.append(i)
+            assert_matches_reference(SelectionState(landscape=land, picks=list(picks)), model)
+
+
+class TestTieRule:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(landscapes(), st.floats(0.0, 1e-9))
+    def test_tie_rule_with_tiny_gains(self, case, theta):
+        """Where the 1e-12 tolerance floor dominates, gains within it of the
+        best tie, and the tie goes to the largest (coarsest) index."""
+        state, _ = case
+        model = symmetric_model(theta, 1.0)
+        rng = state.landscape.range
+        gains = [reference_pick_and_gain(s, model, not state.picks)
+                 for s in reference_segments(state.landscape, state.picks)]
+        best = max(g for _, g in gains)
+        near = [rng.nearest_index(p) for p, g in gains if g >= best - 1e-12 * (abs(best) + 1.0)]
+        coarsest = max(near)
+        if coarsest not in state.picks:
+            assert find_greedy_transfer_point(state, model) == coarsest

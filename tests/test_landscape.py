@@ -8,6 +8,7 @@ from temporal_transfer.landscape import (
     GridAlignmentError,
     HoldRange,
     Landscape,
+    Segment,
     SlopeClass,
     aggregate_area,
     apply_transfer,
@@ -47,6 +48,26 @@ class TestHoldRange:
         assert rng.n_points == 401
         assert rng.grid()[0] == 0.0
         assert rng.grid()[-1] == pytest.approx(40.0)
+
+    def test_cell_count_is_not_part_of_equality_or_repr(self):
+        rng = HoldRange(0, 40, 0.1)
+        assert repr(rng) == "HoldRange(d_min=0, d_max=40, resolution=0.1)"
+        assert rng == HoldRange(0, 40, 0.1) and hash(rng) == hash(HoldRange(0, 40, 0.1))
+        assert rng != HoldRange(0, 40, 0.2)
+
+    def test_nearest_index_of_an_array_matches_scalars_at_half_cells(self):
+        # Half-cell picks are where rounding decides: halves go to the even
+        # index, for one duration and for an array alike, and the ends clamp.
+        rng = HoldRange(0, 40, 0.1)
+        halves = [rng.point(i) + rng.resolution / 2 for i in range(-3, rng.n_points + 2)]
+        midpoints = [(rng.point(lo) + rng.point(lo + cells)) / 2
+                     for lo in (0, 3, 17, 199) for cells in (1, 3, 7, 201)]
+        picks = halves + midpoints
+        scalar = [rng.nearest_index(p) for p in picks]
+        assert all(type(i) is int for i in scalar)
+        assert rng.nearest_index(np.array(picks)).tolist() == scalar
+        want = [min(max(round((p - rng.d_min) / rng.resolution), 0), rng.n_cells) for p in picks]
+        assert scalar == want
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
@@ -173,6 +194,16 @@ class TestSegments:
             SlopeClass.SYMMETRIC_V,
             SlopeClass.NEGATIVE,
         ]
+
+    def test_len_counts_the_segments_iterated(self):
+        # The benchmark's tracer sums len(segments(...)) as segments per call.
+        land = apply_transfer(Landscape.zeros(self.rng), self.model, 20.0, 1.0)
+        for picks in ([], [0], [400], [0, 400], [200], [0, 1, 2, 200, 399, 400]):
+            segs = segments(land, picks)
+            items = list(segs)
+            assert len(segs) == len(items) == len({0, 400, *picks}) - 1
+            assert all(type(s) is Segment for s in items)
+            assert segs[-1] == items[-1]
 
     def test_unequal_peaks_classified_by_net_change(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 10.0, 1.0)

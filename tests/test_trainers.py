@@ -14,6 +14,7 @@ from temporal_transfer.selectors import run_gttl
 from temporal_transfer.trainers import (
     CsvFormatError,
     DecayingTrainer,
+    EvaluatorResult,
     IdealTrainer,
     MissingDataError,
     NoisyTrainer,
@@ -105,6 +106,14 @@ class TestCsvBackend:
         with pytest.raises(CsvFormatError, match=":3:"):
             load_csv_landscape(path)
 
+    @pytest.mark.parametrize(
+        "row", ["2,nan", "2,inf", "nan,0.5", "inf,0.5", "-inf,0.5", "2,-inf"]
+    )
+    def test_non_finite_field_rejected_with_line(self, tmp_path, row):
+        path = self._write(tmp_path, f"delta,performance\n1,0.5\n{row}\n3,0.5\n")
+        with pytest.raises(CsvFormatError, match=r"curve\.csv:3: non-finite"):
+            load_csv_landscape(path)
+
     def test_non_monotone_rejected(self, tmp_path):
         path = self._write(tmp_path, "delta,performance\n1,0.5\n1,0.6\n")
         with pytest.raises(CsvFormatError, match="strictly increasing"):
@@ -119,6 +128,19 @@ class TestCsvBackend:
         path = self._write(tmp_path, "1,0.5\n2,0.6\n")
         with pytest.raises(CsvFormatError, match="header"):
             load_csv_landscape(path)
+
+
+class TestNonFiniteAchieved:
+    @pytest.mark.parametrize("achieved", [float("nan"), float("inf"), -float("inf")])
+    def test_result_rejects_non_finite(self, achieved):
+        with pytest.raises(ValueError, match="finite"):
+            EvaluatorResult(delta=1.0, achieved=achieved, policy_id="x")
+
+    @pytest.mark.parametrize("achieved", [float("nan"), float("inf")])
+    def test_apply_transfer_rejects_non_finite(self, achieved):
+        model = symmetric_model(1 / 40, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            apply_transfer(Landscape.zeros(RANGE), model, 20.0, achieved)
 
 
 class TestMakeTrainer:
