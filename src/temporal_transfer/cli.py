@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 trainer or simulation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -248,8 +249,6 @@ def _ring_config(args) -> ringsim.RingConfig:
     guidance = config.guidance
     if getattr(args, "mode", None):
         guidance = replace(guidance, mode=args.mode)
-    if getattr(args, "hold", None):
-        guidance = replace(guidance, hold=args.hold)
     return replace(config, guidance=guidance, **overrides)
 
 
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     ring.add_argument("--deltas", help="sweep: comma list of hold durations")
     ring.add_argument("--budget", type=int, default=24, help="policy-search rollouts")
     ring.add_argument("--mode", choices=["speed", "acceleration"])
-    ring.add_argument("--hold", type=float)
     ring.add_argument("--vehicles", type=int)
     ring.add_argument("--guided", type=int)
     ring.add_argument("--warmup", type=float)
@@ -389,9 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused after it: parsing
+    leaves it unchanged, and every default is immutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

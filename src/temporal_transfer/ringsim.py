@@ -9,10 +9,16 @@ horizon is the task performance.
 One integrator advances a batch of rings held as (rows, n_vehicles) arrays.
 Each row has its own seed, hold length and policy; a row that collides
 leaves the batch while the others run on. `step`, `simulate` and
-`rollout_measure` are one-row calls of it, and the policy search advances
-all its hold durations in lockstep. The integrator is elementwise apart
-from reductions along single rows, so a row's numbers do not depend on the
-batch it ran in.
+`rollout_measure` are one-row calls of it. The integrator is elementwise
+apart from reductions along single rows, so a row's numbers do not depend on
+the batch it ran in.
+
+The policy search advances all its hold durations in lockstep, and its
+refinement is speculative: a proposal's random step does not depend on the
+incumbent, so one batch scores the next rounds (at most 12) of every
+duration around its current incumbent, and each duration keeps the rounds up
+to its first improvement. That gives exactly the candidates and scores of
+one round at a time.
 """
 
 from __future__ import annotations
@@ -81,6 +87,10 @@ class RingConfig:
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
 
     def __post_init__(self):
+        if self.n_guided not in (0, 1):
+            raise ValueError(
+                f"n_guided must be 0 or 1, got {self.n_guided}: the simulator guides vehicle 0 only"
+            )
         if self.n_guided > self.n_vehicles:
             raise ValueError("n_guided exceeds n_vehicles")
         if self.circumference <= self.n_vehicles * self.vehicle_length:
@@ -433,15 +443,19 @@ def train_and_measure_many(
     """Black-box policy search at each hold duration, all durations in lockstep.
 
     Per duration: a seeded uniform lattice over the three policy weights,
-    then local refinement around the incumbent. Every candidate is scored on
-    the same seeded rollout (paired comparison); candidates that collide
-    score -inf. The lattice candidates of all durations run as one batch,
-    then each refinement round as one batch with a row per duration. Each
-    duration draws its proposals from its own (seed, hold steps) generator
-    and keeps its own incumbent, so its result is that of a search at that
-    duration alone. Returns the best achieved mean speed per duration; the
-    first duration, in input order, whose candidates all collided raises
-    TrainingError.
+    then one refinement round per remaining unit of budget, each a Gaussian
+    proposal around the incumbent. Every candidate is scored on the same
+    seeded rollout (paired comparison); candidates that collide score -inf.
+    The lattice candidates of all durations run as one batch. Refinement is
+    speculative: each batch holds the next rounds, at most 12, of every
+    unfinished duration, all proposed around its current incumbent; a
+    duration keeps the rounds up to and including the first that beats the
+    incumbent and discards the rest. Each duration draws its proposal steps
+    from its own (seed, hold steps) generator and keeps its own incumbent, so
+    its result is that of a one-round-at-a-time search at that duration
+    alone. Returns the best achieved mean speed per duration; the first
+    duration, in input order, whose candidates all collided raises
+    TrainingError. The config must guide its vehicle in speed mode.
     """
     if search_budget < 1:
         raise ValueError(f"search budget must be >= 1, got {search_budget}")
@@ -451,6 +465,8 @@ def train_and_measure_many(
         raise ValueError(
             f"the policy search emits target speeds; guidance mode {mode!r} is not supported"
         )
+    if not config.n_guided:
+        raise ValueError("the policy search needs a guided vehicle (n_guided = 1)")
     generators = [
         np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
         for delta in deltas
@@ -471,19 +487,35 @@ def train_and_measure_many(
     scores = [flat[k * len(first) : (k + 1) * len(first)] for k in range(len(deltas))]
     # The first best candidate is the incumbent.
     best = [max(range(len(s)), key=s.__getitem__) for s in scores]
-    for i in range(len(first), search_budget):
-        # Local refinement: Gaussian proposals around each incumbent,
-        # shrinking as the budget is spent.
-        shrink = 0.85 ** (i - len(lattice))
-        proposals = [
-            np.clip(c[b] + rng.normal(size=3) * _REFINE_SCALE * shrink, _PARAM_LO, _PARAM_HI)
-            for c, b, rng in zip(candidates, best, generators)
+    # Local refinement: round i proposes a Gaussian step around the incumbent,
+    # shrinking as the budget is spent. The step does not depend on the
+    # incumbent, so each duration's steps are drawn up front, in round order.
+    noise = [[rng.normal(size=3) for _ in range(len(lattice), search_budget)] for rng in generators]
+    while True:
+        # Each duration's next rounds, at most one lattice's worth, around its
+        # current incumbent.
+        batch = [
+            (k, np.clip(
+                c[best[k]] + noise[k][i - len(lattice)] * _REFINE_SCALE * 0.85 ** (i - len(lattice)),
+                _PARAM_LO, _PARAM_HI,
+            ))
+            for k, c in enumerate(candidates)
+            for i in range(len(c), min(len(c) + len(lattice), search_budget))
         ]
-        for k, value in enumerate(score(proposals, deltas)):
-            candidates[k].append(proposals[k])
+        if not batch:
+            break
+        values = score([proposal for _, proposal in batch], [deltas[k] for k, _ in batch])
+        stale = [False] * len(deltas)
+        for (k, proposal), value in zip(batch, values):
+            # Rounds after an improvement were proposed around a stale
+            # incumbent: the next batch proposes them again.
+            if stale[k]:
+                continue
+            candidates[k].append(proposal)
             scores[k].append(value)
             if value > scores[k][best[k]]:
-                best[k] = i
+                best[k] = len(scores[k]) - 1
+                stale[k] = True
     results = []
     for delta, c, s, b in zip(deltas, candidates, scores, best):
         if not np.isfinite(s[b]):

@@ -244,6 +244,51 @@ class TestRing:
         assert out == ""
         assert "'acceleration'" in err
 
+    @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1"], ["baseline"]])
+    def test_hold_flag_is_rejected(self, action, capsys):
+        # eval and sweep train at --delta/--deltas and the baseline is
+        # unguided, so a --hold would have no effect.
+        with pytest.raises(SystemExit) as exc:
+            main(["ring", *action, "--hold", "5"])
+        assert exc.value.code == 2
+        assert "--hold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"], ["baseline"]])
+    def test_guided_count_above_one_is_rejected(self, action, tmp_path, capsys):
+        # The simulator guides vehicle 0 only.
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(RING_FAST)
+        code, out, err = run_cli(
+            ["ring", *action, "--budget", "2", "--guided", "3", "--config", str(cfg)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "n_guided must be 0 or 1, got 3" in err
+
+    def test_guided_count_config_key_above_one_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(RING_FAST + "number_of_controlled_vehicles = 3\n")
+        code, out, err = run_cli(["ring", "eval", "--delta", "1", "--budget", "2", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "n_guided must be 0 or 1, got 3" in err
+
+    @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unguided_policy_search_is_rejected(self, action, source, tmp_path, capsys):
+        cfg = tmp_path / "unguided.cfg"
+        cfg.write_text(RING_FAST + ("number_of_controlled_vehicles = 0\n" if source == "config" else ""))
+        flag = ["--guided", "0"] if source == "flag" else []
+        code, out, err = run_cli(["ring", *action, "--budget", "2", *flag, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "the policy search needs a guided vehicle" in err
+
+    def test_baseline_accepts_an_unguided_config(self, tmp_path, capsys):
+        cfg = tmp_path / "unguided.cfg"
+        cfg.write_text(RING_FAST + "number_of_controlled_vehicles = 0\n")
+        unguided = run_cli(["ring", "baseline", "--seeds", "2", "--config", str(cfg)], capsys)
+        cfg.write_text(RING_FAST)
+        assert unguided[0] == 0
+        assert unguided == run_cli(["ring", "baseline", "--seeds", "2", "--config", str(cfg)], capsys)
+
 
 class TestExportPlot:
     def test_melts_iterations(self, tmp_path, capsys):

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from temporal_transfer import ringsim
 from temporal_transfer.cli import main
-
 from temporal_transfer.ringsim import (
     CollisionError,
     ConstantPolicy,
@@ -190,6 +190,10 @@ class TestTrainAndMeasure:
         with pytest.raises(ValueError, match="'acceleration'"):
             train_and_measure(config, 1.0, search_budget=1, seed=0)
 
+    def test_unguided_config_rejected(self):
+        with pytest.raises(ValueError, match="needs a guided vehicle"):
+            train_and_measure_many(FAST_UNGUIDED, [1.0], search_budget=1, seed=0)
+
     def test_deterministic(self):
         config = replace(FAST, warmup=50.0, horizon=100.0)
         a = train_and_measure(config, 2.0, search_budget=4, seed=1)
@@ -225,6 +229,12 @@ class TestConfig:
     def test_too_dense_ring_rejected(self):
         with pytest.raises(ValueError):
             RingConfig(circumference=100.0, n_vehicles=22)
+
+    @pytest.mark.parametrize("n_guided", [-1, 2, 3])
+    def test_guided_count_other_than_zero_or_one_rejected(self, n_guided):
+        # Only vehicle 0 is ever guided.
+        with pytest.raises(ValueError, match=f"n_guided must be 0 or 1, got {n_guided}"):
+            RingConfig(n_guided=n_guided)
 
     def test_load_ring_config(self, tmp_path):
         path = tmp_path / "ring.cfg"
@@ -453,6 +463,105 @@ class TestLockstepSearch:
         with pytest.raises(TrainingError) as one:
             train_and_measure(CRAMPED, float(failing), 3, 0)
         assert str(one.value) == str(err.value)
+
+
+def reference_search(config, deltas, budget, seed):
+    """The one-round-at-a-time refinement loop that speculative refinement
+    replaced: after the lattice batch, each round is one batch with a row per
+    duration.
+
+    Returns the (achieved, policy_id) of each duration and how often each
+    duration's incumbent improved during refinement, or raises TrainingError
+    for the first all-collided duration in input order."""
+    generators = [
+        np.random.default_rng(np.random.SeedSequence([seed, ringsim._hold_steps("delta", d, config.dt)]))
+        for d in deltas
+    ]
+
+    def score(weights, holds):
+        policies = [LinearSpeedPolicy(*w, config) for w in weights]
+        return [r.mean_speed for r in simulate_many(config, [seed] * len(weights), policies, holds)]
+
+    lattice = [np.array(w) for w in LATTICE]
+    first = lattice[:budget]
+    flat = score(first * len(deltas), [d for d in deltas for _ in first])
+    candidates = [list(first) for _ in deltas]
+    scores = [flat[k * len(first) : (k + 1) * len(first)] for k in range(len(deltas))]
+    best = [max(range(len(s)), key=s.__getitem__) for s in scores]
+    improved = [0] * len(deltas)
+    for i in range(len(first), budget):
+        shrink = 0.85 ** (i - len(lattice))
+        proposals = [
+            np.clip(c[b] + rng.normal(size=3) * ringsim._REFINE_SCALE * shrink,
+                    ringsim._PARAM_LO, ringsim._PARAM_HI)
+            for c, b, rng in zip(candidates, best, generators)
+        ]
+        for k, value in enumerate(score(proposals, deltas)):
+            candidates[k].append(proposals[k])
+            scores[k].append(value)
+            if value > scores[k][best[k]]:
+                best[k] = i
+                improved[k] += 1
+    results = []
+    for delta, c, s, b in zip(deltas, candidates, scores, best):
+        if not np.isfinite(s[b]):
+            raise TrainingError(
+                f"all {budget} candidate rollouts collided at delta={delta:.6g} (seed={seed})"
+            )
+        w = c[b]
+        results.append((float(s[b]), f"ring[w0={w[0]:.4g},w1={w[1]:.4g},w2={w[2]:.4g}]@{delta:.6g}s"))
+    return results, improved
+
+
+class TestSpeculativeRefinement:
+    """Speculative refinement against the one-round-at-a-time reference loop."""
+
+    DELTAS = (0.1, 1.0, 5.0, 15.0, 40.0)
+    CONFIG = RingConfig(warmup=10.0, horizon=20.0)
+
+    @staticmethod
+    def _recorded_search(monkeypatch, config, deltas, budget, seed):
+        """train_and_measure_many, and the holds of each batch it scored."""
+        batches = []
+
+        def recording(config, seeds, policies=None, holds=None, record=False):
+            batches.append(list(holds))
+            return simulate_many(config, seeds, policies, holds, record)
+
+        monkeypatch.setattr(ringsim, "simulate_many", recording)
+        return train_and_measure_many(config, deltas, budget, seed), batches
+
+    @pytest.mark.parametrize("budget", [1, 11, 12, 13, 24, 37])
+    @pytest.mark.parametrize("deltas", [DELTAS, (1.0, 0.1, 1.0, 40.0)], ids=["distinct", "duplicate"])
+    def test_matches_round_by_round_search(self, deltas, budget, monkeypatch):
+        want, improved = reference_search(self.CONFIG, deltas, budget, 1)
+        got, batches = self._recorded_search(monkeypatch, self.CONFIG, deltas, budget, 1)
+        assert [(r.achieved, r.policy_id) for r in got] == want
+        assert all(r.cost == budget for r in got)
+        # No batch holds more than one lattice's worth of rows per duration.
+        for holds in batches:
+            assert all(holds.count(h) <= len(LATTICE) * deltas.count(h) for h in holds)
+        # A duration needs one batch per improvement plus one per full window,
+        # against one per round for the reference.
+        rounds = max(budget - len(LATTICE), 0)
+        assert len(batches) <= 1 + max(improved) + math.ceil(rounds / len(LATTICE))
+        if budget >= 24:
+            # Restarts are exercised: some incumbent moves more than once, so
+            # rounds proposed around a stale incumbent were discarded.
+            assert max(improved) >= 2
+
+    @pytest.mark.parametrize(
+        "deltas, budget",
+        [((0.1, 1.0, 5.0, 40.0), 13), ((40.0, 5.0, 1.0, 0.1), 13), ((0.1, 1.0, 5.0, 40.0), 16)],
+    )
+    def test_all_collided_duration_raises_like_the_reference(self, deltas, budget):
+        # In the cramped ring some durations collide in every candidate while
+        # refinement rescues others; the first failing one in input order raises.
+        with pytest.raises(TrainingError) as want:
+            reference_search(CRAMPED, deltas, budget, 0)
+        with pytest.raises(TrainingError) as got:
+            train_and_measure_many(CRAMPED, deltas, budget, 0)
+        assert str(got.value) == str(want.value)
 
 
 # Printed by the scalar simulator this batched one replaced.
