@@ -53,7 +53,6 @@ from .trainers import (
     RingTrainer,
     TrainingError,
     load_csv_landscape,
-    make_trainer,
 )
 from .ringsim import (
     CollisionError,

@@ -37,7 +37,13 @@ from .selectors import (
     write_iterations_csv,
 )
 from .theory import BoundReport, bound_report
-from .trainers import make_trainer
+from .trainers import (
+    DecayingTrainer,
+    IdealTrainer,
+    NoisyTrainer,
+    RingTrainer,
+    load_csv_landscape,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,24 +64,48 @@ def _report_rows(reports: list[BoundReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The `run` flags that configure one backend; with any other --trainer they
+# are usage errors. --seed is not among them: the selectors read it too.
+_BACKEND_FLAGS = {
+    "csv": ("csv",),
+    "noisy": ("noise_eta",),
+    "decaying": ("decay",),
+    "ring": ("search_budget", "config", "warmup", "horizon"),
+}
+
+
+def _build_trainer(args, hold_range: HoldRange):
+    """The backend that --trainer names, built from its own flags; a flag
+    left out takes the backend's default. A ring backend checks its config
+    and budget here, before any training."""
+    for kind, flags in _BACKEND_FLAGS.items():
+        for flag in flags:
+            if kind != args.trainer and getattr(args, flag) is not None:
+                raise UsageError(f"--{flag.replace('_', '-')} applies only to --trainer {kind}")
+
+    def given(**params):
+        return {name: value for name, value in params.items() if value is not None}
+
+    if args.trainer == "ideal":
+        return IdealTrainer(args.jstar, hold_range)
+    if args.trainer == "decaying":
+        return DecayingTrainer(args.jstar, hold_range, **given(decay=args.decay))
+    if args.trainer == "noisy":
+        return NoisyTrainer(args.jstar, hold_range, seed=args.seed, **given(eta=args.noise_eta))
+    if args.trainer == "csv":
+        if not args.csv:
+            raise UsageError("--csv PATH is required with --trainer csv")
+        return load_csv_landscape(args.csv)
+    return RingTrainer(
+        _ring_config(args), seed=args.seed, **given(search_budget=args.search_budget)
+    )
+
+
 def cmd_run(args) -> int:
     hold_range = HoldRange(args.dmin, args.dmax, args.resolution)
     model = symmetric_model(args.theta, args.jstar)
     kind = SelectorKind(args.algo)
-    trainer_params = {}
-    if args.trainer == "csv":
-        if not args.csv:
-            raise UsageError("--csv PATH is required with --trainer csv")
-        trainer_params["path"] = args.csv
-    elif args.trainer == "noisy":
-        trainer_params.update(eta=args.noise_eta, seed=args.seed)
-    elif args.trainer == "decaying":
-        trainer_params["decay"] = args.decay
-    elif args.trainer == "ring":
-        trainer_params.update(
-            config=_ring_config(args), search_budget=args.search_budget, seed=args.seed
-        )
-    trainer = make_trainer(args.trainer, hold_range, j_star=args.jstar, **trainer_params)
+    trainer = _build_trainer(args, hold_range)
     failed = None
     try:
         state = run_selector(
@@ -134,7 +164,7 @@ def _verify_t2() -> list[BoundReport]:
 def _simulated_areas(kmax: int) -> tuple[list[float], list[float], HoldRange, GapModel]:
     hold_range = HoldRange(0.0, 1.0, 1 / 2000)
     model = symmetric_model(1.0, 1.0)
-    ideal = make_trainer("ideal", hold_range, j_star=model.j_star)
+    ideal = IdealTrainer(model.j_star, hold_range)
     gttl = run_gttl(ideal, model, hold_range, budget=kmax, epsilon=0.0).area_history
     cttl = [run_cttl(ideal, model, hold_range, budget=k).area for k in range(1, kmax + 1)]
     return gttl, cttl, hold_range, model
@@ -218,7 +248,7 @@ def cmd_oracle(args) -> int:
     model = symmetric_model(args.theta, args.jstar)
     lines = ["k,best_area,gttl_area,cttl_area,bound,holds"]
     coarse = oracle_mod.coarse_range(hold_range, args.grid)
-    coarse_ideal = make_trainer("ideal", coarse, j_star=args.jstar)
+    coarse_ideal = IdealTrainer(args.jstar, coarse)
     for k in range(1, args.kmax + 1):
         best, gttl, report = oracle_mod.greedy_vs_oracle(hold_range, model, k, args.grid)
         cttl = run_cttl(coarse_ideal, model, coarse, budget=k).area
@@ -254,13 +284,12 @@ def _ring_config(args) -> ringsim.RingConfig:
 
 def cmd_ring(args) -> int:
     config = _ring_config(args)
-    if args.action == "eval":
-        if args.budget < 1:
-            raise UsageError("--budget must be >= 1")
-        if args.delta is None:
-            raise UsageError("eval needs --delta")
+    if args.action == "eval" and args.delta is None:
+        raise UsageError("eval needs --delta")
     if args.action == "sweep" and not args.deltas:
         raise UsageError("sweep needs --deltas")
+    if args.action != "baseline":
+        ringsim.check_search(config, args.budget)
     try:
         if args.action == "baseline":
             unguided = replace(config, n_guided=0)
@@ -336,14 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--theta", type=float, default=0.025)
     run.add_argument("--jstar", type=float, default=1.0)
     run.add_argument("--trainer", default="ideal", choices=["ideal", "decaying", "noisy", "csv", "ring"])
-    run.add_argument("--csv", help="landscape CSV for the csv trainer")
-    run.add_argument("--noise-eta", type=float, default=0.1)
-    run.add_argument("--decay", type=float, default=0.5)
-    run.add_argument("--search-budget", type=int, default=24)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--config", help="ring key=value config file")
-    run.add_argument("--warmup", type=float)
-    run.add_argument("--horizon", type=float)
+    # Backend flags: each applies only to its own --trainer (_BACKEND_FLAGS).
+    run.add_argument("--csv", help="csv: landscape CSV to replay")
+    run.add_argument("--noise-eta", type=float, help="noisy: noise amplitude")
+    run.add_argument("--decay", type=float, help="decaying: fall of the bound across the range")
+    run.add_argument("--search-budget", type=int, help="ring: policy-search rollouts")
+    run.add_argument("--config", help="ring: key=value config file")
+    run.add_argument("--warmup", type=float, help="ring: warmup seconds")
+    run.add_argument("--horizon", type=float, help="ring: scored seconds")
     run.add_argument("--out", default="run", help="output path prefix")
     run.set_defaults(func=cmd_run)
 

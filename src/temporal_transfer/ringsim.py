@@ -248,7 +248,6 @@ class RolloutResult:
     mean_speed: float           # -inf if the rollout collided
     speed_std: float            # time-mean of the across-vehicle speed std, scored window
     commands: list[float]       # one entry per hold boundary, simulation order
-    n_scored_steps: int
     speeds_log: np.ndarray | None = None     # (steps, n) when recorded
     positions_log: np.ndarray | None = None  # (steps, n), wrapped, when recorded
     commands_log: np.ndarray | None = None   # (steps,) applied command, nan if unguided
@@ -349,7 +348,6 @@ def simulate_many(
             mean_speed=float(mean_speed[row]),
             speed_std=float(speed_std[row]),
             commands=issued[row],
-            n_scored_steps=n_score,
             speeds_log=speeds_log[row] if record else None,
             positions_log=positions_log[row] if record else None,
             commands_log=commands_log[row] if record else None,
@@ -437,8 +435,22 @@ _PARAM_HI = np.array([10.0, 2.0, 1.0])
 _REFINE_SCALE = np.array([1.2, 0.4, 0.15])
 
 
+def check_search(config: RingConfig, search_budget: int) -> None:
+    """Raise ValueError unless the policy search can run: a budget of at
+    least one rollout, and one vehicle guided in speed mode."""
+    if search_budget < 1:
+        raise ValueError(f"search budget must be >= 1, got {search_budget}")
+    mode = config.guidance.mode
+    if mode != "speed":
+        raise ValueError(
+            f"the policy search emits target speeds; guidance mode {mode!r} is not supported"
+        )
+    if not config.n_guided:
+        raise ValueError("the policy search needs a guided vehicle (n_guided = 1)")
+
+
 def train_and_measure_many(
-    config: RingConfig, deltas, search_budget: int = 24, seed: int = 0
+    config: RingConfig, deltas, search_budget: int, seed: int
 ) -> list[EvaluatorResult]:
     """Black-box policy search at each hold duration, all durations in lockstep.
 
@@ -455,18 +467,10 @@ def train_and_measure_many(
     its result is that of a one-round-at-a-time search at that duration
     alone. Returns the best achieved mean speed per duration; the first
     duration, in input order, whose candidates all collided raises
-    TrainingError. The config must guide its vehicle in speed mode.
+    TrainingError. The config and budget must pass check_search.
     """
-    if search_budget < 1:
-        raise ValueError(f"search budget must be >= 1, got {search_budget}")
+    check_search(config, search_budget)
     deltas = list(deltas)
-    mode = config.guidance.mode
-    if mode != "speed":
-        raise ValueError(
-            f"the policy search emits target speeds; guidance mode {mode!r} is not supported"
-        )
-    if not config.n_guided:
-        raise ValueError("the policy search needs a guided vehicle (n_guided = 1)")
     generators = [
         np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
         for delta in deltas
@@ -534,28 +538,10 @@ def train_and_measure_many(
 
 
 def train_and_measure(
-    config: RingConfig, delta: float, search_budget: int = 24, seed: int = 0
+    config: RingConfig, delta: float, search_budget: int, seed: int
 ) -> EvaluatorResult:
     """Black-box policy search at one hold duration (see train_and_measure_many)."""
     return train_and_measure_many(config, [delta], search_budget, seed)[0]
-
-
-def trajectory_csv_text(result: RolloutResult, config: RingConfig) -> str:
-    """Long-format t,vehicle,pos,speed,command rows from a recorded rollout."""
-    if result.speeds_log is None:
-        raise ValueError("rollout was not recorded")
-    lines = ["t,vehicle,pos,speed,command"]
-    n_steps, n = result.speeds_log.shape
-    for i in range(n_steps):
-        t = (i + 1) * config.dt
-        cmd = result.commands_log[i]
-        cmd_txt = "" if np.isnan(cmd) else f"{cmd:.6g}"
-        for v in range(n):
-            lines.append(
-                f"{t:.1f},{v},{result.positions_log[i, v]:.6g},"
-                f"{result.speeds_log[i, v]:.6g},{cmd_txt}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 _CONFIG_KEYS = {

@@ -52,7 +52,7 @@ class IdealTrainer:
         if not self.hold_range.d_min <= delta <= self.hold_range.d_max:
             raise ValueError(f"delta {delta} outside [{self.hold_range.d_min}, {self.hold_range.d_max}]")
 
-    def evaluate(self, delta: float, seed=None) -> EvaluatorResult:
+    def evaluate(self, delta: float) -> EvaluatorResult:
         self._check(delta)
         return EvaluatorResult(delta=delta, achieved=self.j_star, policy_id=f"ideal@{delta:.6g}")
 
@@ -60,13 +60,13 @@ class IdealTrainer:
 class DecayingTrainer(IdealTrainer):
     """Upper bound falls linearly with duration: J*(1 - c*(d-d_min)/width)."""
 
-    def __init__(self, j_star: float, hold_range: HoldRange, decay: float):
+    def __init__(self, j_star: float, hold_range: HoldRange, decay: float = 0.5):
         super().__init__(j_star, hold_range)
         if decay < 0:
             raise ValueError(f"decay fraction must be >= 0, got {decay}")
         self.decay = decay
 
-    def evaluate(self, delta: float, seed=None) -> EvaluatorResult:
+    def evaluate(self, delta: float) -> EvaluatorResult:
         self._check(delta)
         frac = (delta - self.hold_range.d_min) / self.hold_range.width
         achieved = max(self.j_star * (1 - self.decay * frac), 0.0)
@@ -81,18 +81,17 @@ class NoisyTrainer(IdealTrainer):
     the ideal backend.
     """
 
-    def __init__(self, j_star: float, hold_range: HoldRange, eta: float, seed: int = 0):
+    def __init__(self, j_star: float, hold_range: HoldRange, eta: float = 0.1, seed: int = 0):
         super().__init__(j_star, hold_range)
         if eta < 0:
             raise ValueError(f"noise amplitude must be >= 0, got {eta}")
         self.eta = eta
         self.seed = seed
 
-    def evaluate(self, delta: float, seed=None) -> EvaluatorResult:
+    def evaluate(self, delta: float) -> EvaluatorResult:
         self._check(delta)
-        base = self.seed if seed is None else seed
         bits = int(np.float64(delta).view(np.uint64))
-        rng = np.random.default_rng(np.random.SeedSequence([int(base), bits]))
+        rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), bits]))
         noise = rng.uniform(-self.eta, self.eta)
         achieved = max(self.j_star + noise, 0.0)
         return EvaluatorResult(delta=delta, achieved=achieved, policy_id=f"noisy@{delta:.6g}")
@@ -112,12 +111,7 @@ class CsvReplayTrainer:
             # exact-row queries only.
             self.tolerance = 0.0
 
-    @property
-    def hold_range(self) -> HoldRange:
-        lo, hi = float(self.deltas[0]), float(self.deltas[-1])
-        return HoldRange(d_min=lo, d_max=hi, resolution=hi - lo)
-
-    def evaluate(self, delta: float, seed=None) -> EvaluatorResult:
+    def evaluate(self, delta: float) -> EvaluatorResult:
         idx = int(np.searchsorted(self.deltas, delta))
         best, best_dist = None, np.inf
         for j in (idx - 1, idx):
@@ -177,48 +171,22 @@ class RingTrainer:
     """Trains a guidance policy in the ring micro-simulation at each duration.
 
     Selector-chosen durations are snapped to whole seconds (10 simulation
-    steps), clamped below at one step, before training.
+    steps), clamped below at one step, before training. A config or budget
+    the policy search cannot use is rejected here, before any training.
     """
 
-    def __init__(self, config, search_budget: int = 24, seed: int = 0, snap_unit: float = 1.0):
+    def __init__(self, config, search_budget: int = 24, seed: int = 0):
+        from . import ringsim
+
+        ringsim.check_search(config, search_budget)
         self.config = config
         self.search_budget = search_budget
         self.seed = seed
-        self.snap_unit = snap_unit
 
     def snap_delta(self, delta: float) -> float:
-        snapped = round(delta / self.snap_unit) * self.snap_unit
-        return max(snapped, self.config.dt)
+        return max(float(round(delta)), self.config.dt)
 
-    def evaluate(self, delta: float, seed=None) -> EvaluatorResult:
+    def evaluate(self, delta: float) -> EvaluatorResult:
         from . import ringsim
 
-        return ringsim.train_and_measure(
-            self.config,
-            delta,
-            search_budget=self.search_budget,
-            seed=self.seed if seed is None else seed,
-        )
-
-
-def make_trainer(kind: str, hold_range: HoldRange, j_star: float = 1.0, **params):
-    """Backend factory used by the command line."""
-    if kind == "ideal":
-        return IdealTrainer(j_star, hold_range)
-    if kind == "decaying":
-        return DecayingTrainer(j_star, hold_range, decay=params.get("decay", 0.5))
-    if kind == "noisy":
-        return NoisyTrainer(
-            j_star, hold_range, eta=params.get("eta", 0.1), seed=params.get("seed", 0)
-        )
-    if kind == "csv":
-        return load_csv_landscape(params["path"])
-    if kind == "ring":
-        from .ringsim import RingConfig
-
-        return RingTrainer(
-            config=params.get("config") or RingConfig(),
-            search_budget=params.get("search_budget", 24),
-            seed=params.get("seed", 0),
-        )
-    raise ValueError(f"unknown trainer kind {kind!r}")
+        return ringsim.train_and_measure(self.config, delta, self.search_budget, self.seed)

@@ -102,6 +102,68 @@ class TestRun:
         assert f"{curve}:3: non-finite" in err
         assert not (tmp_path / "b_landscape.csv").exists()
 
+    @pytest.mark.parametrize(
+        "trainer, flag, value",
+        [
+            (trainer, flag, value)
+            for trainer in ("ideal", "decaying", "noisy", "csv", "ring")
+            for flag, value, owner in (
+                ("--csv", "curve.csv", "csv"),
+                ("--noise-eta", "0.1", "noisy"),
+                ("--decay", "0.5", "decaying"),
+                ("--search-budget", "24", "ring"),
+                ("--config", "missing.cfg", "ring"),
+                ("--warmup", "20", "ring"),
+                ("--horizon", "40", "ring"),
+            )
+            if owner != trainer
+        ],
+    )
+    def test_flag_of_another_backend_is_usage_error(self, trainer, flag, value, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["run", "--algo", "gttl", "--trainer", trainer, flag, value, "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "trainer, defaults",
+        [("decaying", ["--decay", "0.5"]), ("noisy", ["--noise-eta", "0.1"])],
+    )
+    def test_backend_defaults(self, trainer, defaults, tmp_path, capsys):
+        args = ["run", "--algo", "gttl", "--trainer", trainer, "--budget", "5", "--seed", "4"]
+        implicit = run_cli([*args, "--out", str(tmp_path / "a")], capsys)
+        explicit = run_cli([*args, *defaults, "--out", str(tmp_path / "b")], capsys)
+        assert implicit[0] == 0
+        assert implicit == explicit
+        for suffix in ("_iterations.csv", "_landscape.csv"):
+            assert (tmp_path / f"a{suffix}").read_text() == (tmp_path / f"b{suffix}").read_text()
+
+    @pytest.mark.parametrize(
+        "line, budget, message",
+        [
+            ("number_of_controlled_vehicles = 0", "2", "the policy search needs a guided vehicle"),
+            ("mode = acceleration", "2", "'acceleration'"),
+            ("", "0", "search budget must be >= 1, got 0"),
+        ],
+    )
+    def test_ring_search_checked_before_training(self, line, budget, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(RING_FAST + line + "\n")
+        code, out, err = run_cli(
+            ["run", "--algo", "gttl", "--trainer", "ring", "--search-budget", budget,
+             "--budget", "2", "--dmax", "5", "--resolution", "1", "--config", str(cfg),
+             "--out", str(tmp_path / "r")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not (tmp_path / "r_iterations.csv").exists()
+        ring = run_cli(["ring", "eval", "--delta", "1", "--budget", budget, "--config", str(cfg)], capsys)
+        assert ring == (code, out, err)
+
     def test_csv_replay_reproduces_area_history(self, tmp_path, capsys):
         out1 = tmp_path / "ideal"
         code, _, _ = run_cli(

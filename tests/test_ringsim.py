@@ -29,7 +29,6 @@ from temporal_transfer.ringsim import (
     step,
     train_and_measure,
     train_and_measure_many,
-    trajectory_csv_text,
 )
 from temporal_transfer.trainers import RingTrainer, TrainingError
 
@@ -162,12 +161,6 @@ class TestRollouts:
         np.testing.assert_array_equal(coarse.speeds_log, fine.speeds_log)
         np.testing.assert_array_equal(coarse.positions_log, fine.positions_log)
 
-    def test_trajectory_csv_shape(self):
-        result = simulate(FAST_UNGUIDED, None, seed=0, record=True)
-        lines = trajectory_csv_text(result, FAST_UNGUIDED).splitlines()
-        assert lines[0] == "t,vehicle,pos,speed,command"
-        assert len(lines) == 1 + result.speeds_log.size
-
 
 class TestTrainAndMeasure:
     def test_budget_one_returns_first_candidate(self):
@@ -280,6 +273,22 @@ class TestRingTrainer:
         assert trainer.snap_delta(0.4) == pytest.approx(FAST.dt)
         assert trainer.snap_delta(0.6) == pytest.approx(1.0)
         assert trainer.snap_delta(0.1) == pytest.approx(FAST.dt)
+
+    def test_defaults(self):
+        trainer = RingTrainer(FAST)
+        assert (trainer.search_budget, trainer.seed) == (24, 0)
+
+    @pytest.mark.parametrize(
+        "config, budget, message",
+        [
+            (FAST_UNGUIDED, 2, "needs a guided vehicle"),
+            (replace(FAST, guidance=replace(FAST.guidance, mode="acceleration")), 2, "'acceleration'"),
+            (FAST, 0, "search budget must be >= 1, got 0"),
+        ],
+    )
+    def test_unusable_search_rejected_before_training(self, config, budget, message):
+        with pytest.raises(ValueError, match=message):
+            RingTrainer(config, search_budget=budget)
 
     def test_evaluate_runs_search(self):
         config = replace(FAST, warmup=50.0, horizon=100.0)

@@ -49,11 +49,11 @@ class FailingTrainer(IdealTrainer):
         self.calls = 0
         self.fail_at_call = fail_at_call
 
-    def evaluate(self, delta, seed=None):
+    def evaluate(self, delta):
         self.calls += 1
         if self.calls == self.fail_at_call:
             raise RuntimeError("synthetic trainer outage")
-        return super().evaluate(delta, seed)
+        return super().evaluate(delta)
 
 
 class TestFindGreedyTransferPoint:
@@ -111,7 +111,7 @@ class TestRunGttl:
 
     def test_results_above_j_star_do_not_count_as_coverage(self):
         class Overshooting(IdealTrainer):
-            def evaluate(self, delta, seed=None):
+            def evaluate(self, delta):
                 return EvaluatorResult(delta=delta, achieved=1.25, policy_id="over")
 
         # The first pick, at 20 s, covers 40 of raw area, above the

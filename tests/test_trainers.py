@@ -19,7 +19,6 @@ from temporal_transfer.trainers import (
     MissingDataError,
     NoisyTrainer,
     load_csv_landscape,
-    make_trainer,
 )
 
 RANGE = HoldRange(0, 40, 0.1)
@@ -143,12 +142,10 @@ class TestNonFiniteAchieved:
             apply_transfer(Landscape.zeros(RANGE), model, 20.0, achieved)
 
 
-class TestMakeTrainer:
-    def test_kinds(self):
-        assert make_trainer("ideal", RANGE).evaluate(5.0).achieved == 1.0
-        assert make_trainer("decaying", RANGE, decay=1.0).evaluate(40.0).achieved == 0.0
-        with pytest.raises(ValueError):
-            make_trainer("nope", RANGE)
+class TestConstructors:
+    def test_ideal_and_decaying_values(self):
+        assert IdealTrainer(1.0, RANGE).evaluate(5.0).achieved == 1.0
+        assert DecayingTrainer(1.0, RANGE, decay=1.0).evaluate(40.0).achieved == 0.0
 
 
 class TestInteractionWithSelectors:
