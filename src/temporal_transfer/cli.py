@@ -57,6 +57,13 @@ class UsageError(ValueError):
     pass
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Print a table and, given --out, write the same text there."""
+    sys.stdout.write(text)
+    if out:
+        Path(out).write_text(text)
+
+
 def _report_rows(reports: list[BoundReport]) -> str:
     lines = ["claim,lhs,rhs,holds,slack"]
     for r in reports:
@@ -235,10 +242,7 @@ def cmd_verify(args) -> int:
             rows.extend(verify(args.kmax, *simulated))
         elif claim == "L3":
             rows.extend(_verify_l3(args.grid, args.kmax))
-    text = _report_rows(rows)
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
+    _emit(_report_rows(rows), args.out)
     return EXIT_OK if all(r.holds for r in rows) else EXIT_BOUND
 
 
@@ -255,73 +259,57 @@ def cmd_oracle(args) -> int:
         lines.append(
             f"{k},{best.best_area:.6g},{gttl:.6g},{cttl:.6g},{report.rhs:.6g},{str(report.holds).lower()}"
         )
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
+# Ring-config flags and the RingConfig fields they override.
+_RING_FLAGS = {"warmup": "warmup", "horizon": "horizon", "vehicles": "n_vehicles", "guided": "n_guided"}
+
+
 def _ring_config(args) -> ringsim.RingConfig:
-    config = ringsim.RingConfig()
-    if getattr(args, "config", None):
-        config = ringsim.load_ring_config(args.config, base=config)
-    overrides = {}
-    for flag, field_name in (
-        ("warmup", "warmup"),
-        ("horizon", "horizon"),
-        ("vehicles", "n_vehicles"),
-        ("guided", "n_guided"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    guidance = config.guidance
-    if getattr(args, "mode", None):
-        guidance = replace(guidance, mode=args.mode)
-    return replace(config, guidance=guidance, **overrides)
+    config = ringsim.load_ring_config(args.config) if args.config else ringsim.RingConfig()
+    overrides = {field: getattr(args, flag, None) for flag, field in _RING_FLAGS.items()}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def cmd_ring(args) -> int:
+def cmd_ring_baseline(args) -> int:
+    unguided = replace(_ring_config(args), n_guided=0)
+    lines = ["seed,mean_speed,speed_std"]
+    for seed, result in enumerate(ringsim.simulate_many(unguided, range(args.seeds))):
+        if result.collision is not None:
+            print(f"error: {result.collision}", file=sys.stderr)
+            return EXIT_RUNTIME
+        lines.append(f"{seed},{result.mean_speed:.6g},{result.speed_std:.6g}")
+    _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
+
+
+# Per search action: the table header and the row of one trained duration.
+# A sweep row also carries the unguided baseline of the same ring seed.
+_SEARCH_TABLES = {
+    "eval": ("delta,achieved,policy_id,cost", "{r.delta:.6g},{r.achieved:.6g},{r.policy_id},{r.cost:.6g}"),
+    "sweep": ("delta,achieved,baseline,policy_id", "{r.delta:.6g},{r.achieved:.6g},{baseline:.6g},{r.policy_id}"),
+}
+
+
+def cmd_ring_search(args) -> int:
+    """`ring eval` and `ring sweep`: one policy search over their durations."""
     config = _ring_config(args)
-    if args.action == "eval" and args.delta is None:
-        raise UsageError("eval needs --delta")
-    if args.action == "sweep" and not args.deltas:
-        raise UsageError("sweep needs --deltas")
-    if args.action != "baseline":
-        ringsim.check_search(config, args.budget)
+    ringsim.check_search(config, args.budget)
+    header, row = _SEARCH_TABLES[args.action]
+    sweep = args.action == "sweep"
+    deltas = [float(x) for x in args.deltas.split(",")] if sweep else [args.delta]
+    baseline = None
     try:
-        if args.action == "baseline":
-            unguided = replace(config, n_guided=0)
-            lines = ["seed,mean_speed,speed_std"]
-            for seed, result in enumerate(ringsim.simulate_many(unguided, range(args.seeds))):
-                if result.collision is not None:
-                    raise result.collision
-                lines.append(f"{seed},{result.mean_speed:.6g},{result.speed_std:.6g}")
-        elif args.action == "eval":
-            res = ringsim.train_and_measure(
-                config, args.delta, search_budget=args.budget, seed=args.seed
-            )
-            lines = [
-                "delta,achieved,policy_id,cost",
-                f"{res.delta:.6g},{res.achieved:.6g},{res.policy_id},{res.cost:.6g}",
-            ]
-        else:  # sweep
-            deltas = [float(x) for x in args.deltas.split(",")]
-            unguided = replace(config, n_guided=0)
-            baseline = ringsim.rollout_measure(unguided, None, args.seed)
-            lines = ["delta,achieved,baseline,policy_id"]
-            for res in ringsim.train_and_measure_many(
-                config, deltas, search_budget=args.budget, seed=args.seed
-            ):
-                lines.append(f"{res.delta:.6g},{res.achieved:.6g},{baseline:.6g},{res.policy_id}")
+        if sweep:
+            baseline = ringsim.rollout_measure(replace(config, n_guided=0), None, args.seed)
+        results = ringsim.train_and_measure_many(config, deltas, args.budget, args.seed)
     except (ringsim.CollisionError, ringsim.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
+    rows = [row.format(r=res, baseline=baseline) for res in results]
+    _emit("\n".join([header, *rows]) + "\n", args.out)
     return EXIT_OK
 
 
@@ -395,20 +383,30 @@ def build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(func=cmd_oracle)
 
     ring = sub.add_parser("ring", help="ring micro-simulation: baseline, eval, or sweep")
-    ring.add_argument("action", choices=["baseline", "eval", "sweep"])
-    ring.add_argument("--seeds", type=int, default=10, help="baseline: number of seeds")
-    ring.add_argument("--seed", type=int, default=0)
-    ring.add_argument("--delta", type=float)
-    ring.add_argument("--deltas", help="sweep: comma list of hold durations")
-    ring.add_argument("--budget", type=int, default=24, help="policy-search rollouts")
-    ring.add_argument("--mode", choices=["speed", "acceleration"])
-    ring.add_argument("--vehicles", type=int)
-    ring.add_argument("--guided", type=int)
-    ring.add_argument("--warmup", type=float)
-    ring.add_argument("--horizon", type=float)
-    ring.add_argument("--config", help="key=value config file")
-    ring.add_argument("--out")
-    ring.set_defaults(func=cmd_ring)
+    actions = ring.add_subparsers(dest="action", required=True)
+    # Each action takes only the flags it reads. Abbreviations are off, so a
+    # foreign --seed or --delta never passes for a prefix of --seeds or --deltas.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--vehicles", type=int)
+    config.add_argument("--guided", type=int)
+    config.add_argument("--warmup", type=float)
+    config.add_argument("--horizon", type=float)
+    config.add_argument("--config", help="key=value config file")
+    config.add_argument("--out")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--budget", type=int, default=24, help="policy-search rollouts")
+    search.set_defaults(func=cmd_ring_search)
+    baseline = actions.add_parser("baseline", help="unguided rollouts, one per seed",
+                                  parents=[config], allow_abbrev=False)
+    baseline.add_argument("--seeds", type=int, default=10, help="number of seeds")
+    baseline.set_defaults(func=cmd_ring_baseline)
+    evaluate = actions.add_parser("eval", help="policy search at one hold duration",
+                                  parents=[config, search], allow_abbrev=False)
+    evaluate.add_argument("--delta", type=float, required=True)
+    sweep = actions.add_parser("sweep", help="policy search at each hold duration",
+                               parents=[config, search], allow_abbrev=False)
+    sweep.add_argument("--deltas", required=True, help="comma list of hold durations")
 
     export = sub.add_parser("export-plot", help="melt a run CSV into series,x,y rows")
     export.add_argument("--input", required=True)

@@ -42,6 +42,8 @@ class HoldRange:
     n_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.d_min, self.d_max, self.resolution))):
+            raise ValueError(f"range bounds and resolution must be finite, got {self}")
         if not 0 <= self.d_min < self.d_max:
             raise ValueError(f"need 0 <= d_min < d_max, got [{self.d_min}, {self.d_max}]")
         if self.resolution <= 0:
@@ -104,8 +106,9 @@ class GapModel:
     j_star: float
 
     def __post_init__(self):
-        if self.theta_left < 0 or self.theta_right < 0 or self.j_star < 0:
-            raise ValueError("slopes and j_star must be non-negative")
+        params = (self.theta_left, self.theta_right, self.j_star)
+        if not all(math.isfinite(x) and x >= 0 for x in params):
+            raise ValueError(f"slopes and j_star must be finite and non-negative, got {self}")
 
     @property
     def symmetric(self) -> bool:
@@ -130,11 +133,15 @@ def symmetric_model(theta: float, j_star: float) -> GapModel:
     return GapModel(theta_left=theta, theta_right=theta, j_star=j_star)
 
 
-def gap(model: GapModel, d_source: float, d_target: float) -> float:
-    """Performance lost transferring a policy from d_source to d_target."""
-    if d_source > d_target:
-        return model.theta_left * (d_source - d_target)
-    return model.theta_right * (d_target - d_source)
+def gap(model: GapModel, d_source, d_target):
+    """Performance lost transferring a policy from d_source to d_target: a
+    float for two durations, an array for arrays of them (broadcast)."""
+    g = np.where(
+        d_source > d_target,
+        model.theta_left * (d_source - d_target),
+        model.theta_right * (d_target - d_source),
+    )
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True)
@@ -178,11 +185,7 @@ def apply_transfer(
     if not (math.isfinite(achieved) and achieved >= 0):
         raise ValueError(f"achieved performance must be finite and >= 0, got {achieved}")
     idx = land.range.index_of(d_source)
-    grid = land.range.grid()
-    dist_left = np.maximum(d_source - grid, 0.0)  # targets finer than the source
-    dist_right = np.maximum(grid - d_source, 0.0)
-    gaps = model.theta_left * dist_left + model.theta_right * dist_right
-    candidate = np.maximum(achieved - gaps, 0.0)
+    candidate = np.maximum(achieved - gap(model, d_source, land.range.grid()), 0.0)
     new_values = np.maximum(land.values, candidate)
     new_values[idx] = achieved
     return Landscape(range=land.range, values=new_values)

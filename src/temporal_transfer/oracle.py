@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .landscape import GapModel, HoldRange, best_marginal_cell  # noqa: F401  (re-exported)
+from .landscape import GapModel, HoldRange, best_marginal_cell, gap  # noqa: F401  (re-exported)
 from .selectors import run_gttl
 from .theory import BoundReport, bound_report
 from .trainers import IdealTrainer
@@ -41,13 +41,6 @@ def coarse_range(hold_range: HoldRange, coarse_cells: int) -> HoldRange:
         d_max=hold_range.d_max,
         resolution=hold_range.width / (coarse_cells - 1),
     )
-
-
-def _tent_matrix(grid: np.ndarray, model: GapModel) -> np.ndarray:
-    """Row i: landscape reached by one ideal training at grid[i]."""
-    diff = grid[None, :] - grid[:, None]  # target minus source
-    gaps = np.where(diff >= 0, model.theta_right * diff, -model.theta_left * diff)
-    return np.maximum(model.j_star - gaps, 0.0)
 
 
 def _trapezoid_weights(rng: HoldRange) -> np.ndarray:
@@ -94,7 +87,8 @@ def exhaustive_best(
         raise ValueError(f"k must be in 1..{coarse_cells} for a {coarse_cells}-cell grid, got {k}")
     rng = coarse_range(hold_range, coarse_cells)
     grid = rng.grid()
-    tents = _tent_matrix(grid, model)
+    # Row i: the landscape one ideal training at grid[i] reaches.
+    tents = np.maximum(model.j_star - gap(model, grid[:, None], grid[None, :]), 0.0)
     weights = _trapezoid_weights(rng)
     left, pair, right = _area_tables(tents, weights, model)
     best = left

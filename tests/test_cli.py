@@ -17,6 +17,22 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algo", "gttl", "--theta", "inf", "--budget", "3"],
+        ["run", "--algo", "gttl", "--resolution", "inf"],
+        ["run", "--algo", "gttl", "--dmax", "inf"],
+        ["oracle", "--theta", "nan", "--kmax", "2"],
+    ],
+)
+def test_non_finite_model_or_range_is_usage_error(args, tmp_path, capsys):
+    code, out, err = run_cli([*args, "--out", str(tmp_path / "x")], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid input" in err and "finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
     def test_cttl_example(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -253,7 +269,7 @@ class TestOracleCommand:
 class TestRing:
     def test_eval_budget_zero_is_usage_error(self, capsys):
         code, _, err = run_cli(
-            ["ring", "eval", "--delta", "40", "--mode", "speed", "--budget", "0"],
+            ["ring", "eval", "--delta", "40", "--budget", "0"],
             capsys,
         )
         assert code == 2
@@ -284,18 +300,35 @@ class TestRing:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
-    def test_acceleration_mode_flag_is_rejected(self, action, tmp_path, capsys):
-        # The policy search emits target speeds; it must not train speed
-        # guidance under an acceleration-mode request.
-        cfg = tmp_path / "fast.cfg"
-        cfg.write_text(RING_FAST)
-        code, out, err = run_cli(
-            ["ring", *action, "--budget", "2", "--mode", "acceleration", "--config", str(cfg)],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert "'acceleration'" in err
+    def test_acceleration_mode_flag_is_rejected(self, action, capsys):
+        # The policy search emits target speeds, so there is no --mode to
+        # give; acceleration mode is reachable through a config file only.
+        with pytest.raises(SystemExit) as exc:
+            main(["ring", *action, "--budget", "2", "--mode", "acceleration"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --mode acceleration" in captured.err
+
+    @pytest.mark.parametrize(
+        "action, flag",
+        [
+            *[("baseline", flag) for flag in ("--budget", "--seed", "--delta", "--deltas")],
+            *[("eval", flag) for flag in ("--deltas", "--seeds")],
+            *[("sweep", flag) for flag in ("--delta", "--seeds")],
+            *[(action, "--mode") for action in ("baseline", "eval", "sweep")],
+        ],
+    )
+    def test_flag_of_another_action_is_rejected(self, action, flag, capsys):
+        # Each action takes only the flags it reads; a prefix of one of its
+        # own flags (--seed for --seeds, --delta for --deltas) is no match.
+        required = {"baseline": [], "eval": ["--delta", "1"], "sweep": ["--deltas", "1"]}[action]
+        with pytest.raises(SystemExit) as exc:
+            main(["ring", action, *required, flag, "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 3" in captured.err
 
     @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
     def test_acceleration_mode_config_is_rejected(self, action, tmp_path, capsys):
@@ -315,14 +348,15 @@ class TestRing:
         assert exc.value.code == 2
         assert "--hold" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"], ["baseline"]])
+    @pytest.mark.parametrize(
+        "action",
+        [["eval", "--delta", "1", "--budget", "2"], ["sweep", "--deltas", "1,2", "--budget", "2"], ["baseline"]],
+    )
     def test_guided_count_above_one_is_rejected(self, action, tmp_path, capsys):
         # The simulator guides vehicle 0 only.
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(RING_FAST)
-        code, out, err = run_cli(
-            ["ring", *action, "--budget", "2", "--guided", "3", "--config", str(cfg)], capsys
-        )
+        code, out, err = run_cli(["ring", *action, "--guided", "3", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert "n_guided must be 0 or 1, got 3" in err
 

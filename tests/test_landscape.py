@@ -108,6 +108,27 @@ class TestGap:
         with pytest.raises(ValueError):
             GapModel(-0.1, 0.1, 1.0)
 
+    def test_arrays_broadcast_like_scalars(self):
+        m = GapModel(theta_left=0.1, theta_right=0.02, j_star=1.0)
+        grid = np.linspace(0, 40, 9)
+        table = gap(m, grid[:, None], grid[None, :])
+        assert table.shape == (9, 9)
+        assert table.tolist() == [[gap(m, s, t) for t in grid] for s in grid]
+        assert type(gap(m, 20.0, 5.0)) is float
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_model_and_range_rejected(bad, position):
+    model = [0.1, 0.02, 1.0]
+    model[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GapModel(*model)
+    bounds = [0.0, 40.0, 0.1]
+    bounds[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        HoldRange(*bounds)
+
 
 class TestApplyTransfer:
     def setup_method(self):
