@@ -71,54 +71,59 @@ def _report_rows(reports: list[BoundReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The `run` flags that configure one backend; with any other --trainer they
-# are usage errors. --seed is not among them: the selectors read it too.
-_BACKEND_FLAGS = {
+# Each `run` flag that not every run reads, and the --algo and --trainer
+# values that read it. Algorithm and trainer names never collide.
+_READERS = {
+    "budget": ("gttl", "cttl", "rttl"),
+    "epsilon": ("gttl",),
+    "seed": ("rttl", "noisy", "ring"),
     "csv": ("csv",),
-    "noisy": ("noise_eta",),
-    "decaying": ("decay",),
-    "ring": ("search_budget", "config", "warmup", "horizon"),
+    "noise_eta": ("noisy",),
+    "decay": ("decaying",),
+    "search_budget": ("ring",),
+    "config": ("ring",),
+    "warmup": ("ring",),
+    "horizon": ("ring",),
 }
 
 
+def given(**params) -> dict:
+    """The keyword arguments whose flags were given. A flag left out takes
+    the default of the function that reads it."""
+    return {name: value for name, value in params.items() if value is not None}
+
+
 def _build_trainer(args, hold_range: HoldRange):
-    """The backend that --trainer names, built from its own flags; a flag
-    left out takes the backend's default. A ring backend checks its config
-    and budget here, before any training."""
-    for kind, flags in _BACKEND_FLAGS.items():
-        for flag in flags:
-            if kind != args.trainer and getattr(args, flag) is not None:
-                raise UsageError(f"--{flag.replace('_', '-')} applies only to --trainer {kind}")
-
-    def given(**params):
-        return {name: value for name, value in params.items() if value is not None}
-
+    """The backend that --trainer names, built from its own flags. A ring
+    backend checks its config and budget here, before any training."""
     if args.trainer == "ideal":
         return IdealTrainer(args.jstar, hold_range)
     if args.trainer == "decaying":
         return DecayingTrainer(args.jstar, hold_range, **given(decay=args.decay))
     if args.trainer == "noisy":
-        return NoisyTrainer(args.jstar, hold_range, seed=args.seed, **given(eta=args.noise_eta))
+        return NoisyTrainer(args.jstar, hold_range, **given(eta=args.noise_eta, seed=args.seed))
     if args.trainer == "csv":
         if not args.csv:
             raise UsageError("--csv PATH is required with --trainer csv")
         return load_csv_landscape(args.csv)
     return RingTrainer(
-        _ring_config(args), seed=args.seed, **given(search_budget=args.search_budget)
+        _ring_config(args), **given(search_budget=args.search_budget, seed=args.seed)
     )
 
 
 def cmd_run(args) -> int:
+    for flag, readers in _READERS.items():
+        if getattr(args, flag) is not None and args.algo not in readers and args.trainer not in readers:
+            raise UsageError(f"--{flag.replace('_', '-')} applies only to {', '.join(readers)}")
     hold_range = HoldRange(args.dmin, args.dmax, args.resolution)
     model = symmetric_model(args.theta, args.jstar)
     kind = SelectorKind(args.algo)
     trainer = _build_trainer(args, hold_range)
+    options = {flag: getattr(args, flag) for flag in ("budget", "epsilon", "seed")
+               if kind.value in _READERS[flag]}
     failed = None
     try:
-        state = run_selector(
-            kind, trainer, model, hold_range,
-            budget=args.budget, epsilon=args.epsilon, seed=args.seed,
-        )
+        state = run_selector(kind, trainer, model, hold_range, **given(**options))
     except SelectionError as exc:
         failed, state = exc, exc.state
     # The selectors are anytime: a failed run still writes its valid prefix.
@@ -274,6 +279,8 @@ def _ring_config(args) -> ringsim.RingConfig:
 
 
 def cmd_ring_baseline(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     unguided = replace(_ring_config(args), n_guided=0)
     lines = ["seed,mean_speed,speed_std"]
     for seed, result in enumerate(ringsim.simulate_many(unguided, range(args.seeds))):
@@ -348,13 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dmin", type=float, default=0.0)
     run.add_argument("--dmax", type=float, default=40.0)
     run.add_argument("--resolution", type=float, default=0.1)
-    run.add_argument("--budget", type=int, default=15)
-    run.add_argument("--epsilon", type=float, default=0.05)
+    # Selector and backend flags: each applies only to the --algo and
+    # --trainer values that read it (_READERS).
+    run.add_argument("--budget", type=int, help="gttl, cttl, rttl: training budget K")
+    run.add_argument("--epsilon", type=float, help="gttl: uncovered fraction at which to stop")
     run.add_argument("--theta", type=float, default=0.025)
     run.add_argument("--jstar", type=float, default=1.0)
     run.add_argument("--trainer", default="ideal", choices=["ideal", "decaying", "noisy", "csv", "ring"])
-    run.add_argument("--seed", type=int, default=0)
-    # Backend flags: each applies only to its own --trainer (_BACKEND_FLAGS).
+    run.add_argument("--seed", type=int, help="rttl, noisy, ring: random seed")
     run.add_argument("--csv", help="csv: landscape CSV to replay")
     run.add_argument("--noise-eta", type=float, help="noisy: noise amplitude")
     run.add_argument("--decay", type=float, help="decaying: fall of the bound across the range")

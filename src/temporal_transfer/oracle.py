@@ -13,7 +13,6 @@ falls back on; it lives with the landscape and is re-exported here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .trainers import IdealTrainer
 class OracleResult:
     best_sequence: tuple[float, ...]
     best_area: float
-    evaluated_count: int
 
 
 def coarse_range(hold_range: HoldRange, coarse_cells: int) -> HoldRange:
@@ -80,8 +78,7 @@ def exhaustive_best(
     Dynamic program over the last chosen cell: best[j] is the largest area
     left of cell j with the picks so far ending at j. Ties go to the smaller
     cell index. best_area is the trapezoid integral of the chosen subset's
-    max-of-tents envelope; evaluated_count is the number of K-subsets the
-    optimum is exact over.
+    max-of-tents envelope.
     """
     if not 1 <= k <= coarse_cells:
         raise ValueError(f"k must be in 1..{coarse_cells} for a {coarse_cells}-cell grid, got {k}")
@@ -105,7 +102,6 @@ def exhaustive_best(
     return OracleResult(
         best_sequence=tuple(float(grid[i]) for i in chosen),
         best_area=float(envelope @ weights),
-        evaluated_count=math.comb(coarse_cells, k),
     )
 
 

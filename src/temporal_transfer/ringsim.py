@@ -97,6 +97,10 @@ class RingConfig:
             raise ValueError("vehicles do not fit on the ring")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ValueError(f"warmup must be finite and >= 0, got {self.warmup}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         _hold_steps("hold", self.guidance.hold, self.dt)
 
     @property
@@ -107,7 +111,7 @@ class RingConfig:
 def _hold_steps(name: str, seconds: float, dt: float) -> int:
     """Whole simulation steps in `seconds`, which must be a positive multiple of dt."""
     steps = seconds / dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         raise ValueError(f"{name} {seconds} is not a positive multiple of dt {dt}")
     return round(steps)
 
@@ -458,11 +462,11 @@ def train_and_measure_many(
     then one refinement round per remaining unit of budget, each a Gaussian
     proposal around the incumbent. Every candidate is scored on the same
     seeded rollout (paired comparison); candidates that collide score -inf.
-    The lattice candidates of all durations run as one batch. Refinement is
-    speculative: each batch holds the next rounds, at most 12, of every
-    unfinished duration, all proposed around its current incumbent; a
-    duration keeps the rounds up to and including the first that beats the
-    incumbent and discards the rest. Each duration draws its proposal steps
+    Each batch holds the next rounds, at most 12, of every unfinished
+    duration, so the first holds the lattice of every duration. Refinement is
+    speculative: its rounds are all proposed around the current incumbent,
+    and a duration keeps the rounds up to and including the first that beats
+    the incumbent and discards the rest. Each duration draws its proposal steps
     from its own (seed, hold steps) generator and keeps its own incumbent, so
     its result is that of a one-round-at-a-time search at that duration
     alone. Returns the best achieved mean speed per duration; the first
@@ -480,26 +484,20 @@ def train_and_measure_many(
         policies = [LinearSpeedPolicy(w[0], w[1], w[2], config) for w in weights]
         return [r.mean_speed for r in simulate_many(config, [seed] * len(weights), policies, holds)]
 
-    lattice = [
-        np.array([w0, w1, w2])
-        for w0 in _LATTICE_W0
-        for (w1, w2) in _LATTICE_FEEDBACK
-    ]
-    first = lattice[:search_budget]
-    flat = score(first * len(deltas), [delta for delta in deltas for _ in first])
-    candidates = [list(first) for _ in deltas]
-    scores = [flat[k * len(first) : (k + 1) * len(first)] for k in range(len(deltas))]
-    # The first best candidate is the incumbent.
-    best = [max(range(len(s)), key=s.__getitem__) for s in scores]
-    # Local refinement: round i proposes a Gaussian step around the incumbent,
-    # shrinking as the budget is spent. The step does not depend on the
-    # incumbent, so each duration's steps are drawn up front, in round order.
+    lattice = [np.array([w0, w1, w2]) for w0 in _LATTICE_W0 for (w1, w2) in _LATTICE_FEEDBACK]
+    # Round i < len(lattice) scores lattice point i. Each later round scores a
+    # Gaussian step around the incumbent, shrinking as the budget is spent;
+    # the step does not depend on the incumbent, so each duration's steps are
+    # drawn up front, in round order.
     noise = [[rng.normal(size=3) for _ in range(len(lattice), search_budget)] for rng in generators]
+    candidates = [[] for _ in deltas]
+    scores = [[] for _ in deltas]
+    best = [0] * len(deltas)  # the first best candidate is the incumbent
     while True:
         # Each duration's next rounds, at most one lattice's worth, around its
         # current incumbent.
         batch = [
-            (k, np.clip(
+            (k, i, lattice[i] if i < len(lattice) else np.clip(
                 c[best[k]] + noise[k][i - len(lattice)] * _REFINE_SCALE * 0.85 ** (i - len(lattice)),
                 _PARAM_LO, _PARAM_HI,
             ))
@@ -508,18 +506,18 @@ def train_and_measure_many(
         ]
         if not batch:
             break
-        values = score([proposal for _, proposal in batch], [deltas[k] for k, _ in batch])
+        values = score([proposal for _, _, proposal in batch], [deltas[k] for k, _, _ in batch])
         stale = [False] * len(deltas)
-        for (k, proposal), value in zip(batch, values):
-            # Rounds after an improvement were proposed around a stale
-            # incumbent: the next batch proposes them again.
+        for (k, i, proposal), value in zip(batch, values):
+            # Refinement rounds after an improvement were proposed around a
+            # stale incumbent: the next batch proposes them again.
             if stale[k]:
                 continue
             candidates[k].append(proposal)
             scores[k].append(value)
             if value > scores[k][best[k]]:
-                best[k] = len(scores[k]) - 1
-                stale[k] = True
+                best[k] = i
+                stale[k] = i >= len(lattice)
     results = []
     for delta, c, s, b in zip(deltas, candidates, scores, best):
         if not np.isfinite(s[b]):

@@ -198,21 +198,17 @@ def run_exhaustive(trainer, model: GapModel, hold_range: HoldRange) -> Selection
 
 
 def run_selector(
-    kind: SelectorKind,
-    trainer,
-    model: GapModel,
-    hold_range: HoldRange,
-    budget: int = 15,
-    epsilon: float = 0.05,
-    seed: int = 0,
+    kind: SelectorKind, trainer, model: GapModel, hold_range: HoldRange, **options
 ) -> SelectionState:
+    """Run the selector `kind` with the options it takes (budget, epsilon,
+    seed); an option left out takes that selector's default."""
     if kind is SelectorKind.GTTL:
-        return run_gttl(trainer, model, hold_range, budget, epsilon)
+        return run_gttl(trainer, model, hold_range, **options)
     if kind is SelectorKind.CTTL:
-        return run_cttl(trainer, model, hold_range, budget)
+        return run_cttl(trainer, model, hold_range, **options)
     if kind is SelectorKind.RTTL:
-        return run_rttl(trainer, model, hold_range, budget, seed)
-    return run_exhaustive(trainer, model, hold_range)
+        return run_rttl(trainer, model, hold_range, **options)
+    return run_exhaustive(trainer, model, hold_range, **options)
 
 
 def iterations_csv_text(state: SelectionState) -> str:

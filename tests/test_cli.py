@@ -145,11 +145,52 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "algo, trainer, flag, code",
+        [
+            *[(algo, trainer, flag, 2)
+              for trainer in ("ideal", "decaying", "csv")
+              for flag, algos in (
+                  ("--budget", ("exhaustive",)),
+                  ("--epsilon", ("cttl", "rttl", "exhaustive")),
+                  ("--seed", ("gttl", "cttl", "exhaustive")),
+              )
+              for algo in algos],
+            *[(algo, "ideal", "--budget", 0) for algo in ("gttl", "cttl", "rttl")],
+            ("gttl", "ideal", "--epsilon", 0),
+            ("rttl", "ideal", "--seed", 0),
+            ("gttl", "noisy", "--seed", 0),
+            ("gttl", "ring", "--seed", 0),
+        ],
+    )
+    def test_selector_flag_needs_a_reader(self, algo, trainer, flag, code, tmp_path, capsys):
+        # --budget, --epsilon and --seed apply only where the algorithm or
+        # the trainer reads them.
+        curve = tmp_path / "curve.csv"
+        curve.write_text("delta,performance\n" + "".join(f"{d},1\n" for d in range(21)))
+        backend = {
+            "csv": ["--csv", str(curve)],
+            "ring": ["--search-budget", "1", "--warmup", "5", "--horizon", "5", "--budget", "1"],
+        }.get(trainer, [])
+        value = "0" if flag == "--epsilon" else "1"
+        result = run_cli(
+            ["run", "--algo", algo, "--trainer", trainer, *backend, "--dmax", "20",
+             "--resolution", "1", flag, value, "--out", str(tmp_path / "out" / "x")],
+            capsys,
+        )
+        if code:
+            assert result[:2] == (2, "")
+            assert f"{flag} applies only to" in result[2]
+            assert not (tmp_path / "out").exists()
+        else:
+            assert result[0] == 0
+            assert (tmp_path / "out" / "x_iterations.csv").exists()
+
+    @pytest.mark.parametrize(
         "trainer, defaults",
         [("decaying", ["--decay", "0.5"]), ("noisy", ["--noise-eta", "0.1"])],
     )
     def test_backend_defaults(self, trainer, defaults, tmp_path, capsys):
-        args = ["run", "--algo", "gttl", "--trainer", trainer, "--budget", "5", "--seed", "4"]
+        args = ["run", "--algo", "gttl", "--trainer", trainer, "--budget", "5"]
         implicit = run_cli([*args, "--out", str(tmp_path / "a")], capsys)
         explicit = run_cli([*args, *defaults, "--out", str(tmp_path / "b")], capsys)
         assert implicit[0] == 0
@@ -274,6 +315,34 @@ class TestRing:
         )
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["eval", "--delta", "inf", "--budget", "2"], "delta inf"),
+            (["eval", "--delta", "nan", "--budget", "2"], "delta nan"),
+            (["eval", "--delta", "1", "--budget", "2", "--warmup", "inf"], "warmup must be finite"),
+            (["baseline", "--seeds", "1", "--warmup", "-5", "--horizon", "10"], "warmup must be finite and >= 0"),
+            (["eval", "--delta", "1", "--budget", "2", "--horizon", "nan"], "horizon must be finite"),
+            (["baseline", "--seeds", "1", "--horizon", "inf"], "horizon must be finite"),
+        ],
+    )
+    def test_duration_that_cannot_be_honoured_is_usage_error(self, args, message, tmp_path, capsys):
+        # A non-finite duration never reaches round(); a negative warmup would
+        # score steps that were never run.
+        code, out, err = run_cli(["ring", *args, "--out", str(tmp_path / "x.csv")], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_baseline_without_seeds_is_usage_error(self, seeds, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["ring", "baseline", "--seeds", seeds, "--out", str(tmp_path / "x.csv")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert f"--seeds must be >= 1, got {seeds}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_baseline_rows(self, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"

@@ -39,8 +39,13 @@ TRAINER_ARGS = {
 
 
 def _run(algo, trainer="ideal", theta=TIGHT, resolution="0.1", budget=17, epsilon="0"):
+    # Each selector flag goes only to the algorithms that read it, ahead of
+    # the trainer's flags, so the noisy trainer's --seed 11 is the one that
+    # rttl-noisy reads.
     return ["run", "--algo", algo, "--theta", theta, "--resolution", resolution,
-            "--budget", str(budget), "--epsilon", epsilon, "--seed", "3",
+            *(["--budget", str(budget)] if algo != "exhaustive" else []),
+            *(["--epsilon", epsilon] if algo == "gttl" else []),
+            *(["--seed", "3"] if algo == "rttl" else []),
             *TRAINER_ARGS[trainer]]
 
 
