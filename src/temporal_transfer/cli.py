@@ -310,8 +310,9 @@ def cmd_ring_search(args) -> int:
     baseline = None
     try:
         if sweep:
-            baseline = ringsim.rollout_measure(replace(config, n_guided=0), None, args.seed)
-        results = ringsim.train_and_measure_many(config, deltas, args.budget, args.seed)
+            baseline, results = ringsim.sweep(config, deltas, args.budget, args.seed)
+        else:
+            results = ringsim.train_and_measure_many(config, deltas, args.budget, args.seed)
     except (ringsim.CollisionError, ringsim.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -11,18 +11,24 @@ Each row has its own seed, hold length and policy; a row that collides
 leaves the batch while the others run on. `step`, `simulate` and
 `rollout_measure` are one-row calls of it. The integrator is elementwise
 apart from reductions along single rows, so a row's numbers do not depend on
-the batch it ran in.
+the batch it ran in. At a hold boundary the due rows guided by a
+LinearSpeedPolicy get their commands from one numpy expression, which gives
+the scalar `__call__`'s results bit for bit; any other policy (a constant,
+a script, a user callable, or a LinearSpeedPolicy subclass that overrides
+`__call__`) is called row by row.
 
 The policy search advances all its hold durations in lockstep, and its
 refinement is speculative: a proposal's random step does not depend on the
 incumbent, so one batch scores the next rounds (at most 12) of every
 duration around its current incumbent, and each duration keeps the rounds up
 to its first improvement. That gives exactly the candidates and scores of
-one round at a time.
+one round at a time. The first batch also scores the unguided ring of the
+search seed, the baseline that `sweep` reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -67,8 +73,14 @@ class GuidanceParams:
     def __post_init__(self):
         if self.mode not in ("speed", "acceleration"):
             raise ValueError(f"unknown guidance mode {self.mode!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("guidance gains must be >= 0")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.accel_cap) and self.accel_cap > 0):
+            raise ValueError(f"accel_cap must be finite and positive, got {self.accel_cap}")
+        if self.n_speed_levels < 2:
+            raise ValueError(f"n_speed_levels must be >= 2, got {self.n_speed_levels}")
         if self.hold <= 0:
             raise ValueError("hold duration must be positive")
 
@@ -95,6 +107,8 @@ class RingConfig:
             raise ValueError("n_guided exceeds n_vehicles")
         if self.circumference <= self.n_vehicles * self.vehicle_length:
             raise ValueError("vehicles do not fit on the ring")
+        if not (math.isfinite(self.speed_limit) and self.speed_limit > 0):
+            raise ValueError(f"speed_limit must be finite and positive, got {self.speed_limit}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if not (math.isfinite(self.warmup) and self.warmup >= 0):
@@ -125,12 +139,19 @@ class RingState:
     t: float = 0.0
 
 
+@functools.cache
+def _leaders(n_vehicles: int) -> np.ndarray:
+    """The index of each vehicle's leader: i+1, and 0 for the last vehicle."""
+    leaders = np.roll(np.arange(n_vehicles), -1)
+    leaders.flags.writeable = False
+    return leaders
+
+
 def ring_gaps(positions: np.ndarray, config: RingConfig) -> np.ndarray:
     """Bumper-to-bumper gap to each vehicle's leader (index i+1, wrapping),
     along the last axis: one ring, or a (rows, n_vehicles) batch of them."""
-    leaders = np.concatenate(
-        (positions[..., 1:], positions[..., :1] + config.circumference), axis=-1
-    )
+    leaders = positions.take(_leaders(positions.shape[-1]), axis=-1)
+    leaders[..., -1] += config.circumference
     return leaders - positions - config.vehicle_length
 
 
@@ -165,27 +186,34 @@ def idm_acceleration(speeds: np.ndarray, gaps: np.ndarray, lead_speeds: np.ndarr
     return p.a_max * (1 - (speeds / p.v_desired) ** p.exponent - (s_star / gaps) ** 2)
 
 
+def _speed_caps(config: RingConfig, guided: np.ndarray) -> np.ndarray:
+    """The speed cap of each vehicle of a batch whose rows `guided` masks:
+    v_desired, and speed_limit for the guided vehicle of a guided row."""
+    caps = np.full((len(guided), config.n_vehicles), config.idm.v_desired)
+    caps[guided, 0] = config.speed_limit
+    return caps
+
+
 def _advance(
     positions: np.ndarray,
     speeds: np.ndarray,
     gaps: np.ndarray,
     config: RingConfig,
+    caps: np.ndarray,
     commands: np.ndarray | None = None,
     guided: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integrator: one dt for every row of a (rows, n_vehicles) batch.
 
-    `gaps` are the rows' current ring gaps. `commands` holds each row's held
-    command for its guided vehicle (None: no row is guided); `guided` masks
-    the rows it applies to (None: all of them). Semi-implicit: speeds update
-    first, then positions. Speeds clamp to [0, v_desired] for default
-    vehicles and [0, speed_limit] for a commanded guided vehicle. Returns
-    the new positions, speeds and gaps; a row with a non-positive gap has
-    collided.
+    `gaps` are the rows' current ring gaps and `caps` their speed caps
+    (_speed_caps). `commands` holds each row's held command for its guided
+    vehicle (None: no row is guided); `guided` masks the rows it applies to
+    (None: all of them). Semi-implicit: speeds update first, then positions,
+    and speeds clamp to [0, cap]. Returns the new positions, speeds and
+    gaps; a row with a non-positive gap has collided.
     """
-    lead_speeds = np.concatenate((speeds[:, 1:], speeds[:, :1]), axis=1)
+    lead_speeds = speeds.take(_leaders(speeds.shape[1]), axis=1)
     accel = idm_acceleration(speeds, gaps, lead_speeds, config.idm)
-    caps = np.full(speeds.shape, config.idm.v_desired)
     if commands is not None:
         g = config.guidance
         if g.mode == "acceleration":
@@ -194,12 +222,7 @@ def _advance(
             v0 = speeds[:, 0]
             raw = g.alpha * (commands - v0) + g.beta * (lead_speeds[:, 0] - v0)
         raw = np.minimum(np.maximum(raw, -g.accel_cap), g.accel_cap)
-        if guided is None:
-            accel[:, 0] = raw
-            caps[:, 0] = config.speed_limit
-        else:
-            accel[:, 0] = np.where(guided, raw, accel[:, 0])
-            caps[guided, 0] = config.speed_limit
+        accel[:, 0] = raw if guided is None else np.where(guided, raw, accel[:, 0])
     new_speeds = np.minimum(np.maximum(speeds + accel * config.dt, 0.0), caps)
     new_positions = positions + new_speeds * config.dt
     return new_positions, new_speeds, ring_gaps(new_positions, config)
@@ -221,6 +244,7 @@ def step(state: RingState, config: RingConfig, command: float | None = None) -> 
     guided = command is not None and config.n_guided >= 1
     positions, speeds, gaps = _advance(
         positions, speeds, ring_gaps(positions, config), config,
+        _speed_caps(config, np.array([guided])),
         np.array([command], dtype=float) if guided else None,
     )
     t = state.t + config.dt
@@ -268,6 +292,10 @@ def simulate_many(
     of its hold, holds[r] seconds (default: the config's hold), with the
     (ego speed, leader speed, headway) observed at that instant; the command
     is held until the row's next boundary. Guidance is active from t=0.
+    The LinearSpeedPolicy rows due at a boundary are evaluated together, in
+    one numpy expression that gives `__call__`'s commands bit for bit; every
+    other policy, including a LinearSpeedPolicy subclass that overrides
+    `__call__`, is called row by row.
 
     A row that collides stops there and the others run on. Its result has
     mean_speed -inf, speed_std nan, the commands issued so far, NaN logs
@@ -294,6 +322,13 @@ def simulate_many(
     speeds = np.array([starts[seed].speeds for seed in seeds])
     gaps = ring_gaps(positions, config)
     guided = np.array([p is not None and config.n_guided >= 1 for p in policies])
+    linear = [
+        bool(g) and isinstance(p, LinearSpeedPolicy) and type(p).__call__ is LinearSpeedPolicy.__call__
+        for p, g in zip(policies, guided)
+    ]
+    params = np.zeros((n_rows, 7))      # LinearSpeedPolicy.params() of each linear row
+    for row in np.flatnonzero(linear):
+        params[row] = policies[row].params()
     commands = np.zeros(n_rows)         # held command of each live row
     issued: list[list[float]] = [[] for _ in range(n_rows)]
     collisions: list[CollisionError | None] = [None] * n_rows
@@ -309,16 +344,37 @@ def simulate_many(
     for i in range(total):
         if dropped:
             steer = guided[live]
-            callers = [(line, live[line], hold_steps[live[line]]) for line in np.flatnonzero(steer)]
+            steered = steer.any()
             mask = None if steer.all() else steer
+            caps = _speed_caps(config, steer)
+            callers = []                # (line, row, hold steps) of each called policy
+            due: dict[int, list[int]] = {}  # hold steps -> lines of linear policies
+            for line in np.flatnonzero(steer).tolist():
+                row = live[line]
+                if linear[row]:
+                    due.setdefault(hold_steps[row], []).append(line)
+                else:
+                    callers.append((line, row, hold_steps[row]))
+            groups = []                 # (hold steps, lines, rows, parameter columns)
+            for every, group in due.items():
+                lines = np.array(group)
+                groups.append((every, lines, live[lines], params[live[lines]].T))
             dropped = False
+        for every, lines, rows, columns in groups:
+            if i % every == 0:
+                values = LinearSpeedPolicy.commands(
+                    columns, speeds[:, 0].take(lines), speeds[:, 1].take(lines), gaps[:, 0].take(lines)
+                )
+                commands[lines] = values
+                for row, command in zip(rows.tolist(), values.tolist()):
+                    issued[row].append(command)
         for line, row, every in callers:
             if i % every == 0:
                 command = float(policies[row]((speeds[line, 0], speeds[line, 1], gaps[line, 0])))
                 commands[line] = command
                 issued[row].append(command)
         positions, speeds, gaps = _advance(
-            positions, speeds, gaps, config, commands if callers else None, mask
+            positions, speeds, gaps, config, caps, commands if steered else None, mask
         )
         t += config.dt
         overlap = gaps <= 0
@@ -412,6 +468,8 @@ class LinearSpeedPolicy:
     """
 
     def __init__(self, w0: float, w1: float, w2: float, config: RingConfig):
+        if not all(math.isfinite(w) for w in (w0, w1, w2)):
+            raise ValueError(f"policy weights must be finite, got {(w0, w1, w2)}")
         self.w = (w0, w1, w2)
         self.limit = config.speed_limit
         self.levels = config.guidance.n_speed_levels
@@ -428,6 +486,21 @@ class LinearSpeedPolicy:
         raw = min(max(raw, 0.0), self.limit)
         idx = round(raw / self.limit * (self.levels - 1))
         return idx / (self.levels - 1) * self.limit
+
+    def params(self) -> tuple[float, ...]:
+        """The policy as one row of `commands`' parameter table."""
+        return (*self.w, self.s0, self.headway_time, self.limit, self.levels - 1)
+
+    @staticmethod
+    def commands(columns, ego, lead, headway) -> np.ndarray:
+        """`__call__` of many policies at once, bit for bit: `columns` are
+        the columns of their params() rows, the observations arrays."""
+        w0, w1, w2, s0, headway_time, limit, top = columns
+        raw = w0 + w1 * (lead - ego) + w2 * (headway - s0 - headway_time * ego)
+        raw = np.minimum(np.maximum(raw, 0.0), limit)
+        # round() gives the int 0 for -0.0, so __call__ never returns -0.0;
+        # np.maximum does not fix the sign of a zero result, so + 0.0 does.
+        return (np.rint(raw / limit * top) + 0.0) / top * limit
 
 
 # Deterministic first-phase lattice for the policy search: cruise targets
@@ -453,37 +526,17 @@ def check_search(config: RingConfig, search_budget: int) -> None:
         raise ValueError("the policy search needs a guided vehicle (n_guided = 1)")
 
 
-def train_and_measure_many(
-    config: RingConfig, deltas, search_budget: int, seed: int
-) -> list[EvaluatorResult]:
-    """Black-box policy search at each hold duration, all durations in lockstep.
-
-    Per duration: a seeded uniform lattice over the three policy weights,
-    then one refinement round per remaining unit of budget, each a Gaussian
-    proposal around the incumbent. Every candidate is scored on the same
-    seeded rollout (paired comparison); candidates that collide score -inf.
-    Each batch holds the next rounds, at most 12, of every unfinished
-    duration, so the first holds the lattice of every duration. Refinement is
-    speculative: its rounds are all proposed around the current incumbent,
-    and a duration keeps the rounds up to and including the first that beats
-    the incumbent and discards the rest. Each duration draws its proposal steps
-    from its own (seed, hold steps) generator and keeps its own incumbent, so
-    its result is that of a one-round-at-a-time search at that duration
-    alone. Returns the best achieved mean speed per duration; the first
-    duration, in input order, whose candidates all collided raises
-    TrainingError. The config and budget must pass check_search.
-    """
+def _search(
+    config: RingConfig, deltas: list, search_budget: int, seed: int
+) -> tuple[RolloutResult, list[tuple[np.ndarray, float]]]:
+    """The lockstep policy search of train_and_measure_many. Returns the
+    unguided rollout of the seed's ring, which rides as one more row in the
+    first batch, and the best (weights, score) of each duration."""
     check_search(config, search_budget)
-    deltas = list(deltas)
     generators = [
         np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
         for delta in deltas
     ]
-
-    def score(weights, holds) -> list[float]:
-        policies = [LinearSpeedPolicy(w[0], w[1], w[2], config) for w in weights]
-        return [r.mean_speed for r in simulate_many(config, [seed] * len(weights), policies, holds)]
-
     lattice = [np.array([w0, w1, w2]) for w0 in _LATTICE_W0 for (w1, w2) in _LATTICE_FEEDBACK]
     # Round i < len(lattice) scores lattice point i. Each later round scores a
     # Gaussian step around the incumbent, shrinking as the budget is spent;
@@ -493,6 +546,7 @@ def train_and_measure_many(
     candidates = [[] for _ in deltas]
     scores = [[] for _ in deltas]
     best = [0] * len(deltas)  # the first best candidate is the incumbent
+    baseline = None
     while True:
         # Each duration's next rounds, at most one lattice's worth, around its
         # current incumbent.
@@ -504,35 +558,89 @@ def train_and_measure_many(
             for k, c in enumerate(candidates)
             for i in range(len(c), min(len(c) + len(lattice), search_budget))
         ]
-        if not batch:
+        unguided = [None] if baseline is None else []  # the baseline row, first batch only
+        if not batch and not unguided:
             break
-        values = score([proposal for _, _, proposal in batch], [deltas[k] for k, _, _ in batch])
+        policies = [LinearSpeedPolicy(w[0], w[1], w[2], config) for _, _, w in batch] + unguided
+        holds = [deltas[k] for k, _, _ in batch] + [config.guidance.hold] * len(unguided)
+        rollouts = simulate_many(config, [seed] * len(policies), policies, holds)
+        if unguided:
+            baseline = rollouts.pop()
         stale = [False] * len(deltas)
-        for (k, i, proposal), value in zip(batch, values):
+        for (k, i, proposal), rollout in zip(batch, rollouts):
             # Refinement rounds after an improvement were proposed around a
             # stale incumbent: the next batch proposes them again.
             if stale[k]:
                 continue
             candidates[k].append(proposal)
-            scores[k].append(value)
-            if value > scores[k][best[k]]:
+            scores[k].append(rollout.mean_speed)
+            if rollout.mean_speed > scores[k][best[k]]:
                 best[k] = i
                 stale[k] = i >= len(lattice)
+    return baseline, [(c[b], s[b]) for c, s, b in zip(candidates, scores, best)]
+
+
+def _trained(deltas, found, search_budget: int, seed: int) -> list[EvaluatorResult]:
+    """Each duration's best (weights, score) of _search as a result; the
+    first duration whose candidates all collided raises TrainingError."""
     results = []
-    for delta, c, s, b in zip(deltas, candidates, scores, best):
-        if not np.isfinite(s[b]):
+    for delta, (w, achieved) in zip(deltas, found):
+        if not np.isfinite(achieved):
             raise TrainingError(
                 f"all {search_budget} candidate rollouts collided at delta={delta:.6g} "
                 f"(seed={seed})"
             )
-        w = c[b]
         results.append(EvaluatorResult(
             delta=delta,
-            achieved=float(s[b]),
+            achieved=float(achieved),
             policy_id=f"ring[w0={w[0]:.4g},w1={w[1]:.4g},w2={w[2]:.4g}]@{delta:.6g}s",
             cost=float(search_budget),
         ))
     return results
+
+
+def train_and_measure_many(
+    config: RingConfig, deltas, search_budget: int, seed: int
+) -> list[EvaluatorResult]:
+    """Black-box policy search at each hold duration, all durations in lockstep.
+
+    Per duration: a seeded uniform lattice over the three policy weights,
+    then one refinement round per remaining unit of budget, each a Gaussian
+    proposal around the incumbent. Every candidate is scored on the same
+    seeded rollout (paired comparison); candidates that collide score -inf.
+    Each batch holds the next rounds, at most 12, of every unfinished
+    duration, so the first holds the lattice of every duration, and also the
+    unguided ring of the seed (see sweep); its collision fails nothing here.
+    Refinement is speculative: its rounds are all proposed around the
+    current incumbent, and a duration keeps the rounds up to and including
+    the first that beats the incumbent and discards the rest. Each duration
+    draws its proposal steps from its own (seed, hold steps) generator and
+    keeps its own incumbent, so its result is that of a one-round-at-a-time
+    search at that duration alone. Returns the best achieved mean speed per
+    duration; the first duration, in input order, whose candidates all
+    collided raises TrainingError. The config and budget must pass
+    check_search, and every duration must be a positive multiple of dt;
+    both are checked before any rollout.
+    """
+    deltas = list(deltas)
+    return _trained(deltas, _search(config, deltas, search_budget, seed)[1], search_budget, seed)
+
+
+def sweep(
+    config: RingConfig, deltas, search_budget: int, seed: int
+) -> tuple[float, list[EvaluatorResult]]:
+    """train_and_measure_many, with the mean speed of the unguided ring of
+    the same seed: the baseline the durations' results are compared with.
+    It is scored in the search's first batch, and it is the rollout that
+    `rollout_measure(replace(config, n_guided=0), None, seed)` runs. An
+    unguided ring that collides raises its CollisionError, before any
+    TrainingError.
+    """
+    deltas = list(deltas)
+    baseline, found = _search(config, deltas, search_budget, seed)
+    if baseline.collision is not None:
+        raise baseline.collision
+    return baseline.mean_speed, _trained(deltas, found, search_budget, seed)
 
 
 def train_and_measure(

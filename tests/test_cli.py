@@ -446,6 +446,64 @@ class TestRing:
         assert (code, out) == (2, "")
         assert "the policy search needs a guided vehicle" in err
 
+    def test_sweep_checks_durations_before_any_rollout(self, monkeypatch, capsys):
+        from temporal_transfer import ringsim
+
+        calls = []
+        monkeypatch.setattr(ringsim, "simulate_many", lambda *a, **kw: calls.append(a))
+        code, out, err = run_cli(["ring", "sweep", "--deltas", "1,inf", "--budget", "2"], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert "delta inf is not a positive multiple of dt" in err
+
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            (["sweep", "--deltas", "1,5"], "error: vehicle 2 hit vehicle 3 at t=0.6s"),
+            (["eval", "--delta", "1"], "error: all 2 candidate rollouts collided at delta=1 (seed=2)"),
+        ],
+    )
+    def test_colliding_unguided_ring_fails_the_sweep(self, action, message, tmp_path, capsys):
+        # An aggressive, dense ring whose unguided run collides at seed 2:
+        # the sweep reports the baseline's collision; eval, which prints no
+        # baseline, reports its own search.
+        cfg = tmp_path / "crash.cfg"
+        cfg.write_text(
+            "warmup = 10\nhorizon = 20\ntotal_vehicles = 30\nmax_acceleration = 3\n"
+            "comfortable_deceleration = 0.5\ndesired_time_headway = 0.1\n"
+        )
+        code, out, err = run_cli(["ring", *action, "--budget", "2", "--seed", "2", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (3, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_speed_levels = 1", "n_speed_levels must be >= 2, got 1"),
+            ("number_of_discrete_action_space = 0", "n_speed_levels must be >= 2, got 0"),
+            ("speed_limit = 0", "speed_limit must be finite and positive, got 0.0"),
+            ("speed_limit = -5", "speed_limit must be finite and positive, got -5.0"),
+            ("speed_limit = nan", "speed_limit must be finite and positive, got nan"),
+            ("speed_limit = inf", "speed_limit must be finite and positive, got inf"),
+            ("alpha = nan", "alpha must be finite and >= 0, got nan"),
+            ("alpha = -0.1", "alpha must be finite and >= 0, got -0.1"),
+            ("beta = inf", "beta must be finite and >= 0, got inf"),
+            ("accel_cap = -1", "accel_cap must be finite and positive, got -1.0"),
+            ("acceleration_capacity = 0", "accel_cap must be finite and positive, got 0.0"),
+            ("accel_cap = inf", "accel_cap must be finite and positive, got inf"),
+        ],
+    )
+    def test_guidance_the_policy_cannot_honour_is_usage_error(self, line, message, tmp_path, capsys):
+        # One speed level, or a zero limit, divides by zero; a NaN gain or
+        # limit poisons every command; a non-positive cap inverts the clamp.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(
+            ["ring", "eval", "--delta", "1", "--budget", "2", "--warmup", "10", "--horizon", "20",
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: {message}\n"
+
     def test_baseline_accepts_an_unguided_config(self, tmp_path, capsys):
         cfg = tmp_path / "unguided.cfg"
         cfg.write_text(RING_FAST + "number_of_controlled_vehicles = 0\n")

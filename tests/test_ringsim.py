@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from temporal_transfer import ringsim
 from temporal_transfer.cli import main
@@ -212,6 +214,11 @@ class TestPolicies:
         assert policy(None) == 1.0
         with pytest.raises(IndexError):
             policy(None)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.0, 0.0), (4.0, math.inf, 0.0), (4.0, 0.0, -math.inf)])
+    def test_linear_policy_weights_must_be_finite(self, weights):
+        with pytest.raises(ValueError, match="policy weights must be finite"):
+            LinearSpeedPolicy(*weights, FAST)
 
 
 class TestConfig:
@@ -453,6 +460,108 @@ class TestBatchedIntegrator:
         assert sum(r.collision is not None for r in results) >= 40
 
 
+def _bits(value) -> bytes:
+    """A float's IEEE bytes: tells -0.0 from 0.0, which == does not."""
+    return np.float64(value).tobytes()
+
+
+# Half-level ties: with speed_limit 8 and 5 levels, raw / 8 * 4 is exactly
+# k + 0.5 for the odd raw values, and round() and np.rint both go to even.
+TIES = RingConfig(speed_limit=8.0, guidance=GuidanceParams(n_speed_levels=5))
+_WEIGHT = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 3.0, 5.0, 7.0]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+_POLICY_CONFIG = st.builds(
+    lambda limit, levels, s0, headway_time: RingConfig(
+        speed_limit=limit,
+        idm=IdmParams(s0=s0, time_headway=headway_time),
+        guidance=GuidanceParams(n_speed_levels=levels),
+    ),
+    st.sampled_from([8.0, 10.0, 7.3, 30.0]),
+    st.integers(2, 12),
+    st.sampled_from([2.0, 0.5, 3.7]),
+    st.sampled_from([1.0, 0.6, 1.4]),
+)
+_ROW = st.tuples(
+    _WEIGHT, _WEIGHT, _WEIGHT,
+    st.one_of(st.just(TIES), _POLICY_CONFIG),
+    st.floats(0.0, 30.0), st.floats(0.0, 30.0), st.floats(0.01, 200.0),
+)
+
+
+class TestVectorisedLinearPolicy:
+    """LinearSpeedPolicy.commands, and the batch that uses it, against the
+    scalar __call__ bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ROW, min_size=1, max_size=8))
+    @example([(w0, 0.0, 0.0, TIES, 4.0, 4.0, 6.0) for w0 in (1.0, 3.0, 5.0, 7.0)])
+    @example([(-0.0, -0.0, -0.0, FAST, 3.0, 5.0, 9.0), (-0.0, 0.0, 0.0, FAST, 3.0, 3.0, 9.0)])
+    def test_commands_match_call(self, rows):
+        policies = [LinearSpeedPolicy(w0, w1, w2, config) for w0, w1, w2, config, *_ in rows]
+        observations = [(ego, lead, headway) for *_, ego, lead, headway in rows]
+        columns = np.array([p.params() for p in policies]).T
+        ego, lead, headway = (np.array(column) for column in zip(*observations))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = LinearSpeedPolicy.commands(columns, ego, lead, headway)
+        want = [p(obs) for p, obs in zip(policies, observations)]
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert not np.signbit(got).any()
+
+    @staticmethod
+    def _pair(config, policies, holds):
+        """The batch run of `policies`, and the same batch with each policy
+        wrapped in a plain callable, which the batch calls row by row."""
+        seeds = [seed % 3 for seed in range(len(policies))]
+        batch = simulate_many(config, seeds, policies, holds, record=True)
+        wrapped = [lambda obs, p=p: p(obs) for p in policies]
+        return batch, simulate_many(config, seeds, wrapped, holds, record=True)
+
+    def _assert_same(self, batch, scalar):
+        for got, want in zip(batch, scalar):
+            assert [_bits(v) for v in got.commands] == [_bits(v) for v in want.commands]
+            assert type(got.commands[0]) is float
+            assert np.array_equal(got.speeds_log, want.speeds_log, equal_nan=True)
+            assert np.array_equal(got.commands_log, want.commands_log, equal_nan=True)
+            assert (got.mean_speed, str(got.collision)) == (want.mean_speed, str(want.collision))
+
+    def test_batch_of_policies_from_mixed_configs(self):
+        # Each row discretizes with its own policy's limit, levels and
+        # spacing; the batch config caps the guided vehicle's speed.
+        configs = [
+            SHORT,
+            replace(SHORT, speed_limit=6.5),
+            replace(SHORT, guidance=replace(SHORT.guidance, n_speed_levels=3)),
+            replace(SHORT, idm=replace(SHORT.idm, s0=4.0)),
+            TIES,
+        ]
+        policies = [LinearSpeedPolicy(*w, c) for c in configs for w in LATTICE[::2]]
+        holds = [HOLDS[k % len(HOLDS)] for k in range(len(policies))]
+        batch, scalar = self._pair(SHORT, policies, holds)
+        self._assert_same(batch, scalar)
+        assert len({tuple(r.commands) for r in batch}) > len(configs)
+
+    def test_subclass_that_overrides_call_is_called(self):
+        class Slower(LinearSpeedPolicy):
+            calls = 0
+
+            def __call__(self, obs):
+                Slower.calls += 1
+                return super().__call__(obs) / 2
+
+        class Same(LinearSpeedPolicy):
+            pass
+
+        policies = [Slower(6.0, 1.2, 0.2, SHORT), Same(6.0, 1.2, 0.2, SHORT), LinearSpeedPolicy(6.0, 1.2, 0.2, SHORT)]
+        batch = simulate_many(SHORT, [0, 0, 0], policies, [1.0, 1.0, 1.0])
+        assert Slower.calls == len(batch[0].commands)
+        assert batch[0].commands[0] == batch[2].commands[0] / 2  # same ring, halved command
+        assert batch[1].commands == batch[2].commands
+        self._assert_same(*self._pair(SHORT, policies[:2], [1.0, 5.0]))
+
+
 class TestLockstepSearch:
     DELTAS = (0.1, 1.0, 5.0, 15.0, 40.0)
     CONFIG = RingConfig(warmup=10.0, horizon=20.0)
@@ -472,6 +581,37 @@ class TestLockstepSearch:
         with pytest.raises(TrainingError) as one:
             train_and_measure(CRAMPED, float(failing), 3, 0)
         assert str(one.value) == str(err.value)
+
+
+class TestSweepBaseline:
+    """The sweep's unguided baseline is one more row of the search's first batch."""
+
+    CONFIG = RingConfig(warmup=10.0, horizon=20.0)
+    DELTAS = (0.1, 1.0, 40.0)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_baseline_is_the_unguided_rollout(self, seed):
+        baseline, results = ringsim.sweep(self.CONFIG, self.DELTAS, 13, seed)
+        assert baseline == rollout_measure(replace(self.CONFIG, n_guided=0), None, seed)
+        assert results == train_and_measure_many(self.CONFIG, self.DELTAS, 13, seed)
+
+    def test_collided_baseline_fails_the_sweep_only(self, monkeypatch):
+        want = train_and_measure_many(self.CONFIG, self.DELTAS, 2, 0)
+        crash = CollisionError(2, 3, 0.6)
+
+        def colliding(config, seeds, policies=None, holds=None, record=False):
+            results = simulate_many(config, seeds, policies, holds, record)
+            for policy, result in zip(policies, results):
+                if policy is None:
+                    result.mean_speed, result.collision = -math.inf, crash
+            return results
+
+        monkeypatch.setattr(ringsim, "simulate_many", colliding)
+        assert train_and_measure_many(self.CONFIG, self.DELTAS, 2, 0) == want
+        assert RingTrainer(self.CONFIG, search_budget=2).evaluate(1.0) == want[1]
+        with pytest.raises(CollisionError) as err:
+            ringsim.sweep(self.CONFIG, self.DELTAS, 2, 0)
+        assert err.value is crash
 
 
 def reference_search(config, deltas, budget, seed):
@@ -530,15 +670,21 @@ class TestSpeculativeRefinement:
 
     @staticmethod
     def _recorded_search(monkeypatch, config, deltas, budget, seed):
-        """train_and_measure_many, and the holds of each batch it scored."""
+        """train_and_measure_many, and the holds of the candidate rows of each
+        batch it scored. The first batch also carries one unguided row, the
+        baseline of the seed's ring, and no later batch does."""
         batches = []
+        unguided = []
 
         def recording(config, seeds, policies=None, holds=None, record=False):
-            batches.append(list(holds))
+            batches.append([h for h, p in zip(holds, policies) if p is not None])
+            unguided.append(policies.count(None))
             return simulate_many(config, seeds, policies, holds, record)
 
         monkeypatch.setattr(ringsim, "simulate_many", recording)
-        return train_and_measure_many(config, deltas, budget, seed), batches
+        results = train_and_measure_many(config, deltas, budget, seed)
+        assert unguided == [1] + [0] * (len(batches) - 1)
+        return results, batches
 
     @pytest.mark.parametrize("budget", [1, 11, 12, 13, 24, 37])
     @pytest.mark.parametrize("deltas", [DELTAS, (1.0, 0.1, 1.0, 40.0)], ids=["distinct", "duplicate"])
