@@ -269,7 +269,7 @@ def cmd_oracle(args) -> int:
 
 
 # Ring-config flags and the RingConfig fields they override.
-_RING_FLAGS = {"warmup": "warmup", "horizon": "horizon", "vehicles": "n_vehicles", "guided": "n_guided"}
+_RING_FLAGS = {"warmup": "warmup", "horizon": "horizon", "vehicles": "n_vehicles"}
 
 
 def _ring_config(args) -> ringsim.RingConfig:
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     # foreign --seed or --delta never passes for a prefix of --seeds or --deltas.
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--vehicles", type=int)
-    config.add_argument("--guided", type=int)
     config.add_argument("--warmup", type=float)
     config.add_argument("--horizon", type=float)
     config.add_argument("--config", help="key=value config file")

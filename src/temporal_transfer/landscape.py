@@ -32,6 +32,18 @@ class SlopeClass(str, Enum):
 SLOPE_TOL = 1e-9
 
 
+def check_bounds(positive: dict | None = None, nonnegative: dict | None = None) -> None:
+    """The bounds rule of every numeric parameter: each of `positive`'s
+    named values must be finite and > 0, each of `nonnegative`'s finite and
+    >= 0. Raises ValueError naming the first value that is not."""
+    for values, zero in ((positive, False), (nonnegative, True)):
+        for name, value in (values or {}).items():
+            # Comparisons, not math.isfinite: NaN fails them all, and an int
+            # too large for a float still compares.
+            if not (0 < value < math.inf or zero and value == 0):
+                raise ValueError(f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value}")
+
+
 @dataclass(frozen=True)
 class HoldRange:
     """Closed interval of hold durations with a uniform evaluation grid."""
@@ -42,12 +54,12 @@ class HoldRange:
     n_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.d_min, self.d_max, self.resolution))):
-            raise ValueError(f"range bounds and resolution must be finite, got {self}")
-        if not 0 <= self.d_min < self.d_max:
-            raise ValueError(f"need 0 <= d_min < d_max, got [{self.d_min}, {self.d_max}]")
-        if self.resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        check_bounds(
+            positive={"d_max": self.d_max, "resolution": self.resolution},
+            nonnegative={"d_min": self.d_min},
+        )
+        if self.d_min >= self.d_max:
+            raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max}]")
         cells = (self.d_max - self.d_min) / self.resolution
         if abs(cells - round(cells)) > 1e-6 * max(cells, 1.0):
             raise ValueError(
@@ -106,9 +118,7 @@ class GapModel:
     j_star: float
 
     def __post_init__(self):
-        params = (self.theta_left, self.theta_right, self.j_star)
-        if not all(math.isfinite(x) and x >= 0 for x in params):
-            raise ValueError(f"slopes and j_star must be finite and non-negative, got {self}")
+        check_bounds(nonnegative=vars(self))
 
     @property
     def symmetric(self) -> bool:
@@ -182,8 +192,7 @@ def apply_transfer(
     overrides any prior extrapolation there). Elsewhere it is the pointwise
     max of the old estimate and achieved minus the gap, clamped at 0.
     """
-    if not (math.isfinite(achieved) and achieved >= 0):
-        raise ValueError(f"achieved performance must be finite and >= 0, got {achieved}")
+    check_bounds(nonnegative={"achieved": achieved})
     idx = land.range.index_of(d_source)
     candidate = np.maximum(achieved - gap(model, d_source, land.range.grid()), 0.0)
     new_values = np.maximum(land.values, candidate)

@@ -22,8 +22,8 @@ refinement is speculative: a proposal's random step does not depend on the
 incumbent, so one batch scores the next rounds (at most 12) of every
 duration around its current incumbent, and each duration keeps the rounds up
 to its first improvement. That gives exactly the candidates and scores of
-one round at a time. The first batch also scores the unguided ring of the
-search seed, the baseline that `sweep` reports.
+one round at a time. For `sweep`, the first batch also scores the unguided
+ring of the search seed, the baseline that it reports.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .landscape import check_bounds
 from .trainers import EvaluatorResult, TrainingError
 
 
@@ -56,9 +57,7 @@ class IdmParams:
     exponent: float = 4.0
 
     def __post_init__(self):
-        for name in ("a_max", "b_comfort", "v_desired", "s0", "time_headway", "exponent"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_bounds(positive=vars(self))
 
 
 @dataclass(frozen=True)
@@ -73,16 +72,12 @@ class GuidanceParams:
     def __post_init__(self):
         if self.mode not in ("speed", "acceleration"):
             raise ValueError(f"unknown guidance mode {self.mode!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (math.isfinite(self.accel_cap) and self.accel_cap > 0):
-            raise ValueError(f"accel_cap must be finite and positive, got {self.accel_cap}")
+        check_bounds(
+            positive={"hold": self.hold, "accel_cap": self.accel_cap},
+            nonnegative={"alpha": self.alpha, "beta": self.beta},
+        )
         if self.n_speed_levels < 2:
             raise ValueError(f"n_speed_levels must be >= 2, got {self.n_speed_levels}")
-        if self.hold <= 0:
-            raise ValueError("hold duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,18 +98,14 @@ class RingConfig:
             raise ValueError(
                 f"n_guided must be 0 or 1, got {self.n_guided}: the simulator guides vehicle 0 only"
             )
-        if self.n_guided > self.n_vehicles:
-            raise ValueError("n_guided exceeds n_vehicles")
-        if self.circumference <= self.n_vehicles * self.vehicle_length:
+        check_bounds(
+            positive={name: getattr(self, name) for name in (
+                "circumference", "n_vehicles", "vehicle_length", "speed_limit", "dt", "horizon"
+            )},
+            nonnegative={"warmup": self.warmup},
+        )
+        if self.circumference / self.vehicle_length <= self.n_vehicles:  # an int of any size compares
             raise ValueError("vehicles do not fit on the ring")
-        if not (math.isfinite(self.speed_limit) and self.speed_limit > 0):
-            raise ValueError(f"speed_limit must be finite and positive, got {self.speed_limit}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not (math.isfinite(self.warmup) and self.warmup >= 0):
-            raise ValueError(f"warmup must be finite and >= 0, got {self.warmup}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         _hold_steps("hold", self.guidance.hold, self.dt)
 
     @property
@@ -321,6 +312,7 @@ def simulate_many(
     positions = np.array([starts[seed].positions for seed in seeds])
     speeds = np.array([starts[seed].speeds for seed in seeds])
     gaps = ring_gaps(positions, config)
+    lead = _leaders(config.n_vehicles)[0]  # the guided vehicle's leader
     guided = np.array([p is not None and config.n_guided >= 1 for p in policies])
     linear = [
         bool(g) and isinstance(p, LinearSpeedPolicy) and type(p).__call__ is LinearSpeedPolicy.__call__
@@ -363,14 +355,14 @@ def simulate_many(
         for every, lines, rows, columns in groups:
             if i % every == 0:
                 values = LinearSpeedPolicy.commands(
-                    columns, speeds[:, 0].take(lines), speeds[:, 1].take(lines), gaps[:, 0].take(lines)
+                    columns, speeds[:, 0].take(lines), speeds[:, lead].take(lines), gaps[:, 0].take(lines)
                 )
                 commands[lines] = values
                 for row, command in zip(rows.tolist(), values.tolist()):
                     issued[row].append(command)
         for line, row, every in callers:
             if i % every == 0:
-                command = float(policies[row]((speeds[line, 0], speeds[line, 1], gaps[line, 0])))
+                command = float(policies[row]((speeds[line, 0], speeds[line, lead], gaps[line, 0])))
                 commands[line] = command
                 issued[row].append(command)
         positions, speeds, gaps = _advance(
@@ -527,11 +519,12 @@ def check_search(config: RingConfig, search_budget: int) -> None:
 
 
 def _search(
-    config: RingConfig, deltas: list, search_budget: int, seed: int
-) -> tuple[RolloutResult, list[tuple[np.ndarray, float]]]:
+    config: RingConfig, deltas: list, search_budget: int, seed: int, with_baseline: bool = False
+) -> tuple[RolloutResult | None, list[tuple[np.ndarray, float]]]:
     """The lockstep policy search of train_and_measure_many. Returns the
     unguided rollout of the seed's ring, which rides as one more row in the
-    first batch, and the best (weights, score) of each duration."""
+    first batch when `with_baseline` asks for it (None otherwise), and the best
+    (weights, score) of each duration."""
     check_search(config, search_budget)
     generators = [
         np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
@@ -546,6 +539,7 @@ def _search(
     candidates = [[] for _ in deltas]
     scores = [[] for _ in deltas]
     best = [0] * len(deltas)  # the first best candidate is the incumbent
+    unguided = [None] if with_baseline else []  # the baseline row, first batch only
     baseline = None
     while True:
         # Each duration's next rounds, at most one lattice's worth, around its
@@ -558,14 +552,13 @@ def _search(
             for k, c in enumerate(candidates)
             for i in range(len(c), min(len(c) + len(lattice), search_budget))
         ]
-        unguided = [None] if baseline is None else []  # the baseline row, first batch only
         if not batch and not unguided:
             break
         policies = [LinearSpeedPolicy(w[0], w[1], w[2], config) for _, _, w in batch] + unguided
         holds = [deltas[k] for k, _, _ in batch] + [config.guidance.hold] * len(unguided)
         rollouts = simulate_many(config, [seed] * len(policies), policies, holds)
         if unguided:
-            baseline = rollouts.pop()
+            baseline, unguided = rollouts.pop(), []
         stale = [False] * len(deltas)
         for (k, i, proposal), rollout in zip(batch, rollouts):
             # Refinement rounds after an improvement were proposed around a
@@ -609,11 +602,10 @@ def train_and_measure_many(
     proposal around the incumbent. Every candidate is scored on the same
     seeded rollout (paired comparison); candidates that collide score -inf.
     Each batch holds the next rounds, at most 12, of every unfinished
-    duration, so the first holds the lattice of every duration, and also the
-    unguided ring of the seed (see sweep); its collision fails nothing here.
-    Refinement is speculative: its rounds are all proposed around the
-    current incumbent, and a duration keeps the rounds up to and including
-    the first that beats the incumbent and discards the rest. Each duration
+    duration, so the first holds the lattice of every duration. Refinement
+    is speculative: its rounds are all proposed around the current
+    incumbent, and a duration keeps the rounds up to and including the
+    first that beats the incumbent and discards the rest. Each duration
     draws its proposal steps from its own (seed, hold steps) generator and
     keeps its own incumbent, so its result is that of a one-round-at-a-time
     search at that duration alone. Returns the best achieved mean speed per
@@ -637,7 +629,7 @@ def sweep(
     TrainingError.
     """
     deltas = list(deltas)
-    baseline, found = _search(config, deltas, search_budget, seed)
+    baseline, found = _search(config, deltas, search_budget, seed, with_baseline=True)
     if baseline.collision is not None:
         raise baseline.collision
     return baseline.mean_speed, _trained(deltas, found, search_budget, seed)
@@ -682,7 +674,6 @@ _IDM_KEYS = {
 _GUIDANCE_KEYS = {
     "guidance_mode": ("mode", str),
     "mode": ("mode", str),
-    "hold": ("hold", float),
     "alpha": ("alpha", float),
     "beta": ("beta", float),
     "acceleration_capacity": ("accel_cap", float),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .landscape import GapModel, HoldRange, SlopeClass
+from .landscape import GapModel, HoldRange, SlopeClass, check_bounds
 
 
 class UnsupportedAssumptionError(ValueError):
@@ -131,8 +131,7 @@ def ghost_cell_lower_bound(hold_range: HoldRange, model: GapModel, k: int) -> fl
 
 def steps_to_cover(epsilon: float) -> int:
     """Minimum selection steps needed to cover a (1 - epsilon) area fraction."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_bounds(positive={"epsilon": epsilon})
     raw = (4 * epsilon + 1) / (4 * epsilon)
     return math.ceil(raw - 1e-9)
 

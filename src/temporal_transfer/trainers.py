@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import HoldRange
+from .landscape import HoldRange, check_bounds
 
 
 class TrainingError(RuntimeError):
@@ -37,8 +37,7 @@ class EvaluatorResult:
     cost: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.achieved) and self.achieved >= 0):
-            raise ValueError(f"achieved performance must be finite and >= 0, got {self.achieved}")
+        check_bounds(nonnegative={"achieved": self.achieved})
 
 
 class IdealTrainer:
@@ -62,8 +61,7 @@ class DecayingTrainer(IdealTrainer):
 
     def __init__(self, j_star: float, hold_range: HoldRange, decay: float = 0.5):
         super().__init__(j_star, hold_range)
-        if decay < 0:
-            raise ValueError(f"decay fraction must be >= 0, got {decay}")
+        check_bounds(nonnegative={"decay": decay})
         self.decay = decay
 
     def evaluate(self, delta: float) -> EvaluatorResult:
@@ -83,8 +81,7 @@ class NoisyTrainer(IdealTrainer):
 
     def __init__(self, j_star: float, hold_range: HoldRange, eta: float = 0.1, seed: int = 0):
         super().__init__(j_star, hold_range)
-        if eta < 0:
-            raise ValueError(f"noise amplitude must be >= 0, got {eta}")
+        check_bounds(nonnegative={"eta": eta})
         self.eta = eta
         self.seed = seed
 

@@ -385,12 +385,14 @@ class TestRing:
             *[("baseline", flag) for flag in ("--budget", "--seed", "--delta", "--deltas")],
             *[("eval", flag) for flag in ("--deltas", "--seeds")],
             *[("sweep", flag) for flag in ("--delta", "--seeds")],
-            *[(action, "--mode") for action in ("baseline", "eval", "sweep")],
+            *[(action, flag) for action in ("baseline", "eval", "sweep") for flag in ("--mode", "--guided")],
         ],
     )
     def test_flag_of_another_action_is_rejected(self, action, flag, capsys):
         # Each action takes only the flags it reads; a prefix of one of its
         # own flags (--seed for --seeds, --delta for --deltas) is no match.
+        # No action reads --mode or --guided: the search guides vehicle 0 in
+        # speed mode, and the baseline is unguided.
         required = {"baseline": [], "eval": ["--delta", "1"], "sweep": ["--deltas", "1"]}[action]
         with pytest.raises(SystemExit) as exc:
             main(["ring", action, *required, flag, "3"])
@@ -423,9 +425,9 @@ class TestRing:
     )
     def test_guided_count_above_one_is_rejected(self, action, tmp_path, capsys):
         # The simulator guides vehicle 0 only.
-        cfg = tmp_path / "fast.cfg"
-        cfg.write_text(RING_FAST)
-        code, out, err = run_cli(["ring", *action, "--guided", "3", "--config", str(cfg)], capsys)
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(RING_FAST + "controlled_vehicles = 3\n")
+        code, out, err = run_cli(["ring", *action, "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert "n_guided must be 0 or 1, got 3" in err
 
@@ -437,12 +439,10 @@ class TestRing:
         assert "n_guided must be 0 or 1, got 3" in err
 
     @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_unguided_policy_search_is_rejected(self, action, source, tmp_path, capsys):
+    def test_unguided_policy_search_is_rejected(self, action, tmp_path, capsys):
         cfg = tmp_path / "unguided.cfg"
-        cfg.write_text(RING_FAST + ("number_of_controlled_vehicles = 0\n" if source == "config" else ""))
-        flag = ["--guided", "0"] if source == "flag" else []
-        code, out, err = run_cli(["ring", *action, "--budget", "2", *flag, "--config", str(cfg)], capsys)
+        cfg.write_text(RING_FAST + "number_of_controlled_vehicles = 0\n")
+        code, out, err = run_cli(["ring", *action, "--budget", "2", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert "the policy search needs a guided vehicle" in err
 
@@ -489,20 +489,69 @@ class TestRing:
             ("accel_cap = -1", "accel_cap must be finite and positive, got -1.0"),
             ("acceleration_capacity = 0", "accel_cap must be finite and positive, got 0.0"),
             ("accel_cap = inf", "accel_cap must be finite and positive, got inf"),
+            ("accel_cap = nan", "accel_cap must be finite and positive, got nan"),
+            ("alpha = inf", "alpha must be finite and >= 0, got inf"),
+            ("beta = nan", "beta must be finite and >= 0, got nan"),
+            ("beta = -0.2", "beta must be finite and >= 0, got -0.2"),
+            # Every other float key at nan, inf and one value out of range.
+            *[(f"{key} = {value}", f"{name} must be finite and {bound}, got {float(value)}")
+              for keys, name, bound, low in (
+                  (("circumference",), "circumference", "positive", "-250"),
+                  (("vehicle_length",), "vehicle_length", "positive", "0"),
+                  (("simulation_step", "dt"), "dt", "positive", "0"),
+                  (("warmup",), "warmup", ">= 0", "-1"),
+                  (("horizon",), "horizon", "positive", "0"),
+                  (("maximum_acceleration", "max_acceleration"), "a_max", "positive", "0"),
+                  (("comfortable_deceleration",), "b_comfort", "positive", "-1.5"),
+                  (("desired_velocity",), "v_desired", "positive", "0"),
+                  (("minimum_spacing",), "s0", "positive", "0"),
+                  (("desired_time_headway",), "time_headway", "positive", "-1"),
+                  (("exponent",), "exponent", "positive", "0"),
+              )
+              for key in keys
+              for value in ("nan", "inf", low)],
+            *[(f"acceleration_capacity = {value}", f"accel_cap must be finite and positive, got {value}")
+              for value in ("nan", "inf")],
+            # Whole-number keys do not parse nan or inf.
+            *[(f"{key} = 0", "n_vehicles must be finite and positive, got 0")
+              for key in ("total_number_of_vehicles", "total_vehicles", "n_vehicles")],
+            ("warmup_steps = -10", "warmup must be finite and >= 0, got -1.0"),
+            ("timestep_horizon = 0", "horizon must be finite and positive, got 0.0"),
+            # The analytic backends' run flags follow the same rule.
+            *[(f"{flag} {value}", f"{name} must be finite and >= 0, got {float(value)}")
+              for flag, name in (("--decay", "decay"), ("--noise-eta", "eta"))
+              for value in ("nan", "inf", "-0.5")],
         ],
     )
     def test_guidance_the_policy_cannot_honour_is_usage_error(self, line, message, tmp_path, capsys):
         # One speed level, or a zero limit, divides by zero; a NaN gain or
         # limit poisons every command; a non-positive cap inverts the clamp.
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
-        code, out, err = run_cli(
-            ["ring", "eval", "--delta", "1", "--budget", "2", "--warmup", "10", "--horizon", "20",
-             "--config", str(cfg)],
-            capsys,
-        )
+        # Every numeric parameter is finite, and positive or >= 0.
+        if line.startswith("--"):
+            flag, value = line.split()
+            trainer = {"--decay": "decaying", "--noise-eta": "noisy"}[flag]
+            args = ["run", "--algo", "gttl", "--budget", "2", "--trainer", trainer, flag, value,
+                    "--out", str(tmp_path / "out" / "r")]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            args = ["ring", "eval", "--delta", "1", "--budget", "2", "--warmup", "10", "--horizon", "20",
+                    "--config", str(cfg)]
+        code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, "")
         assert err == f"invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_vehicle_ring_is_guided(self, capsys):
+        # The lone vehicle leads itself, one lap ahead.
+        code, out, err = run_cli(
+            ["ring", "eval", "--delta", "1", "--budget", "2", "--warmup", "10", "--horizon", "20",
+             "--vehicles", "1"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "delta,achieved,policy_id,cost"
+        assert len(out.splitlines()) == 2
 
     def test_baseline_accepts_an_unguided_config(self, tmp_path, capsys):
         cfg = tmp_path / "unguided.cfg"

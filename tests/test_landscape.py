@@ -12,6 +12,7 @@ from temporal_transfer.landscape import (
     SlopeClass,
     aggregate_area,
     apply_transfer,
+    check_bounds,
     gap,
     landscape_csv_text,
     segments,
@@ -115,6 +116,24 @@ class TestGap:
         assert table.shape == (9, 9)
         assert table.tolist() == [[gap(m, s, t) for t in grid] for s in grid]
         assert type(gap(m, 20.0, 5.0)) is float
+
+
+@pytest.mark.parametrize(
+    "positive, nonnegative, message",
+    [
+        ({"a": 0.0}, None, "a must be finite and positive, got 0.0"),
+        ({"a": np.inf}, None, "a must be finite and positive, got inf"),
+        (None, {"b": -1}, "b must be finite and >= 0, got -1"),
+        (None, {"b": np.nan}, "b must be finite and >= 0, got nan"),
+        # the first failing value, positive ones first
+        ({"a": 1.0, "c": -np.inf}, {"b": -1}, "c must be finite and positive, got -inf"),
+    ],
+)
+def test_one_bounds_rule(positive, nonnegative, message):
+    check_bounds(positive={"a": 1e-300, "n": 10**400}, nonnegative={"b": 0.0, "c": 0})
+    with pytest.raises(ValueError) as err:
+        check_bounds(positive, nonnegative)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -229,6 +229,8 @@ class TestConfig:
     def test_too_dense_ring_rejected(self):
         with pytest.raises(ValueError):
             RingConfig(circumference=100.0, n_vehicles=22)
+        with pytest.raises(ValueError, match="vehicles do not fit on the ring"):
+            RingConfig(n_vehicles=10**400)
 
     @pytest.mark.parametrize("n_guided", [-1, 2, 3])
     def test_guided_count_other_than_zero_or_one_rejected(self, n_guided):
@@ -590,8 +592,17 @@ class TestSweepBaseline:
     DELTAS = (0.1, 1.0, 40.0)
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_baseline_is_the_unguided_rollout(self, seed):
+    def test_baseline_is_the_unguided_rollout(self, seed, monkeypatch):
+        unguided = []
+
+        def recording(config, seeds, policies=None, holds=None, record=False):
+            unguided.append(policies.count(None))
+            return simulate_many(config, seeds, policies, holds, record)
+
+        monkeypatch.setattr(ringsim, "simulate_many", recording)
         baseline, results = ringsim.sweep(self.CONFIG, self.DELTAS, 13, seed)
+        assert unguided == [1, 0]
+        monkeypatch.undo()
         assert baseline == rollout_measure(replace(self.CONFIG, n_guided=0), None, seed)
         assert results == train_and_measure_many(self.CONFIG, self.DELTAS, 13, seed)
 
@@ -671,8 +682,8 @@ class TestSpeculativeRefinement:
     @staticmethod
     def _recorded_search(monkeypatch, config, deltas, budget, seed):
         """train_and_measure_many, and the holds of the candidate rows of each
-        batch it scored. The first batch also carries one unguided row, the
-        baseline of the seed's ring, and no later batch does."""
+        batch it scored. No batch carries an unguided row: only the sweep
+        scores the baseline."""
         batches = []
         unguided = []
 
@@ -683,7 +694,7 @@ class TestSpeculativeRefinement:
 
         monkeypatch.setattr(ringsim, "simulate_many", recording)
         results = train_and_measure_many(config, deltas, budget, seed)
-        assert unguided == [1] + [0] * (len(batches) - 1)
+        assert unguided == [0] * len(batches)
         return results, batches
 
     @pytest.mark.parametrize("budget", [1, 11, 12, 13, 24, 37])

@@ -117,6 +117,8 @@ class TestStepsToCover:
             steps_to_cover(0.0)
         with pytest.raises(ValueError):
             steps_to_cover(-0.1)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive, got nan"):
+            steps_to_cover(float("nan"))
 
     def test_non_dyadic(self):
         assert steps_to_cover(1 / 12) == 4
