@@ -303,7 +303,6 @@ _SEARCH_TABLES = {
 def cmd_ring_search(args) -> int:
     """`ring eval` and `ring sweep`: one policy search over their durations."""
     config = _ring_config(args)
-    ringsim.check_search(config, args.budget)
     header, row = _SEARCH_TABLES[args.action]
     sweep = args.action == "sweep"
     deltas = [float(x) for x in args.deltas.split(",")] if sweep else [args.delta]

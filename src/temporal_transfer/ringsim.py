@@ -4,18 +4,20 @@ Default-driven vehicles follow the standard intelligent-driver car-following
 law. The guided vehicle (index 0) applies a zero-order-hold command: a raw
 acceleration, or a target speed tracked through a relaxation law. Rollouts
 are deterministic per seed; the mean speed of all vehicles over the scored
-horizon is the task performance.
+horizon is the task performance. Every duration (the hold, the warmup and
+the scored horizon) is a whole number of simulation steps: `_hold_steps` is
+the one conversion from seconds, and it rejects any other duration.
 
 One integrator advances a batch of rings held as (rows, n_vehicles) arrays.
 Each row has its own seed, hold length and policy; a row that collides
 leaves the batch while the others run on. `step`, `simulate` and
 `rollout_measure` are one-row calls of it. The integrator is elementwise
 apart from reductions along single rows, so a row's numbers do not depend on
-the batch it ran in. At a hold boundary the due rows guided by a
-LinearSpeedPolicy get their commands from one numpy expression, which gives
-the scalar `__call__`'s results bit for bit; any other policy (a constant,
-a script, a user callable, or a LinearSpeedPolicy subclass that overrides
-`__call__`) is called row by row.
+the batch it ran in. At a hold boundary the due rows whose policy is a
+LinearSpeedPolicy get their commands from one numpy expression,
+`LinearSpeedPolicy.commands`, which its `__call__` also evaluates; any other
+policy (a constant, a script, a user callable, or a LinearSpeedPolicy
+subclass) is called row by row.
 
 The policy search advances all its hold durations in lockstep, and its
 refinement is speculative: a proposal's random step does not depend on the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,18 +108,17 @@ class RingConfig:
         )
         if self.circumference / self.vehicle_length <= self.n_vehicles:  # an int of any size compares
             raise ValueError("vehicles do not fit on the ring")
+        _hold_steps("warmup", self.warmup, self.dt, least=0)
+        _hold_steps("horizon", self.horizon, self.dt)
         _hold_steps("hold", self.guidance.hold, self.dt)
 
-    @property
-    def hold_steps(self) -> int:
-        return round(self.guidance.hold / self.dt)
 
-
-def _hold_steps(name: str, seconds: float, dt: float) -> int:
-    """Whole simulation steps in `seconds`, which must be a positive multiple of dt."""
+def _hold_steps(name: str, seconds: float, dt: float, least: int = 1) -> int:
+    """Whole simulation steps in `seconds`, which must be a multiple of dt of
+    at least `least` steps: the one conversion of a duration to steps."""
     steps = seconds / dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise ValueError(f"{name} {seconds} is not a positive multiple of dt {dt}")
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < least:
+        raise ValueError(f"{name} {seconds} is not a {'positive' if least else 'whole'} multiple of dt {dt}")
     return round(steps)
 
 
@@ -155,6 +156,9 @@ def equilibrium_speed(config: RingConfig) -> float:
     s_gap = config.circumference / config.n_vehicles - config.vehicle_length
     if s_gap <= p.s0:
         raise ValueError("ring too dense: equilibrium gap below minimum spacing")
+    ratio = (p.s0 + p.v_desired * p.time_headway) / s_gap  # the residual's largest headway term
+    if ratio * ratio == math.inf:  # its square is not a float: the bisection would overflow
+        raise ValueError(f"desired gap s0 + v_desired * time_headway = {ratio * s_gap:g} m overflows")
 
     def residual(v: float) -> float:
         return 1 - (v / p.v_desired) ** p.exponent - ((p.s0 + v * p.time_headway) / s_gap) ** 2
@@ -283,10 +287,9 @@ def simulate_many(
     of its hold, holds[r] seconds (default: the config's hold), with the
     (ego speed, leader speed, headway) observed at that instant; the command
     is held until the row's next boundary. Guidance is active from t=0.
-    The LinearSpeedPolicy rows due at a boundary are evaluated together, in
-    one numpy expression that gives `__call__`'s commands bit for bit; every
-    other policy, including a LinearSpeedPolicy subclass that overrides
-    `__call__`, is called row by row.
+    The rows due at a boundary whose policy is a LinearSpeedPolicy are
+    evaluated together, in one LinearSpeedPolicy.commands call; every other
+    policy, including a LinearSpeedPolicy subclass, is called row by row.
 
     A row that collides stops there and the others run on. Its result has
     mean_speed -inf, speed_std nan, the commands issued so far, NaN logs
@@ -303,10 +306,8 @@ def simulate_many(
     if not n_rows:
         return []
     hold_steps = [_hold_steps("hold", hold, config.dt) for hold in holds]
-    n_warm = round(config.warmup / config.dt)
-    n_score = round(config.horizon / config.dt)
-    if n_score < 1:
-        raise ValueError(f"horizon {config.horizon} is shorter than one step of {config.dt}")
+    n_warm = _hold_steps("warmup", config.warmup, config.dt, least=0)
+    n_score = _hold_steps("horizon", config.horizon, config.dt)
     total = n_warm + n_score
     starts = {seed: initial_state(config, seed) for seed in dict.fromkeys(seeds)}
     positions = np.array([starts[seed].positions for seed in seeds])
@@ -314,10 +315,7 @@ def simulate_many(
     gaps = ring_gaps(positions, config)
     lead = _leaders(config.n_vehicles)[0]  # the guided vehicle's leader
     guided = np.array([p is not None and config.n_guided >= 1 for p in policies])
-    linear = [
-        bool(g) and isinstance(p, LinearSpeedPolicy) and type(p).__call__ is LinearSpeedPolicy.__call__
-        for p, g in zip(policies, guided)
-    ]
+    linear = [bool(g) and type(p) is LinearSpeedPolicy for p, g in zip(policies, guided)]
     params = np.zeros((n_rows, 7))      # LinearSpeedPolicy.params() of each linear row
     for row in np.flatnonzero(linear):
         params[row] = policies[row].params()
@@ -469,15 +467,7 @@ class LinearSpeedPolicy:
         self.headway_time = config.idm.time_headway
 
     def __call__(self, obs) -> float:
-        ego, lead, headway = obs
-        raw = (
-            self.w[0]
-            + self.w[1] * (lead - ego)
-            + self.w[2] * (headway - self.s0 - self.headway_time * ego)
-        )
-        raw = min(max(raw, 0.0), self.limit)
-        idx = round(raw / self.limit * (self.levels - 1))
-        return idx / (self.levels - 1) * self.limit
+        return float(self.commands(self.params(), *obs))
 
     def params(self) -> tuple[float, ...]:
         """The policy as one row of `commands`' parameter table."""
@@ -485,13 +475,13 @@ class LinearSpeedPolicy:
 
     @staticmethod
     def commands(columns, ego, lead, headway) -> np.ndarray:
-        """`__call__` of many policies at once, bit for bit: `columns` are
-        the columns of their params() rows, the observations arrays."""
+        """The commands of many policies at once: `columns` are the columns
+        of their params() rows, the observations arrays (or one policy's
+        params() and one observation)."""
         w0, w1, w2, s0, headway_time, limit, top = columns
         raw = w0 + w1 * (lead - ego) + w2 * (headway - s0 - headway_time * ego)
         raw = np.minimum(np.maximum(raw, 0.0), limit)
-        # round() gives the int 0 for -0.0, so __call__ never returns -0.0;
-        # np.maximum does not fix the sign of a zero result, so + 0.0 does.
+        # np.rint rounds half to even, and + 0.0 turns a -0.0 level into 0.0.
         return (np.rint(raw / limit * top) + 0.0) / top * limit
 
 
@@ -519,13 +509,14 @@ def check_search(config: RingConfig, search_budget: int) -> None:
 
 
 def _search(
-    config: RingConfig, deltas: list, search_budget: int, seed: int, with_baseline: bool = False
-) -> tuple[RolloutResult | None, list[tuple[np.ndarray, float]]]:
-    """The lockstep policy search of train_and_measure_many. Returns the
-    unguided rollout of the seed's ring, which rides as one more row in the
-    first batch when `with_baseline` asks for it (None otherwise), and the best
-    (weights, score) of each duration."""
+    config: RingConfig, deltas, search_budget: int, seed: int, with_baseline: bool = False
+) -> tuple[float | None, list[EvaluatorResult]]:
+    """The lockstep policy search of train_and_measure_many and sweep. Returns
+    the mean speed of the seed's unguided ring, one more row in the first
+    batch when `with_baseline` asks for it (None otherwise), and the result
+    of each duration. The errors come in the order that sweep documents."""
     check_search(config, search_budget)
+    deltas = list(deltas)
     generators = [
         np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
         for delta in deltas
@@ -559,6 +550,8 @@ def _search(
         rollouts = simulate_many(config, [seed] * len(policies), policies, holds)
         if unguided:
             baseline, unguided = rollouts.pop(), []
+            if baseline.collision is not None:
+                raise baseline.collision
         stale = [False] * len(deltas)
         for (k, i, proposal), rollout in zip(batch, rollouts):
             # Refinement rounds after an improvement were proposed around a
@@ -570,26 +563,19 @@ def _search(
             if rollout.mean_speed > scores[k][best[k]]:
                 best[k] = i
                 stale[k] = i >= len(lattice)
-    return baseline, [(c[b], s[b]) for c, s, b in zip(candidates, scores, best)]
-
-
-def _trained(deltas, found, search_budget: int, seed: int) -> list[EvaluatorResult]:
-    """Each duration's best (weights, score) of _search as a result; the
-    first duration whose candidates all collided raises TrainingError."""
     results = []
-    for delta, (w, achieved) in zip(deltas, found):
-        if not np.isfinite(achieved):
+    for delta, c, s, b in zip(deltas, candidates, scores, best):
+        if not np.isfinite(s[b]):
             raise TrainingError(
-                f"all {search_budget} candidate rollouts collided at delta={delta:.6g} "
-                f"(seed={seed})"
+                f"all {search_budget} candidate rollouts collided at delta={delta:.6g} (seed={seed})"
             )
         results.append(EvaluatorResult(
             delta=delta,
-            achieved=float(achieved),
-            policy_id=f"ring[w0={w[0]:.4g},w1={w[1]:.4g},w2={w[2]:.4g}]@{delta:.6g}s",
+            achieved=float(s[b]),
+            policy_id=f"ring[w0={c[b][0]:.4g},w1={c[b][1]:.4g},w2={c[b][2]:.4g}]@{delta:.6g}s",
             cost=float(search_budget),
         ))
-    return results
+    return None if baseline is None else baseline.mean_speed, results
 
 
 def train_and_measure_many(
@@ -614,8 +600,7 @@ def train_and_measure_many(
     check_search, and every duration must be a positive multiple of dt;
     both are checked before any rollout.
     """
-    deltas = list(deltas)
-    return _trained(deltas, _search(config, deltas, search_budget, seed)[1], search_budget, seed)
+    return _search(config, deltas, search_budget, seed)[1]
 
 
 def sweep(
@@ -628,11 +613,7 @@ def sweep(
     unguided ring that collides raises its CollisionError, before any
     TrainingError.
     """
-    deltas = list(deltas)
-    baseline, found = _search(config, deltas, search_budget, seed, with_baseline=True)
-    if baseline.collision is not None:
-        raise baseline.collision
-    return baseline.mean_speed, _trained(deltas, found, search_budget, seed)
+    return _search(config, deltas, search_budget, seed, with_baseline=True)
 
 
 def train_and_measure(
@@ -642,59 +623,51 @@ def train_and_measure(
     return train_and_measure_many(config, [delta], search_budget, seed)[0]
 
 
-_CONFIG_KEYS = {
-    "circumference": ("circumference", float),
-    "total_number_of_vehicles": ("n_vehicles", int),
-    "total_vehicles": ("n_vehicles", int),
-    "n_vehicles": ("n_vehicles", int),
-    "number_of_controlled_vehicles": ("n_guided", int),
-    "controlled_vehicles": ("n_guided", int),
-    "n_guided": ("n_guided", int),
-    "vehicle_length": ("vehicle_length", float),
-    "speed_limit": ("speed_limit", float),
-    "simulation_step": ("dt", float),
-    "dt": ("dt", float),
-    "warmup": ("warmup", float),
-    "horizon": ("horizon", float),
-}
-# Step counts, converted to seconds with the dt in force for the file.
-_STEP_KEYS = {
-    "warmup_steps": "warmup",
-    "timestep_horizon": "horizon",
-}
-_IDM_KEYS = {
-    "maximum_acceleration": ("a_max", float),
-    "max_acceleration": ("a_max", float),
-    "comfortable_deceleration": ("b_comfort", float),
-    "desired_velocity": ("v_desired", float),
-    "minimum_spacing": ("s0", float),
-    "desired_time_headway": ("time_headway", float),
-    "exponent": ("exponent", float),
-}
-_GUIDANCE_KEYS = {
-    "guidance_mode": ("mode", str),
-    "mode": ("mode", str),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "acceleration_capacity": ("accel_cap", float),
-    "accel_cap": ("accel_cap", float),
-    "number_of_discrete_action_space": ("n_speed_levels", int),
-    "n_speed_levels": ("n_speed_levels", int),
+# Each config-file key: (group, field, type). The group is "ring" for a
+# RingConfig field, "idm" or "guidance" for one of theirs, and "steps" for a
+# RingConfig duration counted in simulation steps of the file's dt.
+_KEYS = {
+    "circumference": ("ring", "circumference", float),
+    "total_number_of_vehicles": ("ring", "n_vehicles", int),
+    "total_vehicles": ("ring", "n_vehicles", int),
+    "n_vehicles": ("ring", "n_vehicles", int),
+    "number_of_controlled_vehicles": ("ring", "n_guided", int),
+    "controlled_vehicles": ("ring", "n_guided", int),
+    "n_guided": ("ring", "n_guided", int),
+    "vehicle_length": ("ring", "vehicle_length", float),
+    "speed_limit": ("ring", "speed_limit", float),
+    "simulation_step": ("ring", "dt", float),
+    "dt": ("ring", "dt", float),
+    "warmup": ("ring", "warmup", float),
+    "horizon": ("ring", "horizon", float),
+    "warmup_steps": ("steps", "warmup", int),
+    "timestep_horizon": ("steps", "horizon", int),
+    "maximum_acceleration": ("idm", "a_max", float),
+    "max_acceleration": ("idm", "a_max", float),
+    "comfortable_deceleration": ("idm", "b_comfort", float),
+    "desired_velocity": ("idm", "v_desired", float),
+    "minimum_spacing": ("idm", "s0", float),
+    "desired_time_headway": ("idm", "time_headway", float),
+    "exponent": ("idm", "exponent", float),
+    "guidance_mode": ("guidance", "mode", str),
+    "mode": ("guidance", "mode", str),
+    "alpha": ("guidance", "alpha", float),
+    "beta": ("guidance", "beta", float),
+    "acceleration_capacity": ("guidance", "accel_cap", float),
+    "accel_cap": ("guidance", "accel_cap", float),
+    "number_of_discrete_action_space": ("guidance", "n_speed_levels", int),
+    "n_speed_levels": ("guidance", "n_speed_levels", int),
 }
 
 
-def load_ring_config(path, base: RingConfig | None = None) -> RingConfig:
-    """Plain key=value overrides (one per line, # comments) onto a base config.
+def load_ring_config(path) -> RingConfig:
+    """Plain key=value overrides (one per line, # comments) of the default config.
 
-    Durations are seconds, except the `*_steps`-style keys of _STEP_KEYS,
-    which count simulation steps of the file's dt (or the base's). When a
+    Durations are seconds, except under the "steps" keys of _KEYS, which
+    count simulation steps of the file's dt (or the default's). When a
     duration is set more than once, the last line wins.
     """
-    base = base or RingConfig()
-    cfg: dict = {}
-    steps: dict = {}
-    idm: dict = {}
-    guidance: dict = {}
+    fields = {"ring": {}, "steps": {}, "idm": {}, "guidance": {}}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -704,28 +677,16 @@ def load_ring_config(path, base: RingConfig | None = None) -> RingConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in text.split("=", 1))
             key = key.lower().replace(" ", "_")
-            if key in _CONFIG_KEYS:
-                name, cast = _CONFIG_KEYS[key]
-                cfg[name] = cast(value)
-                steps.pop(name, None)
-            elif key in _STEP_KEYS:
-                name = _STEP_KEYS[key]
-                steps[name] = int(value)
-                cfg.pop(name, None)
-            elif key in _IDM_KEYS:
-                name, cast = _IDM_KEYS[key]
-                idm[name] = cast(value)
-            elif key in _GUIDANCE_KEYS:
-                name, cast = _GUIDANCE_KEYS[key]
-                guidance[name] = cast(value)
-            else:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-    dt = cfg.get("dt", base.dt)
-    for name, count in steps.items():
-        cfg[name] = count * dt
-    return replace(
-        base,
-        idm=replace(base.idm, **idm),
-        guidance=replace(base.guidance, **guidance),
-        **cfg,
+            group, name, cast = _KEYS[key]
+            # A duration's last line wins, in seconds or in steps. No idm or
+            # guidance field shares a RingConfig name, so for them this pops nothing.
+            fields["steps" if group == "ring" else "ring"].pop(name, None)
+            fields[group][name] = cast(value)
+    ring = fields["ring"]
+    dt = ring.get("dt", RingConfig.dt)
+    ring.update({name: count * dt for name, count in fields["steps"].items()})
+    return RingConfig(
+        idm=IdmParams(**fields["idm"]), guidance=GuidanceParams(**fields["guidance"]), **ring
     )

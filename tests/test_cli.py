@@ -335,6 +335,62 @@ class TestRing:
         assert message in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ring", "baseline", "--seeds", "1"],
+            ["ring", "eval", "--delta", "1", "--budget", "2"],
+            ["run", "--algo", "gttl", "--trainer", "ring", "--search-budget", "2", "--budget", "2",
+             "--dmax", "5", "--resolution", "1"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "durations, message",
+        [
+            (["--warmup", "10.05", "--horizon", "20"], "warmup 10.05 is not a whole multiple of dt 0.1"),
+            (["--warmup", "10", "--horizon", "20.04"], "horizon 20.04 is not a positive multiple of dt 0.1"),
+            (["--warmup", "10", "--horizon", "0.04"], "horizon 0.04 is not a positive multiple of dt 0.1"),
+        ],
+    )
+    def test_duration_off_the_step_grid_is_usage_error(self, command, durations, message, tmp_path, capsys):
+        # Warmup and horizon become whole steps by the rule the hold uses,
+        # so neither is rounded silently.
+        code, out, err = run_cli([*command, *durations, "--out", str(tmp_path / "x")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ring", "baseline", "--seeds", "1"],
+            ["ring", "eval", "--delta", "1", "--budget", "2"],
+            ["run", "--algo", "gttl", "--trainer", "ring", "--search-budget", "2", "--budget", "1",
+             "--dmax", "5", "--resolution", "1"],
+        ],
+    )
+    def test_zero_warmup_runs(self, command, tmp_path, capsys):
+        code, out, err = run_cli(
+            [*command, "--warmup", "0", "--horizon", "20", "--out", str(tmp_path / "x")], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out and list(tmp_path.iterdir())
+
+    def test_overflowing_car_following_law_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The desired gap at v_desired, squared over the spacing, is not a
+        # float: rejected before any step is run.
+        from temporal_transfer import ringsim
+
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("desired_time_headway = 1e300\n")
+        monkeypatch.setattr(ringsim, "_advance", lambda *a: pytest.fail("a step ran"))
+        code, out, err = run_cli(
+            ["ring", "baseline", "--seeds", "1", "--warmup", "10", "--horizon", "20", "--config", str(cfg)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "invalid input: desired gap s0 + v_desired * time_headway = 3e+301 m overflows\n"
+
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_baseline_without_seeds_is_usage_error(self, seeds, tmp_path, capsys):
         code, out, err = run_cli(

@@ -130,7 +130,7 @@ class TestRollouts:
     def test_zero_order_hold_from_command_log(self):
         config = replace(FAST, guidance=replace(FAST.guidance, hold=2.0))
         result = simulate(config, ConstantPolicy(4.0), seed=0, record=True)
-        hold_steps = config.hold_steps
+        hold_steps = round(config.guidance.hold / config.dt)
         commands = result.commands_log
         # constant within every window by construction of the log
         for start in range(0, len(commands), hold_steps):
@@ -221,6 +221,33 @@ class TestPolicies:
             LinearSpeedPolicy(*weights, FAST)
 
 
+# Every config-file key, the field it sets, a line's value and the field's
+# value after it: aliases set the same field, step counts are steps of 0.1 s.
+CONFIG_KEYS = [
+    ("circumference", "circumference", "300", 300.0),
+    *[(key, "n_vehicles", "20", 20) for key in ("total_number_of_vehicles", "total_vehicles", "n_vehicles")],
+    *[(key, "n_guided", "0", 0) for key in ("number_of_controlled_vehicles", "controlled_vehicles", "n_guided")],
+    ("vehicle_length", "vehicle_length", "4", 4.0),
+    ("speed_limit", "speed_limit", "8", 8.0),
+    *[(key, "dt", "0.2", 0.2) for key in ("simulation_step", "dt")],
+    ("warmup", "warmup", "30", 30.0),
+    ("horizon", "horizon", "60", 60.0),
+    ("warmup_steps", "warmup", "30", 30 * 0.1),
+    ("timestep_horizon", "horizon", "200", 200 * 0.1),
+    *[(key, "idm.a_max", "1.2", 1.2) for key in ("maximum_acceleration", "max_acceleration")],
+    ("comfortable_deceleration", "idm.b_comfort", "2", 2.0),
+    ("desired_velocity", "idm.v_desired", "25", 25.0),
+    ("minimum_spacing", "idm.s0", "1.5", 1.5),
+    ("desired_time_headway", "idm.time_headway", "1.4", 1.4),
+    ("exponent", "idm.exponent", "3", 3.0),
+    *[(key, "guidance.mode", "acceleration", "acceleration") for key in ("guidance_mode", "mode")],
+    ("alpha", "guidance.alpha", "0.5", 0.5),
+    ("beta", "guidance.beta", "0.1", 0.1),
+    *[(key, "guidance.accel_cap", "3", 3.0) for key in ("acceleration_capacity", "accel_cap")],
+    *[(key, "guidance.n_speed_levels", "5", 5) for key in ("number_of_discrete_action_space", "n_speed_levels")],
+]
+
+
 class TestConfig:
     def test_hold_must_be_multiple_of_dt(self):
         with pytest.raises(ValueError):
@@ -273,6 +300,18 @@ class TestConfig:
         path.write_text("wheelbase = 3\n")
         with pytest.raises(ValueError, match="wheelbase"):
             load_ring_config(path)
+
+    @pytest.mark.parametrize("key, field, text, want", CONFIG_KEYS)
+    def test_every_key_sets_its_field(self, key, field, text, want, tmp_path):
+        path = tmp_path / "ring.cfg"
+        path.write_text(f"{key} = {text}\n")
+        got = load_ring_config(path)
+        for name in field.split("."):
+            got = getattr(got, name)
+        assert (got, type(got)) == (want, type(want))
+
+    def test_key_cases_cover_the_key_table(self):
+        assert sorted(key for key, *_ in CONFIG_KEYS) == sorted(ringsim._KEYS)
 
 
 class TestRingTrainer:
@@ -339,7 +378,7 @@ def reference_rollout(config, policy, seed):
     speed_sum = std_sum = 0.0
     for i in range(n_warm + n_score):
         gaps = gaps_of(positions)
-        if guided and i % config.hold_steps == 0:
+        if guided and i % round(g.hold / config.dt) == 0:
             commands.append(float(policy((speeds[0], speeds[1], gaps[0]))))
         lead = np.roll(speeds, -1)
         accel = idm_acceleration(speeds, gaps, lead, config.idm)
@@ -492,9 +531,22 @@ _ROW = st.tuples(
 )
 
 
+def reference_command(policy, obs):
+    """The LinearSpeedPolicy formula for one policy on Python floats: the
+    reference that `commands` and `__call__` match bit for bit. round()
+    rounds half to even and gives the int 0 for -0.0, so it never returns
+    -0.0."""
+    ego, lead, headway = obs
+    w0, w1, w2 = policy.w
+    raw = w0 + w1 * (lead - ego) + w2 * (headway - policy.s0 - policy.headway_time * ego)
+    raw = min(max(raw, 0.0), policy.limit)
+    idx = round(raw / policy.limit * (policy.levels - 1))
+    return idx / (policy.levels - 1) * policy.limit
+
+
 class TestVectorisedLinearPolicy:
-    """LinearSpeedPolicy.commands, and the batch that uses it, against the
-    scalar __call__ bit for bit."""
+    """LinearSpeedPolicy.commands and __call__, and the batch that uses
+    them, against the scalar reference formula bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_ROW, min_size=1, max_size=8))
@@ -508,8 +560,11 @@ class TestVectorisedLinearPolicy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = LinearSpeedPolicy.commands(columns, ego, lead, headway)
-        want = [p(obs) for p, obs in zip(policies, observations)]
-        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            called = [p(obs) for p, obs in zip(policies, observations)]
+        want = [_bits(reference_command(p, obs)) for p, obs in zip(policies, observations)]
+        assert [_bits(v) for v in got] == want
+        assert [_bits(v) for v in called] == want
+        assert all(type(v) is float for v in called)
         assert not np.signbit(got).any()
 
     @staticmethod
@@ -562,6 +617,22 @@ class TestVectorisedLinearPolicy:
         assert batch[0].commands[0] == batch[2].commands[0] / 2  # same ring, halved command
         assert batch[1].commands == batch[2].commands
         self._assert_same(*self._pair(SHORT, policies[:2], [1.0, 5.0]))
+
+    def test_subclass_is_called_row_by_row_with_the_same_numbers(self):
+        # Only rows whose policy is exactly a LinearSpeedPolicy are batched;
+        # a subclass's __call__ reads params() at every boundary.
+        class Counted(LinearSpeedPolicy):
+            calls = 0
+
+            def params(self):
+                Counted.calls += 1
+                return super().params()
+
+        weights = [(6.0, 1.2, 0.2), (4.0, 0.6, 0.1)]
+        policies = [Counted(*w, SHORT) for w in weights] + [LinearSpeedPolicy(*w, SHORT) for w in weights]
+        batch = simulate_many(SHORT, [1] * 4, policies, [1.0, 5.0] * 2, record=True)
+        assert Counted.calls == len(batch[0].commands) + len(batch[1].commands)
+        self._assert_same(batch[:2], batch[2:])
 
 
 class TestLockstepSearch:
