@@ -31,6 +31,10 @@ class SlopeClass(str, Enum):
 # segment shapes; floating-point grids never hit exact equality.
 SLOPE_TOL = 1e-9
 
+# Most cells a hold range may have: far above the 2,000 of `verify`'s finest
+# grid, and low enough that each grid-sized array stays at 8 MB.
+MAX_CELLS = 1_000_000
+
 
 def check_bounds(positive: dict | None = None, nonnegative: dict | None = None) -> None:
     """The bounds rule of every numeric parameter: each of `positive`'s
@@ -46,12 +50,14 @@ def check_bounds(positive: dict | None = None, nonnegative: dict | None = None) 
 
 @dataclass(frozen=True)
 class HoldRange:
-    """Closed interval of hold durations with a uniform evaluation grid."""
+    """Closed interval of hold durations with a uniform evaluation grid of
+    at most MAX_CELLS cells."""
 
     d_min: float
     d_max: float
     resolution: float = 0.1
     n_cells: int = field(init=False, repr=False, compare=False)
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_bounds(
@@ -61,12 +67,20 @@ class HoldRange:
         if self.d_min >= self.d_max:
             raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max}]")
         cells = (self.d_max - self.d_min) / self.resolution
+        if cells > MAX_CELLS:
+            raise ValueError(
+                f"range [{self.d_min}, {self.d_max}] at resolution {self.resolution} "
+                f"has {cells:.7g} cells, above the limit of {MAX_CELLS:,}"
+            )
         if abs(cells - round(cells)) > 1e-6 * max(cells, 1.0):
             raise ValueError(
                 f"range width {self.d_max - self.d_min} is not a whole number of "
                 f"{self.resolution}-cells"
             )
         object.__setattr__(self, "n_cells", round(cells))
+        grid = self.d_min + self.resolution * np.arange(self.n_points)
+        grid.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def width(self) -> float:
@@ -77,7 +91,8 @@ class HoldRange:
         return self.n_cells + 1
 
     def grid(self) -> np.ndarray:
-        return self.d_min + self.resolution * np.arange(self.n_points)
+        """The grid durations, one read-only array per range."""
+        return self._grid
 
     def index_of(self, duration: float) -> int:
         """Grid index of an on-grid duration; GridAlignmentError otherwise."""
@@ -179,25 +194,40 @@ class Landscape:
     def zeros(cls, hold_range: HoldRange) -> "Landscape":
         return cls(range=hold_range, values=np.zeros(hold_range.n_points))
 
+    @classmethod
+    def _adopt(cls, hold_range: HoldRange, values: np.ndarray) -> "Landscape":
+        """A landscape that takes `values`, a new float array of the grid's
+        length that nothing else holds, without checking or copying it."""
+        values.flags.writeable = False
+        land = object.__new__(cls)
+        object.__setattr__(land, "range", hold_range)
+        object.__setattr__(land, "values", values)
+        return land
+
     def value_at(self, duration: float) -> float:
         return float(self.values[self.range.index_of(duration)])
 
 
 def apply_transfer(
-    land: Landscape, model: GapModel, d_source: float, achieved: float
+    land: Landscape, model: GapModel, d_source: float, achieved: float, index: int | None = None
 ) -> Landscape:
     """Merge one training result into the landscape.
 
     At d_source the new estimate is exactly `achieved` (the measurement
     overrides any prior extrapolation there). Elsewhere it is the pointwise
     max of the old estimate and achieved minus the gap, clamped at 0.
+    A caller that holds d_source's grid index passes it as `index`, which
+    skips looking it up (and checking that d_source is on the grid).
     """
     check_bounds(nonnegative={"achieved": achieved})
-    idx = land.range.index_of(d_source)
-    candidate = np.maximum(achieved - gap(model, d_source, land.range.grid()), 0.0)
-    new_values = np.maximum(land.values, candidate)
-    new_values[idx] = achieved
-    return Landscape(range=land.range, values=new_values)
+    rng = land.range
+    if index is None:
+        index = rng.index_of(d_source)
+    values = achieved - gap(model, d_source, rng.grid())
+    np.maximum(values, 0.0, out=values)
+    np.maximum(land.values, values, out=values)
+    values[index] = achieved
+    return Landscape._adopt(rng, values)
 
 
 def aggregate_area(land: Landscape, cap: float | None = None) -> float:
@@ -224,7 +254,7 @@ def best_marginal_cell(
         if i in taken:
             continue
         d = rng.point(i)
-        gain = aggregate_area(apply_transfer(land, model, d, model.j_star)) - base
+        gain = aggregate_area(apply_transfer(land, model, d, model.j_star, i)) - base
         if best is None or gain >= best[1] - 1e-15:
             best = (d, gain)
     return best
@@ -273,29 +303,39 @@ class Segments(Sequence):
         return Segment(float(self.left[k]), float(self.right[k]), _CLASS_ORDER[self.codes[k]])
 
 
-def segments(land: Landscape, picks) -> Segments:
-    """Split the range at the picked grid indices and classify every piece at
-    once, all values of a piece within SLOPE_TOL (relative to the largest
-    estimate) counting as equal: FLAT if they are all equal; SYMMETRIC_V if
-    the ends are equal and the minimum lies below both; else POSITIVE or
-    NEGATIVE by the sign of the net change.
+def slope_tol(land: Landscape) -> float:
+    """The classifier's equality tolerance: SLOPE_TOL relative to the
+    largest |estimate|."""
+    return SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
+
+
+def classify(land: Landscape, bounds: np.ndarray, tol: float) -> Segments:
+    """The pieces between consecutive entries of the increasing grid indices
+    `bounds`, classified at once, all values of a piece within `tol` counting
+    as equal: FLAT if they are all equal; SYMMETRIC_V if the ends are equal
+    and the minimum lies below both; else POSITIVE or NEGATIVE by the sign of
+    the net change. A piece's class depends on its own values and `tol` only.
     """
-    rng = land.range
-    v = land.values
-    bounds = np.array(sorted({0, rng.n_cells, *picks}))
+    v = land.values[: bounds[-1] + 1]
     ends = v[bounds]
     v_left, v_right = ends[:-1], ends[1:]
-    # reduceat spans [lo, next lo); the shared right end is folded in after
+    # reduceat spans [lo, next lo), up to the last bound; the shared right end is folded in after
     top = np.maximum(np.maximum.reduceat(v, bounds[:-1]), v_right)
     bottom = np.minimum(np.minimum.reduceat(v, bounds[:-1]), v_right)
-    tol = SLOPE_TOL * max(float(np.abs(v).max()), 1e-300)
     rise = v_right - v_left
     # codes are positions in _CLASS_ORDER; later assignments win, which keeps its order
     codes = np.where(rise > 0, 2, 3)
     codes[(bottom < np.minimum(v_left, v_right) - tol) & (np.abs(rise) <= tol)] = 1
     codes[top - bottom <= tol] = 0
-    points = rng.d_min + bounds * rng.resolution
+    points = land.range.grid()[bounds]
     return Segments(points[:-1], points[1:], codes)
+
+
+def segments(land: Landscape, picks) -> Segments:
+    """Split the range at the picked grid indices and classify every piece
+    (`classify`) at the landscape's own slope tolerance."""
+    bounds = np.array(sorted({0, land.range.n_cells, *picks}))
+    return classify(land, bounds, slope_tol(land))
 
 
 def write_landscape_csv(land: Landscape, path) -> None:
@@ -305,7 +345,5 @@ def write_landscape_csv(land: Landscape, path) -> None:
 
 
 def landscape_csv_text(land: Landscape) -> str:
-    lines = ["delta,performance"]
-    for d, v in zip(land.range.grid(), land.values):
-        lines.append(f"{d:.6g},{v:.6g}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((land.range.grid(), land.values))
+    return "delta,performance\n" + "%.6g,%.6g\n" * len(rows) % tuple(rows.ravel().tolist())

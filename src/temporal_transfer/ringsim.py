@@ -82,6 +82,11 @@ class GuidanceParams:
             raise ValueError(f"n_speed_levels must be >= 2, got {self.n_speed_levels}")
 
 
+# Most steps a rollout (warmup plus horizon) may take: far above the default
+# 15,000, and under a minute for one ring at about 40 microseconds a step.
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class RingConfig:
     circumference: float = 250.0
@@ -108,8 +113,12 @@ class RingConfig:
         )
         if self.circumference / self.vehicle_length <= self.n_vehicles:  # an int of any size compares
             raise ValueError("vehicles do not fit on the ring")
-        _hold_steps("warmup", self.warmup, self.dt, least=0)
-        _hold_steps("horizon", self.horizon, self.dt)
+        warmup = _hold_steps("warmup", self.warmup, self.dt, least=0)
+        if warmup + _hold_steps("horizon", self.horizon, self.dt) > MAX_STEPS:
+            raise ValueError(
+                f"warmup {self.warmup} + horizon {self.horizon} at dt {self.dt} is more "
+                f"than the limit of {MAX_STEPS:,} steps"
+            )
         _hold_steps("hold", self.guidance.hold, self.dt)
 
 

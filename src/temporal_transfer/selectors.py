@@ -21,7 +21,8 @@ from .landscape import (
     aggregate_area,
     apply_transfer,
     best_marginal_cell,
-    segments,
+    classify,
+    slope_tol,
 )
 from .trainers import EvaluatorResult
 
@@ -46,14 +47,79 @@ class GridExhausted(RuntimeError):
 
 
 @dataclass
+class SegmentTable:
+    """The greedy pick and estimated gain of every segment of one landscape
+    split at one list of picks, under one gap model.
+
+    `bounds` are the sorted segment ends (grid indices: 0, the picks, the
+    last cell), and segment k, from bounds[k] to bounds[k + 1], has its pick
+    at grid index `idx[k]` with gain `gains[k]`. Its entries are those of a
+    full rescoring at the slope tolerance `tol`.
+    """
+
+    landscape: Landscape
+    picks: list[int]
+    model: GapModel
+    tol: float
+    bounds: np.ndarray
+    idx: np.ndarray
+    gains: np.ndarray
+
+    @classmethod
+    def build(cls, land: Landscape, picks: list[int], model: GapModel) -> "SegmentTable":
+        """Score every segment."""
+        bounds = np.array(sorted({0, land.range.n_cells, *picks}))
+        tol = slope_tol(land)
+        return cls(land, list(picks), model, tol, bounds, *_score(land, bounds, tol, model, not picks))
+
+    def after_transfer(self, land: Landscape, i: int) -> "SegmentTable":
+        """The table of `land`, a later landscape of the same range, split at
+        the picks plus grid index i. Only the segments whose values changed,
+        and the one that i splits, are rescored; all of them are after the
+        first pick (which has its own gain rule) and when the largest
+        |estimate|, and so the slope tolerance, moves."""
+        picks = [*self.picks, i]
+        tol = slope_tol(land)
+        if tol != self.tol or not self.picks:
+            return SegmentTable.build(land, picks, self.model)
+        changed = np.flatnonzero(land.values != self.landscape.values)
+        lo, hi = (min(i, int(changed[0])), max(i, int(changed[-1]))) if len(changed) else (i, i)
+        b = self.bounds
+        lo_at, at, hi_at = b.searchsorted((lo, i, hi + 1)).tolist()
+        # segments a .. e-1 touch [lo, hi]: neighbours share their end cells
+        a, e = max(lo_at - 1, 0), min(hi_at, len(b) - 1)
+        split = int(b[at] != i)  # i splits one of them in two
+        if split:
+            b = np.concatenate((b[:at], [i], b[at:]))
+        idx, gains = _score(land, b[a : e + 1 + split], tol, self.model, False)
+        return SegmentTable(
+            land, picks, self.model, tol, b,
+            np.concatenate((self.idx[:a], idx, self.idx[e:])),
+            np.concatenate((self.gains[:a], gains, self.gains[e:])),
+        )
+
+
+def _score(land: Landscape, bounds: np.ndarray, tol: float, model: GapModel, is_first: bool):
+    """Grid index of the pick, and the estimated gain, of each segment
+    between consecutive `bounds`."""
+    picks, gains = theory.optimal_pick_and_gain(classify(land, bounds, tol), model, is_first)
+    return land.range.nearest_index(picks), gains
+
+
+@dataclass
 class SelectionState:
     """Everything accumulated across selection iterations; picks are grid
-    indices of the landscape's range."""
+    indices of the landscape's range.
+
+    The greedy selector keeps its segment table here and brings it up to
+    date at each pick.
+    """
 
     landscape: Landscape
     picks: list[int] = field(default_factory=list)
     results: list[EvaluatorResult] = field(default_factory=list)
     area_history: list[float] = field(default_factory=list)
+    table: SegmentTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def sources(self) -> list[float]:
@@ -83,15 +149,30 @@ def _train_and_apply(state: SelectionState, trainer, model: GapModel, i: int) ->
         result = trainer.evaluate(delta)
     except Exception as exc:  # anytime property: partial state stays valid
         raise SelectionError(f"trainer failed at delta={delta:.6g}: {exc}", state) from exc
-    state.landscape = apply_transfer(state.landscape, model, delta, result.achieved)
+    state.landscape = apply_transfer(state.landscape, model, delta, result.achieved, i)
     state.picks.append(i)
     state.results.append(result)
     state.area_history.append(aggregate_area(state.landscape))
 
 
+def _segment_table(state: SelectionState, model: GapModel) -> SegmentTable:
+    """The state's segment table under `model`, brought up to date: as it
+    is if it still describes the state's landscape and picks; through
+    `after_transfer` if the state has one pick more, as after each transfer
+    of a greedy run; built afresh otherwise, as for the first pick or for a
+    state replaced or edited by hand."""
+    table = state.table
+    if table is not None and table.model == model and table.landscape.range is state.landscape.range:
+        if table.landscape is state.landscape and table.picks == state.picks:
+            return table
+        if len(state.picks) == len(table.picks) + 1 and state.picks[:-1] == table.picks:
+            return table.after_transfer(state.landscape, state.picks[-1])
+    return SegmentTable.build(state.landscape, state.picks, model)
+
+
 def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     """Grid index of the pick of the segment with the largest estimated
-    marginal area gain, all segments scored at once.
+    marginal area gain, read from the state's segment table.
 
     Gains within 1e-12 * (|best| + 1) of the best tie, and ties (mirror
     segments, equal-gain candidates) go to the coarser (larger) index, then
@@ -99,20 +180,19 @@ def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     index, the best non-duplicate grid cell inside the winning segment is
     used instead, ranked by true marginal gain.
     """
+    table = state.table = _segment_table(state, model)
     land = state.landscape
     rng = land.range
-    segs = segments(land, state.picks)
-    picks, gains = theory.optimal_pick_and_gain(segs, model, not state.picks)
-    idx = rng.nearest_index(picks)
+    idx, gains = table.idx, table.gains
     best = gains.max()
     near = gains >= best - 1e-12 * (abs(best) + 1.0)
     k = int(np.argmax(np.where(near, idx, -1)))
     i = int(idx[k])
     if i not in state.picks:
         return i
-    seg = segs[k]
     taken = set(state.picks)
-    found = best_marginal_cell(land, model, seg.left, seg.right, taken)
+    left, right = rng.grid()[table.bounds[k : k + 2]].tolist()
+    found = best_marginal_cell(land, model, left, right, taken)
     if found is None:  # winning segment exhausted; widen to the whole grid
         found = best_marginal_cell(land, model, rng.d_min, rng.d_max, taken)
     if found is None:

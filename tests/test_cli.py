@@ -34,6 +34,16 @@ def test_non_finite_model_or_range_is_usage_error(args, tmp_path, capsys):
 
 
 class TestRun:
+    def test_grid_over_the_cell_limit_is_usage_error(self, tmp_path, capsys):
+        # [0, 40] at 1e-9 s would be a 4e10-point grid
+        from temporal_transfer.landscape import MAX_CELLS
+
+        code, out, err = run_cli(["run", "--algo", "gttl", "--dmin", "0", "--dmax", "40",
+                                  "--resolution", "1e-9", "--out", str(tmp_path / "x")], capsys)
+        assert (code, out) == (2, "")
+        assert f"has 4e+10 cells, above the limit of {MAX_CELLS:,}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cttl_example(self, tmp_path, capsys):
         code, out, _ = run_cli(
             [
@@ -501,6 +511,18 @@ class TestRing:
         code, out, err = run_cli(["ring", *action, "--budget", "2", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert "the policy search needs a guided vehicle" in err
+
+    def test_tiny_simulation_step_is_rejected_before_any_rollout(self, monkeypatch, tmp_path, capsys):
+        # 1e-300 s steps would make about 1e302 steps per rollout
+        from temporal_transfer import ringsim
+
+        calls = []
+        monkeypatch.setattr(ringsim, "simulate_many", lambda *a, **kw: calls.append(a))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("simulation_step = 1e-300\n")
+        code, out, err = run_cli(["ring", "baseline", "--seeds", "1", "--config", str(cfg)], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert f"more than the limit of {ringsim.MAX_STEPS:,} steps" in err
 
     def test_sweep_checks_durations_before_any_rollout(self, monkeypatch, capsys):
         from temporal_transfer import ringsim

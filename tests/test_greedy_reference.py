@@ -1,5 +1,6 @@
 """The vectorised segment classification and greedy pick, pinned to the
-per-segment Python references they replaced.
+per-segment Python references they replaced, and the segment table that a
+greedy run carries from pick to pick, pinned to a full rescoring.
 
 The references below are kept as they were written before the selection
 core was vectorised: `reference_classify` classifies one slice of the
@@ -27,13 +28,16 @@ from temporal_transfer.landscape import (
     segments,
     symmetric_model,
 )
+from temporal_transfer import selectors
 from temporal_transfer.selectors import (
     GridExhausted,
+    SegmentTable,
     SelectionState,
+    _train_and_apply,
     find_greedy_transfer_point,
     run_gttl,
 )
-from temporal_transfer.trainers import IdealTrainer, NoisyTrainer
+from temporal_transfer.trainers import CsvReplayTrainer, DecayingTrainer, IdealTrainer, NoisyTrainer
 
 
 def reference_classify(values, tol):
@@ -241,3 +245,151 @@ class TestTieRule:
         coarsest = max(near)
         if coarsest not in state.picks:
             assert find_greedy_transfer_point(state, model) == coarsest
+
+
+def curve_trainer(rng):
+    """CSV replay of a smooth declining curve with bumps, as an exported
+    curve would be: a row every 5 cells (or every tenth of the width, if that
+    is less), so every grid duration is within half a row spacing of one."""
+    spacing = min(rng.width / 10, rng.resolution * 5)
+    deltas = np.linspace(rng.d_min, rng.d_max, round(rng.width / spacing) + 1)
+    x = (deltas - rng.d_min) / rng.width
+    values = 1 - 0.4 * x**2 + 0.06 * np.sin(17 * x) + 0.04 * np.cos(5 * x)
+    return CsvReplayTrainer(deltas, np.maximum(values, 0.0))
+
+
+TRAINERS = {
+    "ideal": lambda rng: IdealTrainer(1.0, rng),
+    "noisy": lambda rng: NoisyTrainer(1.0, rng, eta=0.3, seed=11),
+    "csv": curve_trainer,
+    "decaying": lambda rng: DecayingTrainer(1.0, rng, decay=0.5),
+}
+# per range width W: the tight slope 1/W, a skewed pair, and flat tents (every
+# gain 0, so the coarsest pick is taken and then the duplicate fallback runs)
+MODELS = {
+    "symmetric": lambda w: symmetric_model(1 / w, 1.0),
+    "asymmetric": lambda w: GapModel(2 / w, 0.5 / w, 1.0),
+    "flat": lambda w: symmetric_model(0.0, 1.0),
+}
+# grid, and picks per run: the 5-point grid runs until every cell is taken
+GRIDS = {
+    "401": (HoldRange(0, 40, 0.1), 30),
+    "2001": (HoldRange(0, 40, 0.02), 12),
+    "5": (HoldRange(0, 1, 0.25), None),
+}
+
+
+full_rescoring = SegmentTable.build  # kept from before any patching
+
+
+def assert_table_is_a_full_rescoring(state, model):
+    table = state.table
+    full = full_rescoring(state.landscape, state.picks, model)
+    assert table.landscape is state.landscape and table.picks == state.picks
+    assert table.tol == full.tol
+    for name in ("bounds", "idx", "gains"):
+        got, want = getattr(table, name), getattr(full, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def edit_by_hand(state, model, kind):
+    """The state after a transfer, edited by hand between two picks."""
+    if kind == 0:  # a new state object, without the table
+        return SelectionState(landscape=state.landscape, picks=list(state.picks))
+    if kind == 1:  # the same values in a new landscape
+        state.landscape = Landscape(state.landscape.range, state.landscape.values)
+    elif kind == 2:  # the last pick forgotten: the table's picks, other values
+        del state.picks[-1]
+    elif kind == 3:  # the first pick moved to a free cell: one pick more, others changed
+        state.picks[0] = min(set(range(state.landscape.range.n_points)) - set(state.picks))
+    else:  # the table brought up to date, then the first pick forgotten
+        find_greedy_transfer_point(state, model)
+        del state.picks[0]
+    return state
+
+
+# Kinds of edit_by_hand after which the next pick rebuilds the table, and
+# after which the state has one pick fewer.
+REBUILT = {0, 2, 3, 4}
+FORGETS = {2, 4}
+
+
+class TestCarriedTable:
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize("trainer_name", TRAINERS)
+    def test_every_pick_against_reference(self, trainer_name, model_name, grid, monkeypatch):
+        rng, picks = GRIDS[grid]
+        # every landscape and table of the range reads this one grid
+        assert not rng.grid().flags.writeable
+        model = MODELS[model_name](rng.width)
+        trainer = TRAINERS[trainer_name](rng)
+        builds, fallbacks = [], []
+        build = SegmentTable.build.__func__
+        monkeypatch.setattr(SegmentTable, "build", classmethod(
+            lambda cls, *a: builds.append(1) or build(cls, *a)))
+        monkeypatch.setattr(selectors, "best_marginal_cell",
+                            lambda *a: fallbacks.append(1) or best_marginal_cell(*a))
+        state = SelectionState(landscape=Landscape.zeros(rng))
+        budget = picks or rng.n_points + 1
+        edits = []
+        for step in range(budget):
+            if step % 5 == 4:
+                edits.append(step // 5 % 5)
+                state = edit_by_hand(state, model, edits[-1])
+            want = reference_pick(state, model)
+            if want is None:
+                with pytest.raises(GridExhausted):
+                    find_greedy_transfer_point(state, model)
+                break
+            assert find_greedy_transfer_point(state, model) == want
+            assert_table_is_a_full_rescoring(state, model)
+            _train_and_apply(state, trainer, model, want)
+        # a 5-point grid is used up: five picks, then GridExhausted
+        assert len(state.picks) + sum(kind in FORGETS for kind in edits) == (picks or rng.n_points)
+        # the duplicate fallback runs under flat tents on the 401-point grid,
+        # and wherever the 5-point grid's segments run out of free cells
+        assert bool(fallbacks) == {"401": model_name == "flat", "2001": False, "5": True}[grid]
+        # All other picks rescore only the segments that the last transfer
+        # changed or split. The table is rebuilt for the first two picks,
+        # after edits by hand, and where the largest estimate moves, which
+        # under the ideal trainer it does only at the first pick.
+        rebuilt = 2 + sum(kind in REBUILT for kind in edits)
+        if trainer_name == "ideal":
+            assert len(builds) == rebuilt
+        assert rebuilt <= len(builds) < len(state.picks) or rng.n_points == 5
+
+    def test_a_rise_of_the_largest_estimate_rescores_every_segment(self):
+        # The slope tolerance is relative to the largest estimate, so a
+        # transfer that changes one cell can reclassify a far segment: [0, 4]
+        # falls by 1.2e-9, NEGATIVE at the tolerance 1e-9 (pick at 8/3) and
+        # FLAT at 1.5e-9 (pick at 2), after a transfer of 1.5 at 10 changes
+        # nothing but cell 10.
+        rng = HoldRange(0, 10, 1)
+        model = symmetric_model(10.0, 1.5)
+        values = np.zeros(rng.n_points)
+        values[:5] = 1.0
+        values[4] -= 1.2e-9
+        state = SelectionState(landscape=Landscape(rng, values), picks=[4, 7])
+        find_greedy_transfer_point(state, model)
+        assert state.table.idx[0] == 3
+        _train_and_apply(state, IdealTrainer(1.5, rng), model, 10)
+        find_greedy_transfer_point(state, model)
+        assert_table_is_a_full_rescoring(state, model)
+        assert state.table.idx[0] == 2
+
+    def test_a_state_moved_to_another_range_rebuilds_its_table(self):
+        # Same grid length, other cells, and a transfer that changes one
+        # cell: still no entry of the old table carries over.
+        model = symmetric_model(1 / 40, 1.0)
+        state = SelectionState(landscape=Landscape.zeros(HoldRange(0, 40, 0.1)))
+        for _ in range(3):
+            _train_and_apply(state, IdealTrainer(1.0, state.landscape.range), model,
+                             find_greedy_transfer_point(state, model))
+        find_greedy_transfer_point(state, model)  # the table of the three picks
+        wide = HoldRange(0, 80, 0.2)
+        land = Landscape(wide, state.landscape.values)
+        state.landscape = apply_transfer(land, model, wide.point(150), 0.0, 150)
+        state.picks.append(150)
+        assert find_greedy_transfer_point(state, model) == reference_pick(state, model)
+        assert_table_is_a_full_rescoring(state, model)

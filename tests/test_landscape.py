@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from temporal_transfer.landscape import (
+    MAX_CELLS,
     GapModel,
     GridAlignmentError,
     HoldRange,
@@ -79,6 +80,21 @@ class TestHoldRange:
             HoldRange(0, 1, 0.3)  # not a whole number of cells
         with pytest.raises(ValueError):
             HoldRange(0, 1, -0.1)
+
+    def test_grid_is_one_read_only_array(self):
+        rng = HoldRange(0, 40, 0.1)
+        assert rng.grid() is rng.grid()
+        with pytest.raises(ValueError):
+            rng.grid()[0] = 1.0
+        np.testing.assert_array_equal(rng.grid(), 0 + 0.1 * np.arange(401))
+
+    def test_cell_limit(self):
+        assert HoldRange(0, 1, 1 / MAX_CELLS).n_cells == MAX_CELLS
+        # Just above the limit, and far above it: rejected before any grid
+        # is built, with a message that names the limit.
+        for hi, resolution in ((1 + 1 / MAX_CELLS, 1 / MAX_CELLS), (40, 1e-9), (1e308, 1e-300)):
+            with pytest.raises(ValueError, match=f"above the limit of {MAX_CELLS:,}"):
+                HoldRange(0, hi, resolution)
 
     def test_snap_and_index(self):
         rng = HoldRange(0, 40, 0.1)
@@ -191,6 +207,17 @@ class TestApplyTransfer:
         np.testing.assert_array_equal(self.zero.values, before)
         with pytest.raises(ValueError):
             self.zero.values[0] = 5.0
+
+    @pytest.mark.parametrize("model", [symmetric_model(1 / 40, 1.0), GapModel(0.05, 0.0, 1.0)])
+    def test_given_index_gives_the_same_landscape(self, model):
+        land = apply_transfer(self.zero, model, 12.3, 0.8)
+        for i, achieved in ((0, 1.0), (123, 0.2), (250, 0.9), (400, 0.0)):
+            d = self.rng.point(i)
+            got = apply_transfer(land, model, d, achieved, i)
+            assert got.values.tobytes() == apply_transfer(land, model, d, achieved).values.tobytes()
+            assert got.range is land.range
+            with pytest.raises(ValueError):
+                got.values[0] = 5.0
 
 
 class TestAggregateArea:
@@ -317,7 +344,35 @@ class TestProperties:
                 assert gap(m, a, b) == gap(m, b, a)
 
 
+def reference_csv_text(land):
+    """The landscape CSV as it was first written: one f-string per row."""
+    lines = ["delta,performance"]
+    for d, v in zip(land.range.grid(), land.values):
+        lines.append(f"{d:.6g},{v:.6g}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
+    @pytest.mark.parametrize("hold_range", [
+        HoldRange(0, 40, 0.1), HoldRange(2.5, 3.5, 0.025), HoldRange(0, 1e-300, 1e-302),
+        HoldRange(1e300, 2e300, 1e298), HoldRange(0, 1, 1),
+    ], ids=["wide", "offset", "tiny", "huge", "two-points"])
+    def test_bytes_match_the_reference_formatter(self, hold_range):
+        n = hold_range.n_points
+        gen = np.random.default_rng(n)
+        special = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-5, 123456.5, 9999995.0,
+                            1e300, 1.7976931348623157e308, -2.5, np.inf, np.nan])
+        cases = [
+            gen.normal(size=n) * 10.0 ** gen.uniform(-30, 30, n),  # random, any magnitude
+            gen.uniform(0, 4, n),
+            np.zeros(n),
+            np.full(n, -0.0),
+            np.resize(special, n),
+        ]
+        for values in cases:
+            land = Landscape(hold_range, values)
+            assert landscape_csv_text(land) == reference_csv_text(land)
+
     def test_format_and_roundtrip(self, tmp_path):
         rng = HoldRange(0, 1, 0.25)
         model = symmetric_model(1.0, 1.0)

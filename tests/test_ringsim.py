@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from temporal_transfer import ringsim
 from temporal_transfer.cli import main
 from temporal_transfer.ringsim import (
+    MAX_STEPS,
     CollisionError,
     ConstantPolicy,
     GuidanceParams,
@@ -258,6 +259,14 @@ class TestConfig:
             RingConfig(circumference=100.0, n_vehicles=22)
         with pytest.raises(ValueError, match="vehicles do not fit on the ring"):
             RingConfig(n_vehicles=10**400)
+
+    def test_step_limit(self):
+        # warmup + horizon at most MAX_STEPS steps; the config is only built
+        assert RingConfig(warmup=0.0, horizon=MAX_STEPS * 0.1).horizon == 100000.0
+        assert RingConfig(warmup=50000.0, horizon=50000.0).warmup == 50000.0
+        for warmup, horizon, dt in ((0.0, 100000.1, 0.1), (50000.0, 50000.1, 0.1), (500.0, 1000.0, 1e-300)):
+            with pytest.raises(ValueError, match=f"more than the limit of {MAX_STEPS:,} steps"):
+                RingConfig(warmup=warmup, horizon=horizon, dt=dt)
 
     @pytest.mark.parametrize("n_guided", [-1, 2, 3])
     def test_guided_count_other_than_zero_or_one_rejected(self, n_guided):
