@@ -25,6 +25,7 @@ from .landscape import (
     HoldRange,
     Landscape,
     apply_transfer,
+    check_bounds,
     symmetric_model,
     write_landscape_csv,
 )
@@ -51,6 +52,10 @@ EXIT_RUNTIME = 3
 EXIT_BOUND = 4
 
 ALL_CLAIMS = ("T1", "T2", "T4", "L2", "L3")
+# The largest --kmax of `oracle` and `verify` and --seeds of `ring baseline`,
+# each about a minute of work (README lists the measurements).
+MAX_KMAX = 48
+MAX_SEEDS = 4000
 
 
 class UsageError(ValueError):
@@ -65,10 +70,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _report_rows(reports: list[BoundReport]) -> str:
-    lines = ["claim,lhs,rhs,holds,slack"]
-    for r in reports:
-        lines.append(f"{r.claim},{r.lhs:.6g},{r.rhs:.6g},{str(r.holds).lower()},{r.slack:.6g}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{r.claim},{r.lhs:.6g},{r.rhs:.6g},{str(r.holds).lower()},{r.slack:.6g}" for r in reports]
+    return "\n".join(["claim,lhs,rhs,holds,slack", *rows]) + "\n"
 
 
 # Each `run` flag that not every run reads, and the --algo and --trainer
@@ -150,10 +153,11 @@ def _verify_t1(grid_cells: int) -> list[BoundReport]:
         bound_report("T1-first-pick", abs(best.best_sequence[0] - 0.5), cell, a_star),
         bound_report("T1-first-area", abs(best.best_area - 0.75 * a_star), cell, a_star),
     ]
-    land = apply_transfer(Landscape.zeros(coarse), model, coarse.snap(0.5), model.j_star)
-    mid = coarse.snap(0.5)
-    left_pick, _ = oracle_mod.best_marginal_cell(land, model, coarse.d_min, mid)
-    right_pick, _ = oracle_mod.best_marginal_cell(land, model, mid, coarse.d_max)
+    i = coarse.nearest_index(0.5)
+    mid = coarse.point(i)
+    land = apply_transfer(Landscape.zeros(coarse), model, mid, model.j_star, i)
+    left_pick = coarse.point(oracle_mod.best_marginal_cell(land, model, 0, i)[0])
+    right_pick = coarse.point(oracle_mod.best_marginal_cell(land, model, i, coarse.n_cells)[0])
     rows.append(bound_report("T1-pos-trisection", abs(left_pick - (2 * coarse.d_min + mid) / 3), cell, a_star))
     rows.append(bound_report("T1-neg-trisection", abs(right_pick - (mid + 2 * coarse.d_max) / 3), cell, a_star))
     return rows
@@ -202,17 +206,9 @@ def _verify_t4(kmax: int, gttl, cttl, hold_range: HoldRange, model: GapModel) ->
 
 
 def _verify_l2(kmax: int, gttl, _, hold_range: HoldRange, model: GapModel) -> list[BoundReport]:
-    rows = []
-    for k in range(1, kmax + 1):
-        rows.append(
-            bound_report(
-                f"L2-k{k}",
-                theory.ghost_cell_lower_bound(hold_range, model, k),
-                gttl[k - 1],
-                theory.full_area(hold_range, model),
-            )
-        )
-    return rows
+    a_star = theory.full_area(hold_range, model)
+    return [bound_report(f"L2-k{k}", theory.ghost_cell_lower_bound(hold_range, model, k), gttl[k - 1], a_star)
+            for k in range(1, kmax + 1)]
 
 
 def _verify_l3(grid_cells: int, kmax: int) -> list[BoundReport]:
@@ -234,6 +230,7 @@ def cmd_verify(args) -> int:
     unknown = set(claims) - set(ALL_CLAIMS)
     if unknown:
         raise UsageError(f"unknown claims: {sorted(unknown)} (choose from {ALL_CLAIMS})")
+    check_bounds(counts={"--kmax": (args.kmax, 1, MAX_KMAX)})
     rows: list[BoundReport] = []
     simulated = None  # greedy and schedule areas, shared by T4 and L2
     for claim in claims:
@@ -255,8 +252,9 @@ def cmd_oracle(args) -> int:
     # The oracle and the bound see only the interval, never a fine grid.
     hold_range = HoldRange(args.dmin, args.dmax, args.dmax - args.dmin)
     model = symmetric_model(args.theta, args.jstar)
-    lines = ["k,best_area,gttl_area,cttl_area,bound,holds"]
     coarse = oracle_mod.coarse_range(hold_range, args.grid)
+    check_bounds(counts={"--kmax": (args.kmax, 1, min(args.grid, MAX_KMAX))})  # before the first solve
+    lines = ["k,best_area,gttl_area,cttl_area,bound,holds"]
     coarse_ideal = IdealTrainer(args.jstar, coarse)
     for k in range(1, args.kmax + 1):
         best, gttl, report = oracle_mod.greedy_vs_oracle(hold_range, model, k, args.grid)
@@ -279,8 +277,7 @@ def _ring_config(args) -> ringsim.RingConfig:
 
 
 def cmd_ring_baseline(args) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    check_bounds(counts={"--seeds": (args.seeds, 1, MAX_SEEDS)})
     unguided = replace(_ring_config(args), n_guided=0)
     lines = ["seed,mean_speed,speed_std"]
     for seed, result in enumerate(ringsim.simulate_many(unguided, range(args.seeds))):

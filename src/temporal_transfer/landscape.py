@@ -36,16 +36,23 @@ SLOPE_TOL = 1e-9
 MAX_CELLS = 1_000_000
 
 
-def check_bounds(positive: dict | None = None, nonnegative: dict | None = None) -> None:
-    """The bounds rule of every numeric parameter: each of `positive`'s
-    named values must be finite and > 0, each of `nonnegative`'s finite and
-    >= 0. Raises ValueError naming the first value that is not."""
+def check_bounds(positive: dict | None = None, nonnegative: dict | None = None, counts: dict | None = None) -> None:
+    """The bounds rule of every numeric parameter and every size: each of
+    `positive`'s named values must be finite and > 0, each of `nonnegative`'s
+    finite and >= 0, and each of `counts`, a (value, least, most) triple, in
+    [least, most], where most is its limit (math.inf for none). Raises
+    ValueError naming the first value that is not."""
     for values, zero in ((positive, False), (nonnegative, True)):
         for name, value in (values or {}).items():
             # Comparisons, not math.isfinite: NaN fails them all, and an int
             # too large for a float still compares.
             if not (0 < value < math.inf or zero and value == 0):
                 raise ValueError(f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value}")
+    for name, (value, least, most) in (counts or {}).items():
+        if not value >= least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        if value > most:
+            raise ValueError(f"{name} = {value:,} is above the limit of {most:,}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +74,7 @@ class HoldRange:
         if self.d_min >= self.d_max:
             raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max}]")
         cells = (self.d_max - self.d_min) / self.resolution
-        if cells > MAX_CELLS:
-            raise ValueError(
-                f"range [{self.d_min}, {self.d_max}] at resolution {self.resolution} "
-                f"has {cells:.7g} cells, above the limit of {MAX_CELLS:,}"
-            )
+        check_bounds(counts={"cells": (cells, 0, MAX_CELLS)})
         if abs(cells - round(cells)) > 1e-6 * max(cells, 1.0):
             raise ValueError(
                 f"range width {self.d_max - self.d_min} is not a whole number of "
@@ -238,10 +241,10 @@ def aggregate_area(land: Landscape, cap: float | None = None) -> float:
 
 
 def best_marginal_cell(
-    land: Landscape, model: GapModel, lo: float, hi: float, taken=()
-) -> tuple[float, float] | None:
-    """Grid cell in [lo, hi], outside the grid indices `taken`, whose ideal
-    transfer adds the most area: (duration, gain), or None if every cell is
+    land: Landscape, model: GapModel, lo: int, hi: int, taken=()
+) -> tuple[int, float] | None:
+    """Grid index in [lo, hi], outside the grid indices `taken`, whose ideal
+    transfer adds the most area: (index, gain), or None if every cell is
     taken.
 
     Brute force over cells, ties to the coarser cell: the greedy selector's
@@ -250,13 +253,12 @@ def best_marginal_cell(
     rng = land.range
     base = aggregate_area(land)
     best = None
-    for i in range(rng.nearest_index(lo), rng.nearest_index(hi) + 1):
+    for i in range(lo, hi + 1):
         if i in taken:
             continue
-        d = rng.point(i)
-        gain = aggregate_area(apply_transfer(land, model, d, model.j_star, i)) - base
+        gain = aggregate_area(apply_transfer(land, model, rng.point(i), model.j_star, i)) - base
         if best is None or gain >= best[1] - 1e-15:
-            best = (d, gain)
+            best = (i, gain)
     return best
 
 
@@ -331,11 +333,15 @@ def classify(land: Landscape, bounds: np.ndarray, tol: float) -> Segments:
     return Segments(points[:-1], points[1:], codes)
 
 
+def segment_bounds(land: Landscape, picks) -> np.ndarray:
+    """Sorted segment ends at the picked grid indices: 0, the picks, the last cell."""
+    return np.array(sorted({0, land.range.n_cells, *picks}))
+
+
 def segments(land: Landscape, picks) -> Segments:
     """Split the range at the picked grid indices and classify every piece
     (`classify`) at the landscape's own slope tolerance."""
-    bounds = np.array(sorted({0, land.range.n_cells, *picks}))
-    return classify(land, bounds, slope_tol(land))
+    return classify(land, segment_bounds(land, picks), slope_tol(land))
 
 
 def write_landscape_csv(land: Landscape, path) -> None:

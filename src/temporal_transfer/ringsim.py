@@ -77,14 +77,16 @@ class GuidanceParams:
         check_bounds(
             positive={"hold": self.hold, "accel_cap": self.accel_cap},
             nonnegative={"alpha": self.alpha, "beta": self.beta},
+            counts={"n_speed_levels": (self.n_speed_levels, 2, math.inf)},
         )
-        if self.n_speed_levels < 2:
-            raise ValueError(f"n_speed_levels must be >= 2, got {self.n_speed_levels}")
 
 
 # Most steps a rollout (warmup plus horizon) may take: far above the default
 # 15,000, and under a minute for one ring at about 40 microseconds a step.
 MAX_STEPS = 1_000_000
+# Most rollouts of one policy search, durations times budget: one duration at
+# the default config scores 12 a batch at about a second a batch.
+MAX_ROLLOUTS = 720
 
 
 @dataclass(frozen=True)
@@ -101,24 +103,18 @@ class RingConfig:
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
 
     def __post_init__(self):
-        if self.n_guided not in (0, 1):
-            raise ValueError(
-                f"n_guided must be 0 or 1, got {self.n_guided}: the simulator guides vehicle 0 only"
-            )
         check_bounds(
             positive={name: getattr(self, name) for name in (
                 "circumference", "n_vehicles", "vehicle_length", "speed_limit", "dt", "horizon"
             )},
             nonnegative={"warmup": self.warmup},
+            counts={"n_guided": (self.n_guided, 0, 1)},  # the simulator guides vehicle 0 only
         )
         if self.circumference / self.vehicle_length <= self.n_vehicles:  # an int of any size compares
             raise ValueError("vehicles do not fit on the ring")
         warmup = _hold_steps("warmup", self.warmup, self.dt, least=0)
-        if warmup + _hold_steps("horizon", self.horizon, self.dt) > MAX_STEPS:
-            raise ValueError(
-                f"warmup {self.warmup} + horizon {self.horizon} at dt {self.dt} is more "
-                f"than the limit of {MAX_STEPS:,} steps"
-            )
+        steps = warmup + _hold_steps("horizon", self.horizon, self.dt)
+        check_bounds(counts={"warmup + horizon steps": (steps, 1, MAX_STEPS)})
         _hold_steps("hold", self.guidance.hold, self.dt)
 
 
@@ -503,11 +499,12 @@ _PARAM_HI = np.array([10.0, 2.0, 1.0])
 _REFINE_SCALE = np.array([1.2, 0.4, 0.15])
 
 
-def check_search(config: RingConfig, search_budget: int) -> None:
+def check_search(config: RingConfig, search_budget: int, durations: int = 1) -> None:
     """Raise ValueError unless the policy search can run: a budget of at
-    least one rollout, and one vehicle guided in speed mode."""
-    if search_budget < 1:
-        raise ValueError(f"search budget must be >= 1, got {search_budget}")
+    least one rollout, at most MAX_ROLLOUTS rollouts over its `durations`,
+    and one vehicle guided in speed mode."""
+    check_bounds(counts={"search budget": (search_budget, 1, math.inf),
+                         "durations * search budget": (durations * search_budget, 0, MAX_ROLLOUTS)})
     mode = config.guidance.mode
     if mode != "speed":
         raise ValueError(
@@ -524,8 +521,8 @@ def _search(
     the mean speed of the seed's unguided ring, one more row in the first
     batch when `with_baseline` asks for it (None otherwise), and the result
     of each duration. The errors come in the order that sweep documents."""
-    check_search(config, search_budget)
     deltas = list(deltas)
+    check_search(config, search_budget, len(deltas))
     generators = [
         np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
         for delta in deltas
@@ -605,9 +602,9 @@ def train_and_measure_many(
     keeps its own incumbent, so its result is that of a one-round-at-a-time
     search at that duration alone. Returns the best achieved mean speed per
     duration; the first duration, in input order, whose candidates all
-    collided raises TrainingError. The config and budget must pass
-    check_search, and every duration must be a positive multiple of dt;
-    both are checked before any rollout.
+    collided raises TrainingError. The config, the budget and the number of
+    durations must pass check_search, and every duration must be a positive
+    multiple of dt; both are checked before any rollout.
     """
     return _search(config, deltas, search_budget, seed)[1]
 

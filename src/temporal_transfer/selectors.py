@@ -21,7 +21,9 @@ from .landscape import (
     aggregate_area,
     apply_transfer,
     best_marginal_cell,
+    check_bounds,
     classify,
+    segment_bounds,
     slope_tol,
 )
 from .trainers import EvaluatorResult
@@ -46,6 +48,13 @@ class GridExhausted(RuntimeError):
     """Every grid duration has been selected already."""
 
 
+# Most trainings of one selector run, and most grid points that a plan
+# selector merges (plan length times grid points): a merge costs about 23 us
+# plus 13 ns a point, so either takes at most about a minute.
+MAX_BUDGET = 1_000_000
+MAX_MERGES = 4_000_000_000
+
+
 @dataclass
 class SegmentTable:
     """The greedy pick and estimated gain of every segment of one landscape
@@ -68,7 +77,7 @@ class SegmentTable:
     @classmethod
     def build(cls, land: Landscape, picks: list[int], model: GapModel) -> "SegmentTable":
         """Score every segment."""
-        bounds = np.array(sorted({0, land.range.n_cells, *picks}))
+        bounds = segment_bounds(land, picks)
         tol = slope_tol(land)
         return cls(land, list(picks), model, tol, bounds, *_score(land, bounds, tol, model, not picks))
 
@@ -182,7 +191,6 @@ def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     """
     table = state.table = _segment_table(state, model)
     land = state.landscape
-    rng = land.range
     idx, gains = table.idx, table.gains
     best = gains.max()
     near = gains >= best - 1e-12 * (abs(best) + 1.0)
@@ -191,13 +199,12 @@ def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     if i not in state.picks:
         return i
     taken = set(state.picks)
-    left, right = rng.grid()[table.bounds[k : k + 2]].tolist()
-    found = best_marginal_cell(land, model, left, right, taken)
+    found = best_marginal_cell(land, model, *table.bounds[k : k + 2].tolist(), taken)
     if found is None:  # winning segment exhausted; widen to the whole grid
-        found = best_marginal_cell(land, model, rng.d_min, rng.d_max, taken)
+        found = best_marginal_cell(land, model, 0, land.range.n_cells, taken)
     if found is None:
         raise GridExhausted("every grid duration has already been selected")
-    return rng.nearest_index(found[0])
+    return found[0]
 
 
 def run_gttl(
@@ -212,8 +219,7 @@ def run_gttl(
     The covered area is that of the landscape clipped at j_star, so a result
     above j_star cannot stand in for a stretch that is still uncovered.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_bounds(counts={"budget": (budget, 1, MAX_BUDGET)})
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     state = SelectionState(landscape=Landscape.zeros(hold_range))
@@ -231,6 +237,7 @@ def run_gttl(
 
 def _run_plan(trainer, model: GapModel, hold_range: HoldRange, plan) -> SelectionState:
     """Train the grid indices of a plan, known up front, in order."""
+    check_bounds(counts={"plan length * grid points": (len(plan) * hold_range.n_points, 0, MAX_MERGES)})
     state = SelectionState(landscape=Landscape.zeros(hold_range))
     for i in plan:
         _train_and_apply(state, trainer, model, int(i))
@@ -254,8 +261,7 @@ def cttl_schedule(hold_range: HoldRange, budget: int) -> list[float]:
 
 def run_cttl(trainer, model: GapModel, hold_range: HoldRange, budget: int = 15) -> SelectionState:
     """Train the coarse-to-fine schedule in order."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_bounds(counts={"budget": (budget, 1, MAX_BUDGET)})
     return _run_plan(trainer, model, hold_range, _cttl_plan(hold_range, budget))
 
 
@@ -263,12 +269,8 @@ def run_rttl(
     trainer, model: GapModel, hold_range: HoldRange, budget: int = 15, seed: int = 0
 ) -> SelectionState:
     """Train budget-many distinct grid durations drawn uniformly at random."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if budget > hold_range.n_points:
-        raise ValueError(f"budget {budget} exceeds the {hold_range.n_points}-point grid")
-    rng = np.random.default_rng(seed)
-    plan = rng.choice(hold_range.n_points, size=budget, replace=False)
+    check_bounds(counts={"budget": (budget, 1, hold_range.n_points)})
+    plan = np.random.default_rng(seed).choice(hold_range.n_points, size=budget, replace=False)
     return _run_plan(trainer, model, hold_range, plan)
 
 
@@ -282,13 +284,8 @@ def run_selector(
 ) -> SelectionState:
     """Run the selector `kind` with the options it takes (budget, epsilon,
     seed); an option left out takes that selector's default."""
-    if kind is SelectorKind.GTTL:
-        return run_gttl(trainer, model, hold_range, **options)
-    if kind is SelectorKind.CTTL:
-        return run_cttl(trainer, model, hold_range, **options)
-    if kind is SelectorKind.RTTL:
-        return run_rttl(trainer, model, hold_range, **options)
-    return run_exhaustive(trainer, model, hold_range, **options)
+    run = {SelectorKind.GTTL: run_gttl, SelectorKind.CTTL: run_cttl, SelectorKind.RTTL: run_rttl}
+    return run.get(kind, run_exhaustive)(trainer, model, hold_range, **options)
 
 
 def iterations_csv_text(state: SelectionState) -> str:

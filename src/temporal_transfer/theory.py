@@ -116,8 +116,7 @@ def ghost_cell_lower_bound(hold_range: HoldRange, model: GapModel, k: int) -> fl
     The value is a valid (loose) lower bound whenever theta <= j_star / W.
     """
     theta = _require_bounded_symmetric(hold_range, model, "ghost_cell_lower_bound")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_bounds(counts={"k": (k, 0, math.inf)})
     if k == 0:
         return 0.0
     scale = theta * hold_range.width**2
@@ -139,16 +138,14 @@ def steps_to_cover(epsilon: float) -> int:
 def cttl_optimal_area(hold_range: HoldRange, model: GapModel, k: int) -> float:
     """Closed-form area of the budget-K coarse-to-fine schedule."""
     theta = _require_bounded_symmetric(hold_range, model, "cttl_optimal_area")
-    if k < 1:
-        raise ValueError(f"budget must be >= 1, got {k}")
+    check_bounds(counts={"k": (k, 1, math.inf)})
     return (1 - 1 / (4 * k)) * theta * hold_range.width**2
 
 
 def suboptimality_bound(hold_range: HoldRange, model: GapModel, k: int) -> float:
     """Upper bound on the coarse-to-fine advantage over the greedy selector."""
     theta = _require_bounded_symmetric(hold_range, model, "suboptimality_bound")
-    if k < 2:
-        raise ValueError(f"bound is defined for budgets >= 2, got {k}")
+    check_bounds(counts={"k": (k, 2, math.inf)})
     scale = theta * hold_range.width**2
     n = k - 1
     if n & (n - 1) == 0:  # k = 2^i + 1 for some i >= 0

@@ -81,8 +81,9 @@ class TestC1SinglePickCertification:
         coarse = coarse_range(UNIT, 41)
         cell = coarse.resolution
         land = apply_transfer(Landscape.zeros(coarse), UNIT_MODEL, 0.5, 1.0)
-        left_pick, _ = best_marginal_cell(land, UNIT_MODEL, 0.0, 0.5)
-        right_pick, _ = best_marginal_cell(land, UNIT_MODEL, 0.5, 1.0)
+        mid = coarse.index_of(0.5)
+        left_pick = coarse.point(best_marginal_cell(land, UNIT_MODEL, 0, mid)[0])
+        right_pick = coarse.point(best_marginal_cell(land, UNIT_MODEL, mid, coarse.n_cells)[0])
         oks.append(abs(left_pick - (2 * 0.0 + 0.5) / 3) <= cell)
         oks.append(abs(right_pick - (0.5 + 2 * 1.0) / 3) <= cell)
         elapsed = time.time() - t0

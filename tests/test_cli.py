@@ -41,7 +41,7 @@ class TestRun:
         code, out, err = run_cli(["run", "--algo", "gttl", "--dmin", "0", "--dmax", "40",
                                   "--resolution", "1e-9", "--out", str(tmp_path / "x")], capsys)
         assert (code, out) == (2, "")
-        assert f"has 4e+10 cells, above the limit of {MAX_CELLS:,}" in err
+        assert f"cells = 40,000,000,000.0 is above the limit of {MAX_CELLS:,}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_cttl_example(self, tmp_path, capsys):
@@ -314,7 +314,7 @@ class TestOracleCommand:
     def test_k_beyond_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(["oracle", "--grid", "3", "--kmax", "4"], capsys)
         assert code == 2
-        assert "k must be in 1..3" in err
+        assert "--kmax = 4 is above the limit of 3" in err
 
 
 class TestRing:
@@ -495,14 +495,14 @@ class TestRing:
         cfg.write_text(RING_FAST + "controlled_vehicles = 3\n")
         code, out, err = run_cli(["ring", *action, "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
-        assert "n_guided must be 0 or 1, got 3" in err
+        assert "n_guided = 3 is above the limit of 1" in err
 
     def test_guided_count_config_key_above_one_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "three.cfg"
         cfg.write_text(RING_FAST + "number_of_controlled_vehicles = 3\n")
         code, out, err = run_cli(["ring", "eval", "--delta", "1", "--budget", "2", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
-        assert "n_guided must be 0 or 1, got 3" in err
+        assert "n_guided = 3 is above the limit of 1" in err
 
     @pytest.mark.parametrize("action", [["eval", "--delta", "1"], ["sweep", "--deltas", "1,2"]])
     def test_unguided_policy_search_is_rejected(self, action, tmp_path, capsys):
@@ -522,7 +522,7 @@ class TestRing:
         cfg.write_text("simulation_step = 1e-300\n")
         code, out, err = run_cli(["ring", "baseline", "--seeds", "1", "--config", str(cfg)], capsys)
         assert (code, out, calls) == (2, "", [])
-        assert f"more than the limit of {ringsim.MAX_STEPS:,} steps" in err
+        assert f"is above the limit of {ringsim.MAX_STEPS:,}" in err and "warmup + horizon steps = " in err
 
     def test_sweep_checks_durations_before_any_rollout(self, monkeypatch, capsys):
         from temporal_transfer import ringsim

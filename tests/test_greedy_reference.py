@@ -97,10 +97,11 @@ def reference_pick(state, model):
     if i not in state.picks:
         return i
     taken = set(state.picks)
-    found = best_marginal_cell(land, model, seg.left, seg.right, taken)
+    lo, hi = rng.nearest_index(seg.left), rng.nearest_index(seg.right)
+    found = best_marginal_cell(land, model, lo, hi, taken)
     if found is None:
-        found = best_marginal_cell(land, model, rng.d_min, rng.d_max, taken)
-    return None if found is None else rng.nearest_index(found[0])
+        found = best_marginal_cell(land, model, 0, rng.n_cells, taken)
+    return None if found is None else found[0]
 
 
 def assert_matches_reference(state, model):

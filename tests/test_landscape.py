@@ -1,5 +1,7 @@
 """Landscape, gap model, segmentation, and serialization tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,31 @@ def test_one_bounds_rule(positive, nonnegative, message):
     with pytest.raises(ValueError) as err:
         check_bounds(positive, nonnegative)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"n": (1, 2, 10)}, "n must be >= 2, got 1"),
+        ({"n": (np.nan, 0, 10)}, "n must be >= 0, got nan"),
+        ({"n": (11, 2, 10)}, "n = 11 is above the limit of 10"),
+        ({"cells": (4e10, 0, 10**6)}, "cells = 40,000,000,000.0 is above the limit of 1,000,000"),
+        ({"n": (np.inf, 0, 10**6)}, "n = inf is above the limit of 1,000,000"),
+        # an int too large for a float is still compared, and named whole
+        ({"n": (10**30, 0, 10**6)}, f"n = {10**30:,} is above the limit of 1,000,000"),
+        # the first failing value, in order
+        ({"a": (5, 0, 9), "b": (-1, 0, 9), "c": (99, 0, 9)}, "b must be >= 0, got -1"),
+    ],
+)
+def test_count_bounds(counts, message):
+    # least and most are both allowed, and math.inf is no limit
+    check_bounds(counts={"n": (10, 2, 10), "m": (2, 2, math.inf), "k": (10**400, 0, math.inf)})
+    with pytest.raises(ValueError) as err:
+        check_bounds(counts=counts)
+    assert str(err.value) == message
+    # the numeric groups come first
+    with pytest.raises(ValueError, match="x must be finite and positive"):
+        check_bounds(positive={"x": 0}, counts=counts)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

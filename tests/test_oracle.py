@@ -89,11 +89,12 @@ class TestExhaustiveBest:
 
     @pytest.mark.parametrize("k,cells", [(0, 41), (42, 41), (-1, 5)])
     def test_rejects_k_outside_grid(self, k, cells):
-        with pytest.raises(ValueError, match="k must be in"):
+        message = f"k must be >= 1, got {k}" if k < 1 else f"k = {k} is above the limit of {cells}"
+        with pytest.raises(ValueError, match=message):
             exhaustive_best(UNIT, MODEL, k, coarse_cells=cells)
 
     def test_rejects_grid_without_cells(self):
-        with pytest.raises(ValueError, match="at least 2 cells"):
+        with pytest.raises(ValueError, match="coarse_cells must be >= 2, got 1"):
             exhaustive_best(UNIT, MODEL, 1, coarse_cells=1)
 
     def test_shrinking_grid_changes_area_at_most_one_cell(self):
@@ -181,9 +182,10 @@ class TestSelectorOrdering:
 class TestBestMarginalCell:
     def test_trisection_recovered_by_brute_force(self):
         land = apply_transfer(Landscape.zeros(UNIT), MODEL, 0.5, 1.0)
-        left_pick, left_gain = best_marginal_cell(land, MODEL, 0.0, 0.5)
-        right_pick, right_gain = best_marginal_cell(land, MODEL, 0.5, 1.0)
-        assert left_pick == pytest.approx(1 / 6, abs=0.025)
-        assert right_pick == pytest.approx(5 / 6, abs=0.025)
+        mid = UNIT.index_of(0.5)
+        left_pick, left_gain = best_marginal_cell(land, MODEL, 0, mid)
+        right_pick, right_gain = best_marginal_cell(land, MODEL, mid, UNIT.n_cells)
+        assert UNIT.point(left_pick) == pytest.approx(1 / 6, abs=0.025)
+        assert UNIT.point(right_pick) == pytest.approx(5 / 6, abs=0.025)
         assert left_gain == pytest.approx(1 / 12, abs=0.01)
         assert right_gain == pytest.approx(1 / 12, abs=0.01)
