@@ -82,6 +82,7 @@ class HoldRange:
             )
         object.__setattr__(self, "n_cells", round(cells))
         grid = self.d_min + self.resolution * np.arange(self.n_points)
+        grid[-1] = self.d_max  # d_min + n_cells * resolution can round past it
         grid.flags.writeable = False
         object.__setattr__(self, "_grid", grid)
 
@@ -108,7 +109,8 @@ class HoldRange:
         return i
 
     def point(self, index: int) -> float:
-        return self.d_min + index * self.resolution
+        """The grid duration of an index: the last one is d_max exactly."""
+        return self.d_max if index == self.n_cells else self.d_min + index * self.resolution
 
     def nearest_index(self, duration):
         """Index of the nearest grid duration, halves to even, clamped to the

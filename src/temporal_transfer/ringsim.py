@@ -17,15 +17,20 @@ the batch it ran in. At a hold boundary the due rows whose policy is a
 LinearSpeedPolicy get their commands from one numpy expression,
 `LinearSpeedPolicy.commands`, which its `__call__` also evaluates; any other
 policy (a constant, a script, a user callable, or a LinearSpeedPolicy
-subclass) is called row by row.
+subclass) is called row by row. The horizon's across-vehicle mean and std
+are reduced a block of steps at a time and summed in step order, so they
+are the numbers of a step-by-step loop.
 
 The policy search advances all its hold durations in lockstep, and its
 refinement is speculative: a proposal's random step does not depend on the
 incumbent, so one batch scores the next rounds (at most 12) of every
 duration around its current incumbent, and each duration keeps the rounds up
 to its first improvement. That gives exactly the candidates and scores of
-one round at a time. For `sweep`, the first batch also scores the unguided
-ring of the search seed, the baseline that it reports.
+one round at a time. A candidate without feedback gains commands one speed
+level whatever its hold, so each such level is simulated once per search and
+its score reused by every duration and batch. For `sweep`, the first batch
+also scores the unguided ring of the search seed, the baseline that it
+reports.
 """
 
 from __future__ import annotations
@@ -62,6 +67,11 @@ class IdmParams:
         check_bounds(positive=vars(self))
 
 
+# Most speed levels of a LinearSpeedPolicy: its snap rounds to a level index
+# of at most levels - 1 in float64, which counts every integer up to 2**53.
+MAX_SPEED_LEVELS = 2**53
+
+
 @dataclass(frozen=True)
 class GuidanceParams:
     mode: str = "speed"         # "speed" or "acceleration"
@@ -77,7 +87,7 @@ class GuidanceParams:
         check_bounds(
             positive={"hold": self.hold, "accel_cap": self.accel_cap},
             nonnegative={"alpha": self.alpha, "beta": self.beta},
-            counts={"n_speed_levels": (self.n_speed_levels, 2, math.inf)},
+            counts={"n_speed_levels": (self.n_speed_levels, 2, MAX_SPEED_LEVELS)},
         )
 
 
@@ -87,6 +97,13 @@ MAX_STEPS = 1_000_000
 # Most rollouts of one policy search, durations times budget: one duration at
 # the default config scores 12 a batch at about a second a batch.
 MAX_ROLLOUTS = 720
+# Most vehicles on the ring: `ring baseline` of its 10 default seeds over the
+# default 15,000 steps takes under a minute at about 3 ms a step.
+MAX_VEHICLES = 10_000
+# Scored steps of a rollout whose across-vehicle mean and std are computed
+# together: each step copies its speeds into the block, and a full block is
+# reduced in a few numpy calls. A longer block reads a higher peak memory.
+_SCORE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,8 @@ class RingConfig:
             raise ValueError("vehicles do not fit on the ring")
         warmup = _hold_steps("warmup", self.warmup, self.dt, least=0)
         steps = warmup + _hold_steps("horizon", self.horizon, self.dt)
-        check_bounds(counts={"warmup + horizon steps": (steps, 1, MAX_STEPS)})
+        check_bounds(counts={"n_vehicles": (self.n_vehicles, 1, MAX_VEHICLES),
+                             "warmup + horizon steps": (steps, 1, MAX_STEPS)})
         _hold_steps("hold", self.guidance.hold, self.dt)
 
 
@@ -314,55 +332,55 @@ def simulate_many(
     n_warm = _hold_steps("warmup", config.warmup, config.dt, least=0)
     n_score = _hold_steps("horizon", config.horizon, config.dt)
     total = n_warm + n_score
-    starts = {seed: initial_state(config, seed) for seed in dict.fromkeys(seeds)}
-    positions = np.array([starts[seed].positions for seed in seeds])
-    speeds = np.array([starts[seed].speeds for seed in seeds])
-    gaps = ring_gaps(positions, config)
-    lead = _leaders(config.n_vehicles)[0]  # the guided vehicle's leader
+    n = config.n_vehicles
     guided = np.array([p is not None and config.n_guided >= 1 for p in policies])
     linear = [bool(g) and type(p) is LinearSpeedPolicy for p, g in zip(policies, guided)]
+    # The lines of the arrays hold the linear rows first, by hold, then the
+    # others: each hold's linear rows are one slice of lines, and a collided
+    # row leaves without reordering the rest.
+    live = np.array(sorted(range(n_rows), key=lambda row: (0, hold_steps[row]) if linear[row] else (1, 0)))
+    starts = {seed: initial_state(config, seed) for seed in dict.fromkeys(seeds)}
+    positions = np.array([starts[seeds[row]].positions for row in live])
+    speeds = np.array([starts[seeds[row]].speeds for row in live])
+    gaps = ring_gaps(positions, config)
+    lead = _leaders(n)[0]  # the guided vehicle's leader
     params = np.zeros((n_rows, 7))      # LinearSpeedPolicy.params() of each linear row
     for row in np.flatnonzero(linear):
         params[row] = policies[row].params()
-    commands = np.zeros(n_rows)         # held command of each live row
+    line_hold = np.array([hold_steps[row] if linear[row] else 0 for row in live])  # 0: not linear
+    commands = np.zeros(n_rows)         # held command of each live line
     issued: list[list[float]] = [[] for _ in range(n_rows)]
+    groups = []                         # (hold steps, first line, end line, rows, parameter columns, log)
     collisions: list[CollisionError | None] = [None] * n_rows
     speed_sum = np.zeros(n_rows)
     std_sum = np.zeros(n_rows)
+    block = np.empty((n_rows, _SCORE_BLOCK, n))  # the scored speeds of the current block
     if record:
-        speeds_log = np.full((n_rows, total, config.n_vehicles), np.nan)
-        positions_log = np.full((n_rows, total, config.n_vehicles), np.nan)
+        speeds_log = np.full((n_rows, total, n), np.nan)
+        positions_log = np.full((n_rows, total, n), np.nan)
         commands_log = np.full((n_rows, total), np.nan)
-    live = np.arange(n_rows)            # the row of each line of the arrays
     dropped = True                      # live changed: rebuild the policy schedule
     t = 0.0
     for i in range(total):
         if dropped:
+            _extend_issued(issued, groups)
             steer = guided[live]
             steered = steer.any()
             mask = None if steer.all() else steer
             caps = _speed_caps(config, steer)
-            callers = []                # (line, row, hold steps) of each called policy
-            due: dict[int, list[int]] = {}  # hold steps -> lines of linear policies
-            for line in np.flatnonzero(steer).tolist():
-                row = live[line]
-                if linear[row]:
-                    due.setdefault(hold_steps[row], []).append(line)
-                else:
-                    callers.append((line, row, hold_steps[row]))
-            groups = []                 # (hold steps, lines, rows, parameter columns)
-            for every, group in due.items():
-                lines = np.array(group)
-                groups.append((every, lines, live[lines], params[live[lines]].T))
+            n_linear = np.count_nonzero(line_hold)
+            groups = []
+            for every in dict.fromkeys(line_hold[:n_linear].tolist()):
+                a, b = np.searchsorted(line_hold[:n_linear], [every, every + 1]).tolist()
+                groups.append((every, a, b, live[a:b], params[live[a:b]].T, []))
+            callers = [(line, live[line], hold_steps[live[line]])
+                       for line in range(n_linear, len(live)) if steer[line]]
             dropped = False
-        for every, lines, rows, columns in groups:
+        for every, a, b, _, columns, log in groups:
             if i % every == 0:
-                values = LinearSpeedPolicy.commands(
-                    columns, speeds[:, 0].take(lines), speeds[:, lead].take(lines), gaps[:, 0].take(lines)
-                )
-                commands[lines] = values
-                for row, command in zip(rows.tolist(), values.tolist()):
-                    issued[row].append(command)
+                values = LinearSpeedPolicy.commands(columns, speeds[a:b, 0], speeds[a:b, lead], gaps[a:b, 0])
+                commands[a:b] = values
+                log.append(values)
         for line, row, every in callers:
             if i % every == 0:
                 command = float(policies[row]((speeds[line, 0], speeds[line, lead], gaps[line, 0])))
@@ -372,14 +390,14 @@ def simulate_many(
             positions, speeds, gaps, config, caps, commands if steered else None, mask
         )
         t += config.dt
-        overlap = gaps <= 0
-        if overlap.any():
-            hit = overlap.any(axis=1)
+        if not gaps.min() > 0:  # a row overlapped (or a gap is NaN: look row by row)
+            hit = (gaps <= 0).any(axis=1)
             for line in np.flatnonzero(hit):
                 collisions[live[line]] = _collision(gaps[line], t)
             keep = ~hit
             live, positions, speeds, gaps = live[keep], positions[keep], speeds[keep], gaps[keep]
             commands, speed_sum, std_sum = commands[keep], speed_sum[keep], std_sum[keep]
+            line_hold, block = line_hold[keep], block[keep]
             dropped = True
             if not len(live):
                 break
@@ -388,16 +406,15 @@ def simulate_many(
             positions_log[live, i] = positions % config.circumference
             commands_log[live, i] = np.where(guided[live], commands, np.nan)
         if i >= n_warm:
-            # Row-wise numpy mean and std, sharing the mean: the same
-            # operations as speeds.mean(axis=1) and speeds.std(axis=1).
-            mean = speeds.sum(axis=1, keepdims=True) / config.n_vehicles
-            deviation = speeds - mean
-            speed_sum += mean[:, 0]
-            std_sum += np.sqrt((deviation * deviation).sum(axis=1) / config.n_vehicles)
+            slot = (i - n_warm) % _SCORE_BLOCK
+            block[:, slot] = speeds
+            if slot == _SCORE_BLOCK - 1 or i == total - 1:
+                speed_sum, std_sum = _score_block(block[:, : slot + 1], speed_sum, std_sum)
     mean_speed = np.full(n_rows, -np.inf)
     speed_std = np.full(n_rows, np.nan)
     mean_speed[live] = speed_sum / n_score
     speed_std[live] = std_sum / n_score
+    _extend_issued(issued, groups)
     return [
         RolloutResult(
             mean_speed=float(mean_speed[row]),
@@ -410,6 +427,28 @@ def simulate_many(
         )
         for row in range(n_rows)
     ]
+
+
+def _extend_issued(issued: list[list[float]], groups) -> None:
+    """Append the commands that each group of linear rows logged, one array
+    per hold boundary, to its rows' lists of issued commands."""
+    for _, _, _, rows, _, log in groups:
+        if log:
+            for row, commands in zip(rows.tolist(), np.array(log).T.tolist()):
+                issued[row].extend(commands)
+
+
+def _score_block(speeds: np.ndarray, speed_sum: np.ndarray, std_sum: np.ndarray):
+    """Add the across-vehicle mean and std of each step of a (rows, steps,
+    n_vehicles) block to each row's running sums, one step after another: the
+    numbers of speeds.mean(axis=1) and speeds.std(axis=1) per step, and of
+    adding them to the sums step by step. Overwrites the block."""
+    n = speeds.shape[2]
+    mean = speeds.sum(axis=2, keepdims=True) / n
+    deviation = np.subtract(speeds, mean, out=speeds)
+    std = np.sqrt(np.multiply(deviation, deviation, out=deviation).sum(axis=2) / n)
+    return (np.cumsum(np.column_stack([speed_sum, mean[:, :, 0]]), axis=1)[:, -1],
+            np.cumsum(np.column_stack([std_sum, std]), axis=1)[:, -1])
 
 
 def simulate(config: RingConfig, policy, seed: int, record: bool = False) -> RolloutResult:
@@ -537,6 +576,7 @@ def _search(
     scores = [[] for _ in deltas]
     best = [0] * len(deltas)  # the first best candidate is the incumbent
     unguided = [None] if with_baseline else []  # the baseline row, first batch only
+    constant = {}  # a constant candidate's speed level -> its rollout's mean speed
     baseline = None
     while True:
         # Each duration's next rounds, at most one lattice's worth, around its
@@ -551,22 +591,38 @@ def _search(
         ]
         if not batch and not unguided:
             break
-        policies = [LinearSpeedPolicy(w[0], w[1], w[2], config) for _, _, w in batch] + unguided
-        holds = [deltas[k] for k, _, _ in batch] + [config.guidance.hold] * len(unguided)
+        # A candidate without feedback (w1 = w2 = 0) commands one speed level
+        # at every boundary, whatever its hold and observation: its rollout is
+        # that of its level, simulated once per search.
+        proposed = [LinearSpeedPolicy(w[0], w[1], w[2], config) for _, _, w in batch]
+        levels = [
+            float(LinearSpeedPolicy.commands(p.params(), 0.0, 0.0, 0.0)) if p.w[1] == p.w[2] == 0 else None
+            for p in proposed
+        ]
+        first = {}  # a level not yet scored -> the batch entry that simulates it
+        for j, level in enumerate(levels):
+            if level is not None and level not in constant:
+                first.setdefault(level, j)
+        simulated = [j for j, level in enumerate(levels) if level is None or first.get(level) == j]
+        policies = [proposed[j] for j in simulated] + unguided
+        holds = [deltas[batch[j][0]] for j in simulated] + [config.guidance.hold] * len(unguided)
         rollouts = simulate_many(config, [seed] * len(policies), policies, holds)
         if unguided:
             baseline, unguided = rollouts.pop(), []
             if baseline.collision is not None:
                 raise baseline.collision
+        achieved = {j: rollout.mean_speed for j, rollout in zip(simulated, rollouts)}
+        constant.update((level, achieved[j]) for level, j in first.items())
         stale = [False] * len(deltas)
-        for (k, i, proposal), rollout in zip(batch, rollouts):
+        for j, ((k, i, proposal), level) in enumerate(zip(batch, levels)):
             # Refinement rounds after an improvement were proposed around a
             # stale incumbent: the next batch proposes them again.
             if stale[k]:
                 continue
+            score = achieved[j] if level is None else constant[level]
             candidates[k].append(proposal)
-            scores[k].append(rollout.mean_speed)
-            if rollout.mean_speed > scores[k][best[k]]:
+            scores[k].append(score)
+            if score > scores[k][best[k]]:
                 best[k] = i
                 stale[k] = i >= len(lattice)
     results = []

@@ -44,6 +44,16 @@ class TestRun:
         assert f"cells = 40,000,000,000.0 is above the limit of {MAX_CELLS:,}" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("algo", [["exhaustive"], ["cttl", "--budget", "30"]])
+    def test_last_grid_point_is_trained_at_d_max(self, algo, tmp_path, capsys):
+        # 0 + 25 * 0.28 is 7.000000000000001, which the trainer rejected as
+        # outside [0, 7]; the last grid point is 7 itself.
+        code, out, err = run_cli(["run", "--algo", *algo, "--dmax", "7", "--resolution", "0.28",
+                                  "--out", str(tmp_path / "r")], capsys)
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "r_iterations.csv").read_text().splitlines()[1:]
+        assert "7" in [row.split(",")[1] for row in rows]
+
     def test_cttl_example(self, tmp_path, capsys):
         code, out, _ = run_cli(
             [
@@ -618,6 +628,17 @@ class TestRing:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, "")
         assert err == f"invalid input: {message}\n"
+
+    def test_speed_levels_above_the_limit_is_usage_error(self, tmp_path, capsys):
+        # A level count with no float: the snap would overflow converting it.
+        from temporal_transfer.ringsim import MAX_SPEED_LEVELS
+
+        levels = 10**400
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(f"warmup = 10\nhorizon = 20\nn_speed_levels = {levels}\n")
+        code, out, err = run_cli(["ring", "eval", "--delta", "1", "--budget", "2", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: n_speed_levels = {levels:,} is above the limit of {MAX_SPEED_LEVELS:,}\n"
         assert not (tmp_path / "out").exists()
 
     def test_one_vehicle_ring_is_guided(self, capsys):

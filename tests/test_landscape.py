@@ -90,6 +90,17 @@ class TestHoldRange:
             rng.grid()[0] = 1.0
         np.testing.assert_array_equal(rng.grid(), 0 + 0.1 * np.arange(401))
 
+    @pytest.mark.parametrize(
+        "d_min, d_max, resolution", [(0, 7, 0.28), (0, 40, 0.000632471064449), (0.1, 1.3, 0.2), (0, 0.9, 0.3)]
+    )
+    def test_last_point_is_d_max(self, d_min, d_max, resolution):
+        # d_min + n_cells * resolution rounds to 7.000000000000001,
+        # 40.000000000012555, 1.3000000000000003 and 0.8999999999999999.
+        rng = HoldRange(d_min, d_max, resolution)
+        assert d_min + rng.n_cells * resolution != d_max
+        assert rng.grid()[-1] == rng.point(rng.n_cells) == d_max
+        assert rng.snap(d_max + 1) == d_max and rng.index_of(d_max) == rng.n_cells
+
     def test_cell_limit(self):
         assert HoldRange(0, 1, 1 / MAX_CELLS).n_cells == MAX_CELLS
         # Just above the limit, and far above it: rejected before any grid

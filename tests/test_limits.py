@@ -20,7 +20,15 @@ from conftest import cli_env
 from temporal_transfer import cli
 from temporal_transfer.landscape import MAX_CELLS, HoldRange, symmetric_model
 from temporal_transfer.oracle import MAX_COARSE_CELLS, coarse_range, exhaustive_best
-from temporal_transfer.ringsim import MAX_ROLLOUTS, MAX_STEPS, RingConfig, train_and_measure_many
+from temporal_transfer.ringsim import (
+    MAX_ROLLOUTS,
+    MAX_SPEED_LEVELS,
+    MAX_STEPS,
+    MAX_VEHICLES,
+    GuidanceParams,
+    RingConfig,
+    train_and_measure_many,
+)
 from temporal_transfer.selectors import (
     MAX_BUDGET,
     MAX_MERGES,
@@ -51,6 +59,8 @@ def _cases():
         "cells": lambda: HoldRange(0, MAX_CELLS + 1, 1.0),
         "warmup + horizon steps": lambda: RingConfig(warmup=0.0, horizon=(MAX_STEPS + 1) * 0.1),
         "n_guided": lambda: RingConfig(n_guided=2),
+        "n_vehicles": lambda: RingConfig(n_vehicles=MAX_VEHICLES + 1, circumference=12.0 * (MAX_VEHICLES + 1)),
+        "n_speed_levels": lambda: GuidanceParams(n_speed_levels=MAX_SPEED_LEVELS + 1),
         "durations * search budget": lambda: train_and_measure_many(FAST, [1.0], MAX_ROLLOUTS + 1, 0),
         "durations * search budget (durations)": lambda: train_and_measure_many(
             FAST, [0.1 * (i + 1) for i in range(MAX_ROLLOUTS // 24 + 1)], 24, 0
@@ -90,6 +100,8 @@ def test_largest_accepted_counts_pass_the_rule():
     # One below each over-limit case above: accepted, and only checked here.
     HoldRange(0, MAX_CELLS, 1.0)
     RingConfig(warmup=0.0, horizon=MAX_STEPS * 0.1)
+    RingConfig(n_vehicles=MAX_VEHICLES, circumference=12.0 * MAX_VEHICLES)
+    GuidanceParams(n_speed_levels=MAX_SPEED_LEVELS)
     RingTrainer(FAST, search_budget=MAX_ROLLOUTS)
     assert coarse_range(UNIT, MAX_COARSE_CELLS).n_points == MAX_COARSE_CELLS
 
@@ -134,3 +146,16 @@ def test_over_limit_command_exits_2_in_a_capped_child(args, size, limit, tmp_pat
     assert (done.returncode, done.stdout) == (2, "")
     assert f"{size} = " in done.stderr and f"is above the limit of {limit:,}" in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_over_limit_vehicles_exit_2_in_a_capped_child(tmp_path):
+    # The ring is long enough for the vehicles, so only the limit rejects them.
+    n = MAX_VEHICLES + 1
+    config = tmp_path / "vehicles.cfg"
+    config.write_text(f"total_number_of_vehicles = {n}\ncircumference = {12 * n}\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    done = run_capped(["ring", "baseline", "--config", str(config), "--out", "x"], work)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"invalid input: n_vehicles = {n:,} is above the limit of {MAX_VEHICLES:,}\n"
+    assert list(work.iterdir()) == []

@@ -514,6 +514,55 @@ class TestBatchedIntegrator:
         assert sum(r.collision is not None for r in results) >= 40
 
 
+class TestBlockScoring:
+    """The horizon is scored in blocks of ringsim._SCORE_BLOCK steps, with
+    the numbers of the per-step loop of reference_rollout, also where a row
+    leaves the batch inside a block or on its last step."""
+
+    # 22 and 130 vehicles (above numpy's pairwise-sum block of 128) at the
+    # default spacing, and the cramped ring of 30, where most rows collide.
+    @pytest.mark.parametrize("n_vehicles, circumference", [(22, 250.0), (30, 250.0), (130, 250.0 * 130 / 22)])
+    def test_scores_match_the_per_step_reference(self, n_vehicles, circumference):
+        # A 0.5 s warmup puts the first scored step 5 steps in, so the rows'
+        # collisions (at steps 11 to 29) fall on every slot of the first
+        # blocks; the 395 scored steps end in a partial block.
+        config = RingConfig(n_vehicles=n_vehicles, circumference=circumference, warmup=0.5, horizon=39.5)
+        rows = [(seed, 1.0, ConstantPolicy(10.0)) for seed in range(6)]  # they floor into the leader
+        rows += [(0, 1.0, None), (1, 1.0, None), (0, 0.1, ConstantPolicy(3.0)), (1, 5.0, ConstantPolicy(2.0))]
+        rows += [(seed, hold, LinearSpeedPolicy(*w, config))
+                 for seed, hold, w in ((0, 0.1, (4.0, 0.6, 0.1)), (2, 1.0, (2.0, 1.2, 0.2)), (1, 40.0, (4.0, 0.0, 0.0)))]
+        got = simulate_many(config, [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])
+        n_warm, block = 5, ringsim._SCORE_BLOCK
+        slots = set()
+        for (seed, hold, policy), result in zip(rows, got):
+            one = replace(config, guidance=replace(config.guidance, hold=hold))
+            if result.collision is not None:
+                with pytest.raises(CollisionError) as err:
+                    reference_rollout(one, policy, seed)
+                assert str(err.value) == str(result.collision)
+                slots.add((round(result.collision.time / config.dt) - 1 - n_warm) % block)
+                continue
+            *_, mean_speed, speed_std = reference_rollout(one, policy, seed)
+            assert (_bits(result.mean_speed), _bits(result.speed_std)) == (_bits(mean_speed), _bits(speed_std))
+        # Rows leave on a block's last step and inside a block, and some run to the end.
+        assert block - 1 in slots and slots & set(range(1, block - 1))
+        assert any(r.collision is None for r in got)
+
+    @pytest.mark.parametrize("w0", [0.0, 2.0, 3.1, 4.44])
+    def test_constant_command_scores_the_same_at_every_hold(self, w0):
+        # w1 = w2 = 0 issues one speed level at every boundary, so the hold
+        # does not change the rollout; w0 = 0 is the level 0.0.
+        holds = (0.1, 1.0, 5.0, 40.0)
+        policy = LinearSpeedPolicy(w0, 0.0, 0.0, SHORT)
+        results = simulate_many(SHORT, [3] * len(holds), [policy] * len(holds), holds)
+        level = policy((0.0, 0.0, 0.0))
+        for hold, result in zip(holds, results):
+            assert result.commands == [level] * math.ceil((SHORT.warmup + SHORT.horizon) / hold - 1e-9)
+            assert result.collision is None
+            assert (_bits(result.mean_speed), _bits(result.speed_std)) == (
+                _bits(results[0].mean_speed), _bits(results[0].speed_std))
+
+
 def _bits(value) -> bytes:
     """A float's IEEE bytes: tells -0.0 from 0.0, which == does not."""
     return np.float64(value).tobytes()
@@ -800,6 +849,20 @@ class TestSpeculativeRefinement:
             # rounds proposed around a stale incumbent were discarded.
             assert max(improved) >= 2
 
+    def test_each_constant_level_is_simulated_once_per_search(self, monkeypatch):
+        # A candidate with w1 = w2 = 0 rolls out its speed level alone: the
+        # lattice's 4 such candidates per duration, and every constant
+        # proposal of refinement, score from one rollout per level.
+        constants = []
+
+        def recording(config, seeds, policies=None, holds=None, record=False):
+            constants.extend(p((0.0, 0.0, 0.0)) for p in policies if p is not None and p.w[1] == p.w[2] == 0)
+            return simulate_many(config, seeds, policies, holds, record)
+
+        monkeypatch.setattr(ringsim, "simulate_many", recording)
+        train_and_measure_many(self.CONFIG, self.DELTAS, 37, 1)
+        assert sorted(constants) == sorted(set(constants)) and len(constants) >= 4
+
     @pytest.mark.parametrize(
         "deltas, budget",
         [((0.1, 1.0, 5.0, 40.0), 13), ((40.0, 5.0, 1.0, 0.1), 13), ((0.1, 1.0, 5.0, 40.0), 16)],
@@ -840,6 +903,45 @@ def test_sweep_stdout_is_pinned(seed, capsys):
     args = ["ring", "sweep", "--deltas", "0.1,1,5,15,40", "--warmup", "10", "--horizon", "40", "--seed", seed]
     assert main(args) == 0
     assert capsys.readouterr().out == SWEEP_GOLDEN[seed]
+
+
+# The default config (warmup 500 s, horizon 1000 s), printed before each
+# constant candidate was simulated once per search and before the horizon was
+# scored in blocks; with 101 speed levels, policies with feedback win too.
+SWEEP_DEFAULT_GOLDEN = {
+    ("3", 10): (
+        "delta,achieved,baseline,policy_id\n"
+        "0.1,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@0.1s\n"
+        "1,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@1s\n"
+        "5,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@5s\n"
+        "15,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@15s\n"
+        "40,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@40s\n"
+    ),
+    ("7", 10): (
+        "delta,achieved,baseline,policy_id\n"
+        "0.1,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@0.1s\n"
+        "1,4.52673,2.99419,ring[w0=5.098,w1=0,w2=0.03158]@1s\n"
+        "5,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@5s\n"
+        "15,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@15s\n"
+        "40,4.44444,2.99419,ring[w0=4,w1=0,w2=0]@40s\n"
+    ),
+    ("7", 101): (
+        "delta,achieved,baseline,policy_id\n"
+        "0.1,4.43272,2.99419,ring[w0=4.578,w1=0.07424,w2=0.09047]@0.1s\n"
+        "1,4.6484,2.99419,ring[w0=4.754,w1=0.8439,w2=0.01682]@1s\n"
+        "5,4.30659,2.99419,ring[w0=4.308,w1=0.8956,w2=0.01282]@5s\n"
+        "15,4.4,2.99419,ring[w0=4.402,w1=0,w2=0]@15s\n"
+        "40,4.5,2.99419,ring[w0=4.483,w1=0,w2=0]@40s\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, levels", list(SWEEP_DEFAULT_GOLDEN))
+def test_default_config_sweep_stdout_is_pinned(seed, levels, tmp_path, capsys):
+    config = tmp_path / "levels.cfg"
+    config.write_text(f"n_speed_levels = {levels}\n")
+    assert main(["ring", "sweep", "--deltas", "0.1,1,5,15,40", "--seed", seed, "--config", str(config)]) == 0
+    assert capsys.readouterr().out == SWEEP_DEFAULT_GOLDEN[seed, levels]
 
 
 def test_baseline_stdout_is_pinned(capsys):
