@@ -325,10 +325,12 @@ def cmd_export_plot(args) -> int:
     if len(header) < 2:
         raise UsageError(f"{args.input}: need at least two columns to melt")
     out = ["series,x,y"]
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
+        if len(fields) != len(header):
+            raise UsageError(f"{args.input}:{lineno}: expected {len(header)} fields, got {len(fields)}")
         x = fields[0]
         for name, value in zip(header[1:], fields[1:]):
             out.append(f"{name},{x},{value}")

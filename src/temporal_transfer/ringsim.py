@@ -26,11 +26,12 @@ refinement is speculative: a proposal's random step does not depend on the
 incumbent, so one batch scores the next rounds (at most 12) of every
 duration around its current incumbent, and each duration keeps the rounds up
 to its first improvement. That gives exactly the candidates and scores of
-one round at a time. A candidate without feedback gains commands one speed
-level whatever its hold, so each such level is simulated once per search and
-its score reused by every duration and batch. For `sweep`, the first batch
-also scores the unguided ring of the search seed, the baseline that it
-reports.
+one round at a time. Every rollout of a search starts from its seed's ring,
+so the search keeps one memo of the distinct rollouts it has run: the
+unguided ring (the baseline that `sweep` reports), a candidate without
+feedback by its speed level alone (it commands that level whatever its
+hold), and any other candidate by its hold and weights. Each is simulated
+once per search, and a batch simulates only the rollouts it does not know.
 """
 
 from __future__ import annotations
@@ -557,87 +558,76 @@ def _search(
     config: RingConfig, deltas, search_budget: int, seed: int, with_baseline: bool = False
 ) -> tuple[float | None, list[EvaluatorResult]]:
     """The lockstep policy search of train_and_measure_many and sweep. Returns
-    the mean speed of the seed's unguided ring, one more row in the first
-    batch when `with_baseline` asks for it (None otherwise), and the result
-    of each duration. The errors come in the order that sweep documents."""
+    the mean speed of the seed's unguided ring when `with_baseline` asks for
+    it (None otherwise), and the result of each duration. The errors come in
+    the order that sweep documents. The memo of rollouts is keyed None for
+    the unguided ring, by the speed level (a float) of a candidate with
+    w1 = w2 = 0, and by (hold steps, w0, w1, w2) for any other candidate:
+    never by a row index, as 0.0 == 0. Each batch simulates the keys it does
+    not know in one simulate_many call, and none when it knows them all."""
     deltas = list(deltas)
     check_search(config, search_budget, len(deltas))
-    generators = [
-        np.random.default_rng(np.random.SeedSequence([seed, _hold_steps("delta", delta, config.dt)]))
-        for delta in deltas
-    ]
+    check_bounds(counts={"seed": (seed, 0, math.inf)})
+    steps = [_hold_steps("delta", delta, config.dt) for delta in deltas]
+    generators = [np.random.default_rng(np.random.SeedSequence([seed, every])) for every in steps]
     lattice = [np.array([w0, w1, w2]) for w0 in _LATTICE_W0 for (w1, w2) in _LATTICE_FEEDBACK]
     # Round i < len(lattice) scores lattice point i. Each later round scores a
     # Gaussian step around the incumbent, shrinking as the budget is spent;
     # the step does not depend on the incumbent, so each duration's steps are
     # drawn up front, in round order.
     noise = [[rng.normal(size=3) for _ in range(len(lattice), search_budget)] for rng in generators]
-    candidates = [[] for _ in deltas]
-    scores = [[] for _ in deltas]
-    best = [0] * len(deltas)  # the first best candidate is the incumbent
-    unguided = [None] if with_baseline else []  # the baseline row, first batch only
-    constant = {}  # a constant candidate's speed level -> its rollout's mean speed
-    baseline = None
+    done = [0] * len(deltas)            # the rounds each duration has scored
+    incumbent = [None] * len(deltas)    # each duration's first best (weights, score)
+    rollouts = {}                       # the memo: rollout key -> RolloutResult
+    unknown = {None: (None, config.guidance.hold)} if with_baseline else {}  # key -> (policy, hold)
     while True:
         # Each duration's next rounds, at most one lattice's worth, around its
         # current incumbent.
-        batch = [
-            (k, i, lattice[i] if i < len(lattice) else np.clip(
-                c[best[k]] + noise[k][i - len(lattice)] * _REFINE_SCALE * 0.85 ** (i - len(lattice)),
-                _PARAM_LO, _PARAM_HI,
-            ))
-            for k, c in enumerate(candidates)
-            for i in range(len(c), min(len(c) + len(lattice), search_budget))
-        ]
-        if not batch and not unguided:
+        batch = []
+        for k, (delta, every) in enumerate(zip(deltas, steps)):
+            for i in range(done[k], min(done[k] + len(lattice), search_budget)):
+                w = lattice[i] if i < len(lattice) else np.clip(
+                    incumbent[k][0] + noise[k][i - len(lattice)] * _REFINE_SCALE * 0.85 ** (i - len(lattice)),
+                    _PARAM_LO, _PARAM_HI,
+                )
+                policy = LinearSpeedPolicy(w[0], w[1], w[2], config)
+                key = (float(policy.commands(policy.params(), 0.0, 0.0, 0.0)) if w[1] == w[2] == 0
+                       else (every, *w.tolist()))
+                batch.append((k, i, w, key))
+                if key not in rollouts:
+                    unknown.setdefault(key, (policy, delta))
+        if unknown:
+            policies, holds = zip(*unknown.values())
+            rollouts.update(zip(unknown, simulate_many(config, [seed] * len(unknown), policies, holds)))
+            if None in unknown and rollouts[None].collision is not None:
+                raise rollouts[None].collision
+            unknown = {}
+        if not batch:
             break
-        # A candidate without feedback (w1 = w2 = 0) commands one speed level
-        # at every boundary, whatever its hold and observation: its rollout is
-        # that of its level, simulated once per search.
-        proposed = [LinearSpeedPolicy(w[0], w[1], w[2], config) for _, _, w in batch]
-        levels = [
-            float(LinearSpeedPolicy.commands(p.params(), 0.0, 0.0, 0.0)) if p.w[1] == p.w[2] == 0 else None
-            for p in proposed
-        ]
-        first = {}  # a level not yet scored -> the batch entry that simulates it
-        for j, level in enumerate(levels):
-            if level is not None and level not in constant:
-                first.setdefault(level, j)
-        simulated = [j for j, level in enumerate(levels) if level is None or first.get(level) == j]
-        policies = [proposed[j] for j in simulated] + unguided
-        holds = [deltas[batch[j][0]] for j in simulated] + [config.guidance.hold] * len(unguided)
-        rollouts = simulate_many(config, [seed] * len(policies), policies, holds)
-        if unguided:
-            baseline, unguided = rollouts.pop(), []
-            if baseline.collision is not None:
-                raise baseline.collision
-        achieved = {j: rollout.mean_speed for j, rollout in zip(simulated, rollouts)}
-        constant.update((level, achieved[j]) for level, j in first.items())
         stale = [False] * len(deltas)
-        for j, ((k, i, proposal), level) in enumerate(zip(batch, levels)):
+        for k, i, w, key in batch:
             # Refinement rounds after an improvement were proposed around a
             # stale incumbent: the next batch proposes them again.
             if stale[k]:
                 continue
-            score = achieved[j] if level is None else constant[level]
-            candidates[k].append(proposal)
-            scores[k].append(score)
-            if score > scores[k][best[k]]:
-                best[k] = i
+            score = rollouts[key].mean_speed
+            done[k] += 1
+            if i == 0 or score > incumbent[k][1]:
+                incumbent[k] = (w, score)
                 stale[k] = i >= len(lattice)
     results = []
-    for delta, c, s, b in zip(deltas, candidates, scores, best):
-        if not np.isfinite(s[b]):
+    for delta, (w, score) in zip(deltas, incumbent):
+        if not np.isfinite(score):
             raise TrainingError(
                 f"all {search_budget} candidate rollouts collided at delta={delta:.6g} (seed={seed})"
             )
         results.append(EvaluatorResult(
             delta=delta,
-            achieved=float(s[b]),
-            policy_id=f"ring[w0={c[b][0]:.4g},w1={c[b][1]:.4g},w2={c[b][2]:.4g}]@{delta:.6g}s",
+            achieved=float(score),
+            policy_id=f"ring[w0={w[0]:.4g},w1={w[1]:.4g},w2={w[2]:.4g}]@{delta:.6g}s",
             cost=float(search_budget),
         ))
-    return None if baseline is None else baseline.mean_speed, results
+    return rollouts[None].mean_speed if with_baseline else None, results
 
 
 def train_and_measure_many(
@@ -656,11 +646,14 @@ def train_and_measure_many(
     first that beats the incumbent and discards the rest. Each duration
     draws its proposal steps from its own (seed, hold steps) generator and
     keeps its own incumbent, so its result is that of a one-round-at-a-time
-    search at that duration alone. Returns the best achieved mean speed per
+    search at that duration alone. A rollout that two candidates share, a
+    constant command at any holds or a repeated duration's candidate, is
+    simulated once and scores both. Returns the best achieved mean speed per
     duration; the first duration, in input order, whose candidates all
     collided raises TrainingError. The config, the budget and the number of
-    durations must pass check_search, and every duration must be a positive
-    multiple of dt; both are checked before any rollout.
+    durations must pass check_search, the seed must be >= 0, and every
+    duration must be a positive multiple of dt; all are checked before any
+    rollout.
     """
     return _search(config, deltas, search_budget, seed)[1]
 
@@ -670,7 +663,8 @@ def sweep(
 ) -> tuple[float, list[EvaluatorResult]]:
     """train_and_measure_many, with the mean speed of the unguided ring of
     the same seed: the baseline the durations' results are compared with.
-    It is scored in the search's first batch, and it is the rollout that
+    It is one more rollout of the search's memo, simulated in the first
+    batch, and it is the rollout that
     `rollout_measure(replace(config, n_guided=0), None, seed)` runs. An
     unguided ring that collides raises its CollisionError, before any
     TrainingError.

@@ -8,6 +8,7 @@ for every strategy (truncating a run is the same as replaying its prefix).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -269,7 +270,7 @@ def run_rttl(
     trainer, model: GapModel, hold_range: HoldRange, budget: int = 15, seed: int = 0
 ) -> SelectionState:
     """Train budget-many distinct grid durations drawn uniformly at random."""
-    check_bounds(counts={"budget": (budget, 1, hold_range.n_points)})
+    check_bounds(counts={"budget": (budget, 1, hold_range.n_points), "seed": (seed, 0, math.inf)})
     plan = np.random.default_rng(seed).choice(hold_range.n_points, size=budget, replace=False)
     return _run_plan(trainer, model, hold_range, plan)
 

@@ -81,7 +81,7 @@ class NoisyTrainer(IdealTrainer):
 
     def __init__(self, j_star: float, hold_range: HoldRange, eta: float = 0.1, seed: int = 0):
         super().__init__(j_star, hold_range)
-        check_bounds(nonnegative={"eta": eta})
+        check_bounds(nonnegative={"eta": eta}, counts={"seed": (seed, 0, math.inf)})
         self.eta = eta
         self.seed = seed
 
@@ -168,14 +168,15 @@ class RingTrainer:
     """Trains a guidance policy in the ring micro-simulation at each duration.
 
     Selector-chosen durations are snapped to whole seconds (10 simulation
-    steps), clamped below at one step, before training. A config or budget
-    the policy search cannot use is rejected here, before any training.
+    steps), clamped below at one step, before training. A config, budget or
+    seed the policy search cannot use is rejected here, before any training.
     """
 
     def __init__(self, config, search_budget: int = 24, seed: int = 0):
         from . import ringsim
 
         ringsim.check_search(config, search_budget)
+        check_bounds(counts={"seed": (seed, 0, math.inf)})
         self.config = config
         self.search_budget = search_budget
         self.seed = seed

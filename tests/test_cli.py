@@ -33,6 +33,25 @@ def test_non_finite_model_or_range_is_usage_error(args, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algo", "gttl", "--budget", "3", "--trainer", "noisy"],
+        ["run", "--algo", "gttl", "--budget", "1", "--trainer", "ring", "--search-budget", "1",
+         "--warmup", "5", "--horizon", "5"],
+        ["run", "--algo", "rttl", "--budget", "3"],
+        ["ring", "eval", "--delta", "1", "--budget", "1", "--warmup", "5", "--horizon", "5"],
+        ["ring", "sweep", "--deltas", "1,5", "--budget", "1", "--warmup", "5", "--horizon", "5"],
+    ],
+    ids=["noisy", "ring-trainer", "rttl", "ring-eval", "ring-sweep"],
+)
+def test_negative_seed_is_usage_error(args, tmp_path, capsys):
+    # Every seed goes through the bounds rule before any training.
+    code, out, err = run_cli([*args, "--seed", "-1", "--out", str(tmp_path / "out" / "x")], capsys)
+    assert (code, out, err) == (2, "", "invalid input: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestRun:
     def test_grid_over_the_cell_limit_is_usage_error(self, tmp_path, capsys):
         # [0, 40] at 1e-9 s would be a 4e10-point grid
@@ -674,6 +693,15 @@ class TestExportPlot:
             "delta,2,10",
             "area,2,35",
         ]
+
+    @pytest.mark.parametrize("row, got", [("1,2,3", 3), ("4", 1)])
+    def test_row_of_another_width_is_usage_error(self, row, got, tmp_path, capsys):
+        # Melting would drop the extra field, or emit nothing for the row.
+        source = tmp_path / "run.csv"
+        source.write_text(f"a,b\n0,1\n\n{row}\n")
+        code, out, err = run_cli(["export-plot", "--input", str(source)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {source}:4: expected 2 fields, got {got}\n"
 
 
 class TestByteReproducibility:

@@ -852,16 +852,48 @@ class TestSpeculativeRefinement:
     def test_each_constant_level_is_simulated_once_per_search(self, monkeypatch):
         # A candidate with w1 = w2 = 0 rolls out its speed level alone: the
         # lattice's 4 such candidates per duration, and every constant
-        # proposal of refinement, score from one rollout per level.
+        # proposal of refinement, score from one rollout per level. Any other
+        # candidate rolls out its hold and weights, also once per search.
         constants = []
+        keys = []
+        sizes = []
 
         def recording(config, seeds, policies=None, holds=None, record=False):
             constants.extend(p((0.0, 0.0, 0.0)) for p in policies if p is not None and p.w[1] == p.w[2] == 0)
+            keys.extend(p((0.0, 0.0, 0.0)) if p.w[1] == p.w[2] == 0 else (round(h / config.dt), *p.w)
+                        for p, h in zip(policies, holds) if p is not None)
+            sizes.append(len(seeds))
             return simulate_many(config, seeds, policies, holds, record)
 
         monkeypatch.setattr(ringsim, "simulate_many", recording)
         train_and_measure_many(self.CONFIG, self.DELTAS, 37, 1)
         assert sorted(constants) == sorted(set(constants)) and len(constants) >= 4
+        assert len(keys) == len(set(keys)) > len(constants)
+        # The 13th round at 40 s proposes a level the lattice has simulated: its
+        # batch knows every rollout and makes no call.
+        sizes.clear()
+        train_and_measure_many(self.CONFIG, (40.0,), 13, 1)
+        assert sizes == [len(LATTICE)]
+
+    def test_repeated_duration_is_simulated_once(self, monkeypatch, capsys):
+        # A repeated duration proposes the same candidates as its first entry,
+        # so it adds no rollout and prints the same row.
+        batches = []  # per sweep, the rows of each simulate_many call
+
+        def recording(config, seeds, policies=None, holds=None, record=False):
+            batches[-1].append([(seed, hold, p and p.w) for seed, p, hold in zip(seeds, policies, holds)])
+            return simulate_many(config, seeds, policies, holds, record)
+
+        monkeypatch.setattr(ringsim, "simulate_many", recording)
+        printed = []
+        for deltas in ("1,0.1,1,40", "1,0.1,40"):
+            batches.append([])
+            assert main(["ring", "sweep", "--deltas", deltas, "--warmup", "10", "--horizon", "20",
+                         "--budget", "24", "--seed", "1"]) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        assert batches[0] == batches[1]
+        assert printed[0][1] == printed[0][3] == printed[1][1]
+        assert printed[0][:3] + printed[0][4:] == printed[1]
 
     @pytest.mark.parametrize(
         "deltas, budget",

@@ -1,5 +1,8 @@
 """Selection strategies: greedy picks, schedules, bookkeeping, properties."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from temporal_transfer.selectors import (
     run_rttl,
     run_selector,
 )
-from temporal_transfer.theory import ghost_cell_lower_bound, suboptimality_bound
+from temporal_transfer.theory import full_area, ghost_cell_lower_bound, suboptimality_bound
 from temporal_transfer.trainers import DecayingTrainer, EvaluatorResult, IdealTrainer
 
 WIDE = HoldRange(0, 40, 0.1)
@@ -292,3 +295,16 @@ class TestAnalyticalProperties:
             assert len(set(state.sources)) == len(state.sources)
         state = run_gttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=12, epsilon=0.0)
         assert len(set(state.sources)) == len(state.sources)
+
+
+def test_readme_library_sketch_runs_as_its_comments_state():
+    # The README's sketch runs as written and gives what its comments state.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    names = {}
+    exec(sketch, names)
+    state = names["state"]
+    assert state.picks == [200, 333, 67]
+    assert state.sources == [20.0, 33.300000000000004, 6.7]
+    assert round(state.area, 2) == 36.67
+    assert full_area(names["hold_range"], names["model"]) == 40.0
