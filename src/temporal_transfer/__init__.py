@@ -8,10 +8,8 @@ evaluators, and a single-lane ring micro-simulation as a real task backend.
 
 from .landscape import (
     GapModel,
-    GridAlignmentError,
     HoldRange,
     Landscape,
-    Segment,
     Segments,
     SlopeClass,
     aggregate_area,
@@ -24,7 +22,6 @@ from .selectors import (
     SelectionError,
     SelectionState,
     SelectorKind,
-    cttl_schedule,
     find_greedy_transfer_point,
     run_cttl,
     run_exhaustive,

@@ -63,10 +63,11 @@ class UsageError(ValueError):
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Print a table and, given --out, write the same text there."""
-    sys.stdout.write(text)
+    """Print a table and, given --out, write the same text there first, so
+    that an --out it cannot write leaves stdout empty."""
     if out:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _report_rows(reports: list[BoundReport]) -> str:
@@ -155,7 +156,7 @@ def _verify_t1(grid_cells: int) -> list[BoundReport]:
     ]
     i = coarse.nearest_index(0.5)
     mid = coarse.point(i)
-    land = apply_transfer(Landscape.zeros(coarse), model, mid, model.j_star, i)
+    land = apply_transfer(Landscape.zeros(coarse), model, i, model.j_star)
     left_pick = coarse.point(oracle_mod.best_marginal_cell(land, model, 0, i)[0])
     right_pick = coarse.point(oracle_mod.best_marginal_cell(land, model, i, coarse.n_cells)[0])
     rows.append(bound_report("T1-pos-trisection", abs(left_pick - (2 * coarse.d_min + mid) / 3), cell, a_star))
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

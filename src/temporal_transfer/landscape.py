@@ -9,15 +9,10 @@ keeps the pointwise best estimate seen so far.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-
-class GridAlignmentError(ValueError):
-    """Raised when a duration does not lie on the landscape grid."""
 
 
 class SlopeClass(str, Enum):
@@ -98,16 +93,6 @@ class HoldRange:
         """The grid durations, one read-only array per range."""
         return self._grid
 
-    def index_of(self, duration: float) -> int:
-        """Grid index of an on-grid duration; GridAlignmentError otherwise."""
-        i = self.nearest_index(duration)
-        if abs(self.point(i) - duration) > 1e-9 * max(self.resolution, 1.0):
-            raise GridAlignmentError(
-                f"duration {duration} is not on the [{self.d_min}, {self.d_max}] "
-                f"grid with resolution {self.resolution}"
-            )
-        return i
-
     def point(self, index: int) -> float:
         """The grid duration of an index: the last one is d_max exactly."""
         return self.d_max if index == self.n_cells else self.d_min + index * self.resolution
@@ -118,10 +103,6 @@ class HoldRange:
         i = np.rint((duration - self.d_min) / self.resolution)
         i = np.minimum(np.maximum(i, 0.0), self.n_cells)
         return int(i) if i.ndim == 0 else i.astype(np.intp)
-
-    def snap(self, duration: float) -> float:
-        """Nearest grid duration (clamped to the range)."""
-        return self.point(self.nearest_index(duration))
 
 
 @dataclass(frozen=True)
@@ -209,26 +190,20 @@ class Landscape:
         object.__setattr__(land, "values", values)
         return land
 
-    def value_at(self, duration: float) -> float:
-        return float(self.values[self.range.index_of(duration)])
 
+def apply_transfer(land: Landscape, model: GapModel, index: int, achieved: float) -> Landscape:
+    """Merge one training result, at the source of grid index `index`, into
+    the landscape.
 
-def apply_transfer(
-    land: Landscape, model: GapModel, d_source: float, achieved: float, index: int | None = None
-) -> Landscape:
-    """Merge one training result into the landscape.
-
-    At d_source the new estimate is exactly `achieved` (the measurement
+    At the source the new estimate is exactly `achieved` (the measurement
     overrides any prior extrapolation there). Elsewhere it is the pointwise
     max of the old estimate and achieved minus the gap, clamped at 0.
-    A caller that holds d_source's grid index passes it as `index`, which
-    skips looking it up (and checking that d_source is on the grid).
     """
     check_bounds(nonnegative={"achieved": achieved})
     rng = land.range
-    if index is None:
-        index = rng.index_of(d_source)
-    values = achieved - gap(model, d_source, rng.grid())
+    if not (isinstance(index, (int, np.integer)) and 0 <= index <= rng.n_cells):
+        raise ValueError(f"source index must be an int in [0, {rng.n_cells}], got {index!r}")
+    values = achieved - gap(model, rng.point(index), rng.grid())
     np.maximum(values, 0.0, out=values)
     np.maximum(land.values, values, out=values)
     values[index] = achieved
@@ -252,33 +227,15 @@ def best_marginal_cell(
     Brute force over cells, ties to the coarser cell: the greedy selector's
     duplicate fallback, and the independent check for the closed-form picks.
     """
-    rng = land.range
     base = aggregate_area(land)
     best = None
     for i in range(lo, hi + 1):
         if i in taken:
             continue
-        gain = aggregate_area(apply_transfer(land, model, rng.point(i), model.j_star, i)) - base
+        gain = aggregate_area(apply_transfer(land, model, i, model.j_star)) - base
         if best is None or gain >= best[1] - 1e-15:
             best = (i, gain)
     return best
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Maximal stretch of the landscape between consecutive inflection points."""
-
-    left: float
-    right: float
-    slope_class: SlopeClass
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
-
-    def by_class(self, values: dict):
-        """The value given for this segment's slope class."""
-        return values[self.slope_class]
 
 
 # Classification order, first match wins; a segment's code is the position
@@ -287,9 +244,9 @@ _CLASS_ORDER = (SlopeClass.FLAT, SlopeClass.SYMMETRIC_V, SlopeClass.POSITIVE, Sl
 
 
 @dataclass(frozen=True, eq=False)
-class Segments(Sequence):
-    """A landscape's segments in grid order, held as parallel arrays;
-    indexing and iteration give `Segment`s."""
+class Segments:
+    """A landscape's segments, each a maximal stretch between consecutive
+    inflection points, in grid order and held as parallel arrays."""
 
     left: np.ndarray
     right: np.ndarray
@@ -302,9 +259,6 @@ class Segments(Sequence):
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __getitem__(self, k: int) -> Segment:
-        return Segment(float(self.left[k]), float(self.right[k]), _CLASS_ORDER[self.codes[k]])
 
 
 def slope_tol(land: Landscape) -> float:

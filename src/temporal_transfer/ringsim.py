@@ -468,16 +468,6 @@ def rollout_measure(config: RingConfig, policy, seed: int) -> float:
     return simulate(config, policy, seed).mean_speed
 
 
-class ConstantPolicy:
-    """Holds one fixed command forever."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def __call__(self, obs) -> float:
-        return self.value
-
-
 class ScriptedPolicy:
     """Replays a recorded command sequence, one entry per boundary."""
 

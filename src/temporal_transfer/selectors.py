@@ -159,7 +159,7 @@ def _train_and_apply(state: SelectionState, trainer, model: GapModel, i: int) ->
         result = trainer.evaluate(delta)
     except Exception as exc:  # anytime property: partial state stays valid
         raise SelectionError(f"trainer failed at delta={delta:.6g}: {exc}", state) from exc
-    state.landscape = apply_transfer(state.landscape, model, delta, result.achieved, i)
+    state.landscape = apply_transfer(state.landscape, model, i, result.achieved)
     state.picks.append(i)
     state.results.append(result)
     state.area_history.append(aggregate_area(state.landscape))
@@ -245,25 +245,14 @@ def _run_plan(trainer, model: GapModel, hold_range: HoldRange, plan) -> Selectio
     return state
 
 
-def _cttl_plan(hold_range: HoldRange, budget: int) -> np.ndarray:
-    """Grid indices of the coarse-to-fine schedule."""
+def run_cttl(trainer, model: GapModel, hold_range: HoldRange, budget: int = 15) -> SelectionState:
+    """Train the coarse-to-fine schedule in order: K = budget equally spaced
+    durations from d_max - width/(2K) down in steps of width/K, each at its
+    nearest grid index."""
+    check_bounds(counts={"budget": (budget, 1, MAX_BUDGET)})
     k = np.arange(budget)
     durations = hold_range.d_max - (2 * k + 1) / (2 * budget) * hold_range.width
-    return hold_range.nearest_index(durations)
-
-
-def cttl_schedule(hold_range: HoldRange, budget: int) -> list[float]:
-    """Coarse-to-fine schedule: K equally spaced durations, snapped to grid.
-
-    Starts at d_max - width/(2K) and steps down by width/K.
-    """
-    return [hold_range.point(int(i)) for i in _cttl_plan(hold_range, budget)]
-
-
-def run_cttl(trainer, model: GapModel, hold_range: HoldRange, budget: int = 15) -> SelectionState:
-    """Train the coarse-to-fine schedule in order."""
-    check_bounds(counts={"budget": (budget, 1, MAX_BUDGET)})
-    return _run_plan(trainer, model, hold_range, _cttl_plan(hold_range, budget))
+    return _run_plan(trainer, model, hold_range, hold_range.nearest_index(durations))
 
 
 def run_rttl(

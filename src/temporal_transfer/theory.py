@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .landscape import GapModel, HoldRange, SlopeClass, check_bounds
+from .landscape import GapModel, HoldRange, Segments, SlopeClass, check_bounds
 
 
 class UnsupportedAssumptionError(ValueError):
@@ -70,9 +70,9 @@ def split_point(model: GapModel, left: float, right: float) -> float:
     return _weighted_point(*_split_weights(model), left, right)
 
 
-def optimal_pick_and_gain(segs, model: GapModel, is_first: bool):
-    """Within-segment picks and their closed-form marginal area gains: arrays
-    for all the segments of a `Segments` at once, floats for one `Segment`.
+def optimal_pick_and_gain(segs: Segments, model: GapModel, is_first: bool):
+    """Within-segment picks and their closed-form marginal area gains, one
+    array entry per segment.
 
     is_first marks the untouched full range (estimate identically zero), which
     has its own gain row. Flat segments after the first pick fall back to the

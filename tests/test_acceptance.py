@@ -80,8 +80,9 @@ class TestC1SinglePickCertification:
             oks.append(abs(best.best_area - 0.75) <= cell)
         coarse = coarse_range(UNIT, 41)
         cell = coarse.resolution
-        land = apply_transfer(Landscape.zeros(coarse), UNIT_MODEL, 0.5, 1.0)
-        mid = coarse.index_of(0.5)
+        mid = coarse.nearest_index(0.5)
+        oks.append(coarse.point(mid) == 0.5)
+        land = apply_transfer(Landscape.zeros(coarse), UNIT_MODEL, mid, 1.0)
         left_pick = coarse.point(best_marginal_cell(land, UNIT_MODEL, 0, mid)[0])
         right_pick = coarse.point(best_marginal_cell(land, UNIT_MODEL, mid, coarse.n_cells)[0])
         oks.append(abs(left_pick - (2 * 0.0 + 0.5) / 3) <= cell)
@@ -259,7 +260,8 @@ class TestC6LandscapeInvariantSuite:
     def _envelope(hold_range, model, anchors):
         grid = hold_range.grid()
         values = np.zeros_like(grid)
-        for d, achieved in anchors:
+        for i, achieved in anchors:
+            d = hold_range.point(i)
             tent = achieved - np.where(
                 grid <= d,
                 model.theta_left * (d - grid),
@@ -283,7 +285,7 @@ class TestC6LandscapeInvariantSuite:
             else:
                 model = GapModel(theta, theta * float(rng.uniform(0.2, 1.0)), j_star)
             anchors = [
-                (hold_range.snap(rng.uniform(d_min, d_min + width)), float(rng.uniform(0, j_star)))
+                (hold_range.nearest_index(rng.uniform(d_min, d_min + width)), float(rng.uniform(0, j_star)))
                 for _ in range(3)
             ]
             # measurements strictly inside the consistent envelope: arbitrary
@@ -291,12 +293,12 @@ class TestC6LandscapeInvariantSuite:
             # equality through the measured-value override
             truth = 0.999 * self._envelope(hold_range, model, anchors)
             picks = rng.choice(hold_range.n_points, size=4, replace=False)
-            transfers = [(hold_range.point(int(i)), float(truth[int(i)])) for i in picks]
+            transfers = [(int(i), float(truth[int(i)])) for i in picks]
 
             land = Landscape.zeros(hold_range)
             prev_area = 0.0
-            for d, a in transfers:
-                land = apply_transfer(land, model, d, a)
+            for i, a in transfers:
+                land = apply_transfer(land, model, i, a)
                 area = aggregate_area(land)
                 if area < prev_area - 1e-12:
                     failures["monotone"] += 1
@@ -305,19 +307,19 @@ class TestC6LandscapeInvariantSuite:
             shuffled = list(transfers)
             rng.shuffle(shuffled)
             other = Landscape.zeros(hold_range)
-            for d, a in shuffled:
-                other = apply_transfer(other, model, d, a)
+            for i, a in shuffled:
+                other = apply_transfer(other, model, i, a)
             if not np.array_equal(land.values, other.values):
                 failures["order"] += 1
 
             # idempotence and exactness hold for arbitrary measurements
-            d_x = hold_range.point(int(rng.integers(hold_range.n_points)))
+            i_x = int(rng.integers(hold_range.n_points))
             a_x = float(rng.uniform(0, 2 * j_star))
-            once = apply_transfer(land, model, d_x, a_x)
-            twice = apply_transfer(once, model, d_x, a_x)
+            once = apply_transfer(land, model, i_x, a_x)
+            twice = apply_transfer(once, model, i_x, a_x)
             if not np.array_equal(once.values, twice.values):
                 failures["idempotence"] += 1
-            if once.value_at(d_x) != a_x:
+            if once.values[i_x] != a_x:
                 failures["exactness"] += 1
         ok = not any(failures.values())
         report("C6", ok, f"{self.TRIALS} randomized trials per property, failures: {failures}")

@@ -52,6 +52,29 @@ def test_negative_seed_is_usage_error(args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algo", "gttl", "--budget", "1", "--trainer", "csv", "--csv", "{dir}"],
+        ["ring", "baseline", "--config", "{dir}"],
+        ["export-plot", "--input", "{dir}"],
+        ["verify", "--claims", "T2", "--out", "{dir}"],
+        ["run", "--algo", "gttl", "--budget", "1", "--out", "{file}/x"],
+    ],
+    ids=["run-csv-dir", "ring-config-dir", "export-input-dir", "verify-out-dir", "run-out-under-file"],
+)
+def test_unusable_path_is_usage_error(args, tmp_path, capsys):
+    # A directory where a file is read or written, or a file where a
+    # directory must be made: exit 2 naming the path, not a traceback.
+    (tmp_path / "file").write_text("")
+    paths = {"dir": str(tmp_path), "file": str(tmp_path / "file")}
+    code, out, err = run_cli([a.format(**paths) for a in args], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: [Errno ") and err.count("\n") == 1
+    named = paths["file"] if "{file}/x" in args else paths["dir"]
+    assert repr(named) in err
+
+
 class TestRun:
     def test_grid_over_the_cell_limit_is_usage_error(self, tmp_path, capsys):
         # [0, 40] at 1e-9 s would be a 4e10-point grid

@@ -13,6 +13,7 @@ tie in gain at every step.
 
 import numpy as np
 import pytest
+from conftest import segment_triples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from temporal_transfer.landscape import (
     GapModel,
     HoldRange,
     Landscape,
-    Segment,
     SlopeClass,
     apply_transfer,
     best_marginal_cell,
@@ -53,33 +53,35 @@ def reference_classify(values, tol):
 
 
 def reference_segments(land, picks):
+    """(left, right, slope class) of each segment, in grid order."""
     rng = land.range
     boundaries = sorted({0, rng.n_points - 1, *picks})
     tol = SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
     return [
-        Segment(rng.point(lo), rng.point(hi), reference_classify(land.values[lo : hi + 1], tol))
+        (rng.point(lo), rng.point(hi), reference_classify(land.values[lo : hi + 1], tol))
         for lo, hi in zip(boundaries[:-1], boundaries[1:])
     ]
 
 
 def reference_pick_and_gain(segment, model, is_first):
+    left, right, slope_class = segment
     theta = (model.theta_left + model.theta_right) / 2
-    length = segment.length
+    length = right - left
     if model.symmetric:
-        split = (segment.left + segment.right) / 2
+        split = (left + right) / 2
     else:
-        split = (model.theta_left * segment.left + model.theta_right * segment.right) / (
+        split = (model.theta_left * left + model.theta_right * right) / (
             model.theta_left + model.theta_right
         )
     if is_first:
         return split, 0.75 * theta * length**2
-    if segment.slope_class is SlopeClass.SYMMETRIC_V:
+    if slope_class is SlopeClass.SYMMETRIC_V:
         return split, theta * length**2 / 8
-    if segment.slope_class is SlopeClass.POSITIVE:
-        return (2 * segment.left + segment.right) / 3, theta * length**2 / 3
-    if segment.slope_class is SlopeClass.NEGATIVE:
-        return (segment.left + 2 * segment.right) / 3, theta * length**2 / 3
-    return (segment.left + segment.right) / 2, theta * length**2 / 3
+    if slope_class is SlopeClass.POSITIVE:
+        return (2 * left + right) / 3, theta * length**2 / 3
+    if slope_class is SlopeClass.NEGATIVE:
+        return (left + 2 * right) / 3, theta * length**2 / 3
+    return (left + right) / 2, theta * length**2 / 3
 
 
 def reference_pick(state, model):
@@ -97,7 +99,7 @@ def reference_pick(state, model):
     if i not in state.picks:
         return i
     taken = set(state.picks)
-    lo, hi = rng.nearest_index(seg.left), rng.nearest_index(seg.right)
+    lo, hi = rng.nearest_index(seg[0]), rng.nearest_index(seg[1])
     found = best_marginal_cell(land, model, lo, hi, taken)
     if found is None:
         found = best_marginal_cell(land, model, 0, rng.n_cells, taken)
@@ -106,9 +108,7 @@ def reference_pick(state, model):
 
 def assert_matches_reference(state, model):
     land = state.landscape
-    got = [(s.left, s.right, s.slope_class) for s in segments(land, state.picks)]
-    want = [(s.left, s.right, s.slope_class) for s in reference_segments(land, state.picks)]
-    assert got == want
+    assert segment_triples(segments(land, state.picks)) == reference_segments(land, state.picks)
     want_pick = reference_pick(state, model)
     if want_pick is None:
         with pytest.raises(GridExhausted):
@@ -153,7 +153,7 @@ def landscapes(draw, slopes=SLOPES):
             achieved = j_star * (1 - draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0])) * SLOPE_TOL)
         else:
             achieved = j_star
-        land = apply_transfer(land, model, rng.point(i), achieved)
+        land = apply_transfer(land, model, i, achieved)
     return SelectionState(landscape=land, picks=picks), model
 
 
@@ -170,9 +170,7 @@ class TestAgainstReference:
         # Slopes far below the slope tolerance give dips and bumps near it.
         state, _ = case
         land = state.landscape
-        got = [(s.left, s.right, s.slope_class) for s in segments(land, state.picks)]
-        want = [(s.left, s.right, s.slope_class) for s in reference_segments(land, state.picks)]
-        assert got == want
+        assert segment_triples(segments(land, state.picks)) == reference_segments(land, state.picks)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -188,9 +186,7 @@ class TestAgainstReference:
         rng = HoldRange(0, len(steps) - 1, 1)
         land = Landscape(rng, scale * (1 + np.array(steps) * SLOPE_TOL))
         picks = data.draw(st.lists(st.integers(0, rng.n_cells), unique=True, max_size=8))
-        got = [(s.left, s.right, s.slope_class) for s in segments(land, picks)]
-        want = [(s.left, s.right, s.slope_class) for s in reference_segments(land, picks)]
-        assert got == want
+        assert segment_triples(segments(land, picks)) == reference_segments(land, picks)
 
     @pytest.mark.parametrize(
         "model",
@@ -214,7 +210,7 @@ class TestAgainstReference:
             state = SelectionState(landscape=Landscape.zeros(rng))
             for i, result in zip(run.picks, run.results):
                 assert_matches_reference(state, model)
-                land = apply_transfer(state.landscape, model, rng.point(i), result.achieved)
+                land = apply_transfer(state.landscape, model, i, result.achieved)
                 state.landscape = land
                 state.picks.append(i)
             assert_matches_reference(state, model)
@@ -225,7 +221,7 @@ class TestAgainstReference:
         land = Landscape.zeros(rng)
         picks = []
         for i in (0, 1, 3, 4, 2):
-            land = apply_transfer(land, model, rng.point(i), 1.0)
+            land = apply_transfer(land, model, i, 1.0)
             picks.append(i)
             assert_matches_reference(SelectionState(landscape=land, picks=list(picks)), model)
 
@@ -390,7 +386,7 @@ class TestCarriedTable:
         find_greedy_transfer_point(state, model)  # the table of the three picks
         wide = HoldRange(0, 80, 0.2)
         land = Landscape(wide, state.landscape.values)
-        state.landscape = apply_transfer(land, model, wide.point(150), 0.0, 150)
+        state.landscape = apply_transfer(land, model, 150, 0.0)
         state.picks.append(150)
         assert find_greedy_transfer_point(state, model) == reference_pick(state, model)
         assert_table_is_a_full_rescoring(state, model)

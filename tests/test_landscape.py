@@ -1,17 +1,17 @@
 """Landscape, gap model, segmentation, and serialization tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import segment_triples as triples
 
 from temporal_transfer.landscape import (
     MAX_CELLS,
     GapModel,
-    GridAlignmentError,
     HoldRange,
     Landscape,
-    Segment,
     SlopeClass,
     aggregate_area,
     apply_transfer,
@@ -23,26 +23,40 @@ from temporal_transfer.landscape import (
 )
 
 
+def tent(hold_range, model, i, achieved):
+    """The clamped tent of one transfer from grid index i, written out
+    apart from the library's gap function."""
+    grid = hold_range.grid()
+    d = hold_range.point(i)
+    return np.maximum(np.where(
+        grid <= d,
+        achieved - model.theta_left * (d - grid),
+        achieved - model.theta_right * (grid - d),
+    ), 0.0)
+
+
 def tent_envelope(hold_range, model, transfers, force_sources=True):
-    """Independent construction: pointwise max of clamped tents.
+    """Independent construction: pointwise max of clamped tents of
+    (grid index, achieved) transfers.
 
     With force_sources the measured value overrides the envelope at each
     source, mirroring the update rule; without it the result is a pure
     envelope, which is gap-Lipschitz and serves as a hidden ground truth.
     """
-    grid = hold_range.grid()
-    values = np.zeros_like(grid)
-    for d, achieved in transfers:
-        tent = np.where(
-            grid <= d,
-            achieved - model.theta_left * (d - grid),
-            achieved - model.theta_right * (grid - d),
-        )
-        values = np.maximum(values, np.maximum(tent, 0.0))
+    values = np.zeros(hold_range.n_points)
+    for i, achieved in transfers:
+        values = np.maximum(values, tent(hold_range, model, i, achieved))
     if force_sources:
-        for d, achieved in transfers:
-            values[hold_range.index_of(d)] = achieved
+        for i, achieved in transfers:
+            values[i] = achieved
     return values
+
+
+def on_grid(hold_range, d):
+    """Grid index of the duration d, which must be a grid point exactly."""
+    i = hold_range.nearest_index(d)
+    assert hold_range.point(i) == d
+    return i
 
 
 class TestHoldRange:
@@ -99,7 +113,7 @@ class TestHoldRange:
         rng = HoldRange(d_min, d_max, resolution)
         assert d_min + rng.n_cells * resolution != d_max
         assert rng.grid()[-1] == rng.point(rng.n_cells) == d_max
-        assert rng.snap(d_max + 1) == d_max and rng.index_of(d_max) == rng.n_cells
+        assert rng.nearest_index(d_max + 1) == rng.nearest_index(d_max) == rng.n_cells
 
     def test_cell_limit(self):
         assert HoldRange(0, 1, 1 / MAX_CELLS).n_cells == MAX_CELLS
@@ -109,14 +123,12 @@ class TestHoldRange:
             with pytest.raises(ValueError, match=f"above the limit of {MAX_CELLS:,}"):
                 HoldRange(0, hi, resolution)
 
-    def test_snap_and_index(self):
+    def test_nearest_index_and_point(self):
         rng = HoldRange(0, 40, 0.1)
-        assert rng.snap(33.333) == pytest.approx(33.3)
-        assert rng.snap(-3.0) == 0.0
-        assert rng.snap(45.0) == pytest.approx(40.0)
-        assert rng.index_of(rng.point(123)) == 123
-        with pytest.raises(GridAlignmentError):
-            rng.index_of(0.05)
+        assert rng.point(rng.nearest_index(33.333)) == pytest.approx(33.3)
+        assert rng.point(rng.nearest_index(-3.0)) == 0.0
+        assert rng.point(rng.nearest_index(45.0)) == pytest.approx(40.0)
+        assert rng.nearest_index(rng.point(123)) == 123
 
 
 class TestGap:
@@ -210,49 +222,67 @@ class TestApplyTransfer:
         self.zero = Landscape.zeros(self.rng)
 
     def test_single_transfer_values(self):
-        land = apply_transfer(self.zero, self.model, 20.0, 1.0)
-        assert land.value_at(30.0) == pytest.approx(0.75)
-        assert land.value_at(0.0) == pytest.approx(0.5)
-        assert land.value_at(20.0) == 1.0
+        land = apply_transfer(self.zero, self.model, on_grid(self.rng, 20.0), 1.0)
+        assert land.values[300] == pytest.approx(0.75)
+        assert land.values[0] == pytest.approx(0.5)
+        assert land.values[200] == 1.0
 
     def test_second_transfer_takes_pointwise_max(self):
-        land = apply_transfer(self.zero, self.model, 20.0, 1.0)
-        land = apply_transfer(land, self.model, 33.3, 1.0)
+        land = apply_transfer(self.zero, self.model, 200, 1.0)
+        land = apply_transfer(land, self.model, 333, 1.0)
         # candidate from the new source: 1 - (40 - 33.3)/40; old estimate 0.5
-        assert land.value_at(40.0) == pytest.approx(1 - 6.7 / 40)
-        assert land.value_at(40.0) > 0.5
-        expected = tent_envelope(self.rng, self.model, [(20.0, 1.0), (33.3, 1.0)])
+        assert land.values[400] == pytest.approx(1 - 6.7 / 40)
+        assert land.values[400] > 0.5
+        expected = tent_envelope(self.rng, self.model, [(200, 1.0), (333, 1.0)])
         np.testing.assert_allclose(land.values, expected, atol=1e-12)
 
     def test_zero_achievement_overrides_at_source(self):
-        land = apply_transfer(self.zero, self.model, 20.0, 1.0)
-        land = apply_transfer(land, self.model, 20.0, 0.0)
-        assert land.value_at(20.0) == 0.0
+        land = apply_transfer(self.zero, self.model, 200, 1.0)
+        land = apply_transfer(land, self.model, 200, 0.0)
+        assert land.values[200] == 0.0
         # neighbours keep the old extrapolation
-        assert land.value_at(20.1) == pytest.approx(1 - 0.1 / 40)
+        assert land.values[201] == pytest.approx(1 - 0.1 / 40)
 
-    def test_off_grid_source_rejected(self):
-        with pytest.raises(GridAlignmentError):
-            apply_transfer(self.zero, self.model, 20.05, 1.0)
+    @pytest.mark.parametrize(
+        "index", [-1, 401, 0.5, np.float64(200.0)], ids=["negative", "past-end", "float", "numpy-float"]
+    )
+    def test_bad_index_rejected(self, index):
+        # Rejected before anything is written: unchecked, -1 would put a
+        # tent left of the range and set the last cell.
+        message = rf"source index must be an int in \[0, 400\], got {re.escape(repr(index))}$"
+        with pytest.raises(ValueError, match=message):
+            apply_transfer(self.zero, self.model, index, 1.0)
+
+    def test_numpy_int_index_accepted(self):
+        got = apply_transfer(self.zero, self.model, np.intp(200), 1.0)
+        assert got.values.tobytes() == apply_transfer(self.zero, self.model, 200, 1.0).values.tobytes()
 
     def test_negative_achieved_rejected(self):
         with pytest.raises(ValueError):
-            apply_transfer(self.zero, self.model, 20.0, -0.5)
+            apply_transfer(self.zero, self.model, 200, -0.5)
 
     def test_inputs_not_mutated(self):
         before = self.zero.values.copy()
-        apply_transfer(self.zero, self.model, 20.0, 1.0)
+        apply_transfer(self.zero, self.model, 200, 1.0)
         np.testing.assert_array_equal(self.zero.values, before)
         with pytest.raises(ValueError):
             self.zero.values[0] = 5.0
 
     @pytest.mark.parametrize("model", [symmetric_model(1 / 40, 1.0), GapModel(0.05, 0.0, 1.0)])
-    def test_given_index_gives_the_same_landscape(self, model):
-        land = apply_transfer(self.zero, model, 12.3, 0.8)
-        for i, achieved in ((0, 1.0), (123, 0.2), (250, 0.9), (400, 0.0)):
-            d = self.rng.point(i)
-            got = apply_transfer(land, model, d, achieved, i)
-            assert got.values.tobytes() == apply_transfer(land, model, d, achieved).values.tobytes()
+    @pytest.mark.parametrize(
+        "hold_range", [HoldRange(0, 40, 0.1), HoldRange(0.1, 1.3, 0.2)], ids=["401-points", "7-points"]
+    )
+    def test_every_cell_matches_the_tent_formula_bit_for_bit(self, model, hold_range):
+        # 0.1 + 6 * 0.2 rounds to 1.3000000000000003, so the 7-point
+        # range's last source is d_max itself, not that product.
+        assert hold_range.point(hold_range.n_cells) == hold_range.d_max
+        land = apply_transfer(Landscape.zeros(hold_range), model, hold_range.n_cells // 3, 0.8)
+        for i in range(hold_range.n_points):
+            achieved = (0.2, 0.9, 1.0, 0.0)[i % 4]
+            want = np.maximum(land.values, tent(hold_range, model, i, achieved))
+            want[i] = achieved
+            got = apply_transfer(land, model, i, achieved)
+            assert got.values.tobytes() == want.tobytes()
             assert got.range is land.range
             with pytest.raises(ValueError):
                 got.values[0] = 5.0
@@ -270,7 +300,7 @@ class TestAggregateArea:
     def test_single_transfer_matches_closed_form(self):
         rng = HoldRange(0, 40, 0.1)
         model = symmetric_model(1 / 40, 1.0)
-        land = apply_transfer(Landscape.zeros(rng), model, 20.0, 1.0)
+        land = apply_transfer(Landscape.zeros(rng), model, on_grid(rng, 20.0), 1.0)
         # 0.75 * theta * width^2 = 30; grid integral is exact here (kinks on grid)
         assert aggregate_area(land) == pytest.approx(30.0, abs=rng.resolution * model.j_star)
 
@@ -282,39 +312,37 @@ class TestSegments:
 
     def test_fresh_landscape_is_one_flat_segment(self):
         segs = segments(Landscape.zeros(self.rng), [])
-        assert [(s.left, s.right, s.slope_class) for s in segs] == [(0.0, 40.0, SlopeClass.FLAT)]
+        assert triples(segs) == [(0.0, 40.0, SlopeClass.FLAT)]
 
     def test_one_source_splits_positive_negative(self):
-        land = apply_transfer(Landscape.zeros(self.rng), self.model, 20.0, 1.0)
-        segs = segments(land, [200])
-        assert [s.slope_class for s in segs] == [SlopeClass.POSITIVE, SlopeClass.NEGATIVE]
-        assert segs[0].right == segs[1].left == pytest.approx(20.0)
+        land = apply_transfer(Landscape.zeros(self.rng), self.model, 200, 1.0)
+        segs = triples(segments(land, [200]))
+        assert [c for _, _, c in segs] == [SlopeClass.POSITIVE, SlopeClass.NEGATIVE]
+        assert segs[0][1] == segs[1][0] == pytest.approx(20.0)
 
     def test_two_sources_give_symmetric_v_between(self):
-        land = apply_transfer(Landscape.zeros(self.rng), self.model, 20.0, 1.0)
-        land = apply_transfer(land, self.model, 33.3, 1.0)
-        segs = segments(land, [200, 333])
-        assert [s.slope_class for s in segs] == [
+        land = apply_transfer(Landscape.zeros(self.rng), self.model, 200, 1.0)
+        land = apply_transfer(land, self.model, 333, 1.0)
+        segs = triples(segments(land, [200, 333]))
+        assert [c for _, _, c in segs] == [
             SlopeClass.POSITIVE,
             SlopeClass.SYMMETRIC_V,
             SlopeClass.NEGATIVE,
         ]
 
-    def test_len_counts_the_segments_iterated(self):
+    def test_len_counts_the_segments(self):
         # The benchmark's tracer sums len(segments(...)) as segments per call.
-        land = apply_transfer(Landscape.zeros(self.rng), self.model, 20.0, 1.0)
+        land = apply_transfer(Landscape.zeros(self.rng), self.model, 200, 1.0)
         for picks in ([], [0], [400], [0, 400], [200], [0, 1, 2, 200, 399, 400]):
             segs = segments(land, picks)
-            items = list(segs)
-            assert len(segs) == len(items) == len({0, 400, *picks}) - 1
-            assert all(type(s) is Segment for s in items)
-            assert segs[-1] == items[-1]
+            ends = sorted({0, 400, *picks})
+            assert len(segs) == len(triples(segs)) == len(ends) - 1
+            assert triples(segs)[-1][:2] == (self.rng.point(ends[-2]), self.rng.point(ends[-1]))
 
     def test_unequal_peaks_classified_by_net_change(self):
-        land = apply_transfer(Landscape.zeros(self.rng), self.model, 10.0, 1.0)
-        land = apply_transfer(land, self.model, 30.0, 0.4)
-        seg = segments(land, [100, 300])[1]
-        assert seg.slope_class == SlopeClass.NEGATIVE
+        land = apply_transfer(Landscape.zeros(self.rng), self.model, 100, 1.0)
+        land = apply_transfer(land, self.model, 300, 0.4)
+        assert triples(segments(land, [100, 300]))[1][2] == SlopeClass.NEGATIVE
 
 
 class TestProperties:
@@ -324,14 +352,14 @@ class TestProperties:
     def _consistent_transfers(self, rng, model, trials_rng, n):
         """Achieved values consistent with a hidden tent-envelope truth."""
         anchors = [
-            (rng.snap(trials_rng.uniform(rng.d_min, rng.d_max)), trials_rng.uniform(0, model.j_star))
+            (rng.nearest_index(trials_rng.uniform(rng.d_min, rng.d_max)), trials_rng.uniform(0, model.j_star))
             for _ in range(3)
         ]
         # Slightly inside the envelope so no measurement ties another tent
         # exactly; ties resolve at ulp level differently per order.
         truth = 0.999 * tent_envelope(rng, model, anchors, force_sources=False)
         picks = trials_rng.choice(rng.n_points, size=n, replace=False)
-        return [(rng.point(int(i)), float(truth[int(i)])) for i in picks]
+        return [(int(i), float(truth[int(i)])) for i in picks]
 
     def test_monotone_area_and_order_invariance(self):
         trials_rng = np.random.default_rng(1234)
@@ -342,8 +370,8 @@ class TestProperties:
             ceiling = rng.width * max(a for _, a in transfers)
             land = Landscape.zeros(rng)
             prev_area = 0.0
-            for d, a in transfers:
-                land = apply_transfer(land, model, d, a)
+            for i, a in transfers:
+                land = apply_transfer(land, model, i, a)
                 area = aggregate_area(land)
                 assert area >= prev_area - 1e-12
                 assert area <= ceiling + 1e-12
@@ -351,8 +379,8 @@ class TestProperties:
             shuffled = list(transfers)
             trials_rng.shuffle(shuffled)
             other = Landscape.zeros(rng)
-            for d, a in shuffled:
-                other = apply_transfer(other, model, d, a)
+            for i, a in shuffled:
+                other = apply_transfer(other, model, i, a)
             np.testing.assert_array_equal(land.values, other.values)
 
     def test_idempotence_unconditional(self):
@@ -360,18 +388,19 @@ class TestProperties:
         rng = HoldRange(0, 10, 0.5)
         model = GapModel(0.05, 0.11, 1.0)
         for _ in range(50):
-            d = rng.point(int(trials_rng.integers(rng.n_points)))
+            i = int(trials_rng.integers(rng.n_points))
             a = float(trials_rng.uniform(0, 2))
-            land = apply_transfer(Landscape.zeros(rng), model, d, a)
-            twice = apply_transfer(land, model, d, a)
+            land = apply_transfer(Landscape.zeros(rng), model, i, a)
+            twice = apply_transfer(land, model, i, a)
             np.testing.assert_array_equal(land.values, twice.values)
 
     def test_exactness_at_source(self):
         rng = HoldRange(0, 10, 0.5)
         model = symmetric_model(0.3, 1.0)
         achieved = 0.123456789012345
-        land = apply_transfer(Landscape.zeros(rng), model, 3.5, achieved)
-        assert land.value_at(3.5) == achieved  # bit-for-bit
+        i = on_grid(rng, 3.5)
+        land = apply_transfer(Landscape.zeros(rng), model, i, achieved)
+        assert land.values[i] == achieved  # bit-for-bit
 
     def test_gap_symmetry(self):
         m = symmetric_model(0.07, 1.0)
@@ -414,7 +443,7 @@ class TestCsv:
     def test_format_and_roundtrip(self, tmp_path):
         rng = HoldRange(0, 1, 0.25)
         model = symmetric_model(1.0, 1.0)
-        land = apply_transfer(Landscape.zeros(rng), model, 0.5, 1.0)
+        land = apply_transfer(Landscape.zeros(rng), model, on_grid(rng, 0.5), 1.0)
         text = landscape_csv_text(land)
         lines = text.strip().splitlines()
         assert lines[0] == "delta,performance"

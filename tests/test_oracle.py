@@ -55,7 +55,7 @@ def assert_matches_brute_force(hold_range, model, k, cells):
     want = brute_force_area(hold_range, model, k, cells)
     assert result.best_area == pytest.approx(want, rel=1e-12, abs=0)
     coarse = coarse_range(hold_range, cells)
-    picks = [coarse.index_of(d) for d in result.best_sequence]
+    picks = [coarse.nearest_index(d) for d in result.best_sequence]
     assert len(picks) == k
     assert picks == sorted(set(picks))
     assert result.best_sequence == tuple(float(coarse.grid()[i]) for i in picks)
@@ -181,8 +181,9 @@ class TestSelectorOrdering:
 
 class TestBestMarginalCell:
     def test_trisection_recovered_by_brute_force(self):
-        land = apply_transfer(Landscape.zeros(UNIT), MODEL, 0.5, 1.0)
-        mid = UNIT.index_of(0.5)
+        mid = UNIT.nearest_index(0.5)
+        assert UNIT.point(mid) == 0.5
+        land = apply_transfer(Landscape.zeros(UNIT), MODEL, mid, 1.0)
         left_pick, left_gain = best_marginal_cell(land, MODEL, 0, mid)
         right_pick, right_gain = best_marginal_cell(land, MODEL, mid, UNIT.n_cells)
         assert UNIT.point(left_pick) == pytest.approx(1 / 6, abs=0.025)

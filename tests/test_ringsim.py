@@ -14,7 +14,6 @@ from temporal_transfer.cli import main
 from temporal_transfer.ringsim import (
     MAX_STEPS,
     CollisionError,
-    ConstantPolicy,
     GuidanceParams,
     IdmParams,
     LinearSpeedPolicy,
@@ -130,7 +129,7 @@ class TestRollouts:
 
     def test_zero_order_hold_from_command_log(self):
         config = replace(FAST, guidance=replace(FAST.guidance, hold=2.0))
-        result = simulate(config, ConstantPolicy(4.0), seed=0, record=True)
+        result = simulate(config, lambda obs: 4.0, seed=0, record=True)
         hold_steps = round(config.guidance.hold / config.dt)
         commands = result.commands_log
         # constant within every window by construction of the log
@@ -140,9 +139,9 @@ class TestRollouts:
 
     def test_jam_policy_drains_speed(self):
         config = replace(FAST, warmup=50.0, horizon=150.0)
-        mean = rollout_measure(config, ConstantPolicy(0.0), seed=0)
+        mean = rollout_measure(config, lambda obs: 0.0, seed=0)
         assert mean < 1.0
-        longer = rollout_measure(replace(config, horizon=300.0), ConstantPolicy(0.0), seed=0)
+        longer = rollout_measure(replace(config, horizon=300.0), lambda obs: 0.0, seed=0)
         assert longer <= mean + 1e-9
 
     def test_equilibrium_command_beats_baseline_paired(self, ring_baselines):
@@ -150,7 +149,7 @@ class TestRollouts:
         config = replace(RingConfig(), guidance=replace(RingConfig().guidance, hold=0.5))
         v_e = equilibrium_speed(config)
         seeds = range(len(ring_baselines))
-        guided = simulate_many(config, seeds, [ConstantPolicy(v_e)] * len(seeds))
+        guided = simulate_many(config, seeds, [lambda obs: v_e] * len(seeds))
         for run, base in zip(guided, ring_baselines):
             assert run.mean_speed >= base.mean_speed
 
@@ -423,8 +422,8 @@ def _policy_kinds(config):
     script = [float(v) for v in np.linspace(2.0, 6.0, 7)] * 60
     return [
         lambda: None,
-        lambda: ConstantPolicy(4.0),
-        lambda: ConstantPolicy(10.0),     # floors the guided car into its leader
+        lambda: lambda obs: 4.0,
+        lambda: lambda obs: 10.0,     # floors the guided car into its leader
         lambda: ScriptedPolicy(script),
         *[lambda w=w: LinearSpeedPolicy(*w, config) for w in LATTICE[::3]],
         lambda: LinearSpeedPolicy(*LATTICE[-1], config),
@@ -470,7 +469,7 @@ class TestBatchedIntegrator:
 
     def test_collided_row_stops_with_nan_logs(self):
         got, clean = simulate_many(
-            SHORT, [0, 0], [ConstantPolicy(10.0), ConstantPolicy(4.0)], record=True
+            SHORT, [0, 0], [lambda obs: 10.0, lambda obs: 4.0], record=True
         )
         hit = round(got.collision.time / SHORT.dt) - 1  # index of the colliding step
         assert np.isnan(got.speeds_log[hit:]).all() and not np.isnan(got.speeds_log[:hit]).any()
@@ -498,7 +497,7 @@ class TestBatchedIntegrator:
 
     def test_colliding_one_row_simulate_raises_todays_message(self):
         with pytest.raises(CollisionError, match=r"^vehicle 0 hit vehicle 1 at t=2\.1s$"):
-            simulate(SHORT, ConstantPolicy(10.0), seed=0)
+            simulate(SHORT, lambda obs: 10.0, seed=0)
 
     def test_collision_heavy_batch_warns_nothing(self):
         with warnings.catch_warnings():
@@ -527,8 +526,8 @@ class TestBlockScoring:
         # collisions (at steps 11 to 29) fall on every slot of the first
         # blocks; the 395 scored steps end in a partial block.
         config = RingConfig(n_vehicles=n_vehicles, circumference=circumference, warmup=0.5, horizon=39.5)
-        rows = [(seed, 1.0, ConstantPolicy(10.0)) for seed in range(6)]  # they floor into the leader
-        rows += [(0, 1.0, None), (1, 1.0, None), (0, 0.1, ConstantPolicy(3.0)), (1, 5.0, ConstantPolicy(2.0))]
+        rows = [(seed, 1.0, lambda obs: 10.0) for seed in range(6)]  # they floor into the leader
+        rows += [(0, 1.0, None), (1, 1.0, None), (0, 0.1, lambda obs: 3.0), (1, 5.0, lambda obs: 2.0)]
         rows += [(seed, hold, LinearSpeedPolicy(*w, config))
                  for seed, hold, w in ((0, 0.1, (4.0, 0.6, 0.1)), (2, 1.0, (2.0, 1.2, 0.2)), (1, 40.0, (4.0, 0.0, 0.0)))]
         got = simulate_many(config, [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])

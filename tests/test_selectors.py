@@ -17,7 +17,6 @@ from temporal_transfer.selectors import (
     SelectionError,
     SelectionState,
     SelectorKind,
-    cttl_schedule,
     find_greedy_transfer_point,
     run_cttl,
     run_exhaustive,
@@ -32,6 +31,11 @@ WIDE = HoldRange(0, 40, 0.1)
 WIDE_MODEL = symmetric_model(1 / 40, 1.0)
 UNIT = HoldRange(0, 1, 0.0025)
 UNIT_MODEL = symmetric_model(1.0, 1.0)
+
+
+def cttl_sources(hold_range, budget):
+    """The durations the coarse-to-fine schedule trains, in order."""
+    return run_cttl(IdealTrainer(1.0, hold_range), symmetric_model(0.0, 1.0), hold_range, budget).sources
 
 
 def grid_area(hold_range, model, transfers):
@@ -65,7 +69,7 @@ class TestFindGreedyTransferPoint:
         assert WIDE.point(find_greedy_transfer_point(state, WIDE_MODEL)) == pytest.approx(20.0)
 
     def test_second_pick_breaks_tie_toward_coarser(self):
-        land = apply_transfer(Landscape.zeros(WIDE), WIDE_MODEL, 20.0, 1.0)
+        land = apply_transfer(Landscape.zeros(WIDE), WIDE_MODEL, 200, 1.0)
         state = SelectionState(landscape=land, picks=[200])
         pick = WIDE.point(find_greedy_transfer_point(state, WIDE_MODEL))
         assert pick == pytest.approx(33.3)  # (20 + 2*40)/3 snapped to grid
@@ -73,7 +77,7 @@ class TestFindGreedyTransferPoint:
     def test_positive_segment_alone_gives_trisection(self):
         rng = HoldRange(0, 20, 0.1)
         model = symmetric_model(1 / 40, 1.0)
-        land = apply_transfer(Landscape.zeros(rng), model, 20.0, 1.0)
+        land = apply_transfer(Landscape.zeros(rng), model, 200, 1.0)
         state = SelectionState(landscape=land, picks=[200])
         assert rng.point(find_greedy_transfer_point(state, model)) == pytest.approx(6.7)
 
@@ -81,8 +85,8 @@ class TestFindGreedyTransferPoint:
         rng = HoldRange(0, 1, 0.5)  # grid {0, 0.5, 1}
         model = symmetric_model(1.0, 1.0)
         land = Landscape.zeros(rng)
-        for d in (0.5, 1.0):
-            land = apply_transfer(land, model, d, 1.0)
+        for i in (1, 2):
+            land = apply_transfer(land, model, i, 1.0)
         state = SelectionState(landscape=land, picks=[1, 2])
         assert rng.point(find_greedy_transfer_point(state, model)) == 0.0
 
@@ -123,8 +127,8 @@ class TestRunGttl:
         assert 1 < state.iteration < 40
         assert aggregate_area(state.landscape, cap=1.0) > 0.95 * 40
         before = Landscape.zeros(WIDE)
-        for d in state.sources[:-1]:
-            before = apply_transfer(before, WIDE_MODEL, d, 1.25)
+        for i in state.picks[:-1]:
+            before = apply_transfer(before, WIDE_MODEL, i, 1.25)
         assert aggregate_area(before, cap=1.0) <= 0.95 * 40
 
     def test_invalid_arguments(self):
@@ -148,8 +152,8 @@ class TestRunGttl:
         state = run_gttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=6, epsilon=0.0)
         j = 3
         land = Landscape.zeros(WIDE)
-        for d, res in zip(state.sources[:j], state.results[:j]):
-            land = apply_transfer(land, WIDE_MODEL, d, res.achieved)
+        for i, res in zip(state.picks[:j], state.results[:j]):
+            land = apply_transfer(land, WIDE_MODEL, i, res.achieved)
         assert aggregate_area(land) == pytest.approx(state.area_history[j - 1], rel=1e-15)
 
     def test_budget_beyond_grid_stops_cleanly(self):
@@ -168,13 +172,12 @@ class TestRunGttl:
 
 class TestCttl:
     def test_schedule_examples(self):
-        assert cttl_schedule(WIDE, 2) == [30.0, 10.0]
-        assert cttl_schedule(WIDE, 1) == [20.0]
-        assert cttl_schedule(WIDE, 0) == []
+        assert cttl_sources(WIDE, 2) == [30.0, 10.0]
+        assert cttl_sources(WIDE, 1) == [20.0]
 
     def test_schedule_formula_fine_grid(self):
         rng = HoldRange(1, 40, 0.001)
-        got = cttl_schedule(rng, 7)
+        got = cttl_sources(rng, 7)
         expected = [40 - (2 * k + 1) / 14 * 39 for k in range(7)]
         assert got == pytest.approx(expected, abs=rng.resolution / 2)
         assert got == pytest.approx(

@@ -1,8 +1,9 @@
 """Closed-form picks, areas, and bound arithmetic."""
 
+import numpy as np
 import pytest
 
-from temporal_transfer.landscape import GapModel, HoldRange, Segment, SlopeClass, symmetric_model
+from temporal_transfer.landscape import _CLASS_ORDER, GapModel, HoldRange, Segments, SlopeClass, symmetric_model
 from temporal_transfer.selectors import run_cttl
 from temporal_transfer.theory import (
     UnsupportedAssumptionError,
@@ -23,28 +24,31 @@ WIDE = HoldRange(0, 40, 0.1)
 WIDE_MODEL = symmetric_model(1 / 40, 1.0)
 
 
+def pick_and_gain(left, right, slope_class, model, is_first):
+    """optimal_pick_and_gain of the one segment [left, right] of a slope class."""
+    segs = Segments(np.array([left]), np.array([right]), np.array([_CLASS_ORDER.index(slope_class)]))
+    (pick,), (gain,) = optimal_pick_and_gain(segs, model, is_first)
+    return float(pick), float(gain)
+
+
 class TestOptimalPickAndGain:
     def test_first_pick_full_range(self):
-        seg = Segment(0.0, 40.0, SlopeClass.FLAT)
-        point, gain = optimal_pick_and_gain(seg, WIDE_MODEL, is_first=True)
+        point, gain = pick_and_gain(0.0, 40.0, SlopeClass.FLAT, WIDE_MODEL, is_first=True)
         assert point == pytest.approx(20.0)
         assert gain == pytest.approx(30.0)  # (3/4) * theta * width^2
 
     def test_symmetric_v(self):
-        seg = Segment(0.0, 20.0, SlopeClass.SYMMETRIC_V)
-        point, gain = optimal_pick_and_gain(seg, WIDE_MODEL, is_first=False)
+        point, gain = pick_and_gain(0.0, 20.0, SlopeClass.SYMMETRIC_V, WIDE_MODEL, is_first=False)
         assert point == pytest.approx(10.0)
         assert gain == pytest.approx(1.25)  # (1/8) * (1/40) * 400
 
     def test_positive_slope_trisection(self):
-        seg = Segment(0.0, 20.0, SlopeClass.POSITIVE)
-        point, gain = optimal_pick_and_gain(seg, WIDE_MODEL, is_first=False)
+        point, gain = pick_and_gain(0.0, 20.0, SlopeClass.POSITIVE, WIDE_MODEL, is_first=False)
         assert point == pytest.approx(20 / 3)
         assert gain == pytest.approx(400 / 120)  # (1/3) * (1/40) * 400
 
     def test_negative_slope_trisection(self):
-        seg = Segment(10.0, 40.0, SlopeClass.NEGATIVE)
-        point, _ = optimal_pick_and_gain(seg, WIDE_MODEL, is_first=False)
+        point, _ = pick_and_gain(10.0, 40.0, SlopeClass.NEGATIVE, WIDE_MODEL, is_first=False)
         assert point == pytest.approx((10 + 80) / 3)
 
     def test_asymmetric_model_uses_weighted_split_and_mean_slope(self):
@@ -60,7 +64,7 @@ class TestOptimalPickAndGain:
             (SlopeClass.FLAT, False, 15.0, mean * 900 / 3),
         ]
         for slope_class, is_first, point, gain in cases:
-            got = optimal_pick_and_gain(Segment(0.0, 30.0, slope_class), model, is_first)
+            got = pick_and_gain(0.0, 30.0, slope_class, model, is_first)
             assert got == pytest.approx((point, gain))
 
     def test_split_point_is_exact_midpoint_for_symmetric_models(self):

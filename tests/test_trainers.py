@@ -75,12 +75,14 @@ class TestCsvBackend:
 
     def test_round_trip_from_exported_landscape(self, tmp_path):
         model = symmetric_model(1 / 40, 1.0)
-        land = apply_transfer(Landscape.zeros(RANGE), model, 20.0, 1.0)
+        land = apply_transfer(Landscape.zeros(RANGE), model, RANGE.nearest_index(20.0), 1.0)
         path = tmp_path / "landscape.csv"
         write_landscape_csv(land, path)
         backend = load_csv_landscape(path)
         for d in (0.0, 20.0, 33.3):
-            stored = float(f"{land.value_at(d):.6g}")
+            i = RANGE.nearest_index(d)
+            assert RANGE.point(i) == pytest.approx(d, abs=1e-12)
+            stored = float(f"{land.values[i]:.6g}")
             assert backend.evaluate(d).achieved == stored
 
     def test_two_row_file_rejects_midpoint_query(self, tmp_path):
@@ -139,7 +141,7 @@ class TestNonFiniteAchieved:
     def test_apply_transfer_rejects_non_finite(self, achieved):
         model = symmetric_model(1 / 40, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            apply_transfer(Landscape.zeros(RANGE), model, 20.0, achieved)
+            apply_transfer(Landscape.zeros(RANGE), model, 200, achieved)
 
 
 class TestConstructors:
