@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 trainer or simulation failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import sys
 from dataclasses import replace
@@ -123,6 +124,12 @@ def cmd_run(args) -> int:
     model = symmetric_model(args.theta, args.jstar)
     kind = SelectorKind(args.algo)
     trainer = _build_trainer(args, hold_range)
+    # An --out under a file fails before any training; its directory is made
+    # after it, so a run rejected on the way leaves none behind.
+    out = Path(args.out)
+    nearest = next((p for p in (out.parent, *out.parent.parents) if p.exists()), out.parent)
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(nearest))
     options = {flag: getattr(args, flag) for flag in ("budget", "epsilon", "seed")
                if kind.value in _READERS[flag]}
     failed = None
@@ -131,7 +138,6 @@ def cmd_run(args) -> int:
     except SelectionError as exc:
         failed, state = exc, exc.state
     # The selectors are anytime: a failed run still writes its valid prefix.
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iterations_csv(state, f"{out}_iterations.csv")
     write_landscape_csv(state.landscape, f"{out}_landscape.csv")

@@ -16,10 +16,10 @@ apart from reductions along single rows, so a row's numbers do not depend on
 the batch it ran in. At a hold boundary the due rows whose policy is a
 LinearSpeedPolicy get their commands from one numpy expression,
 `LinearSpeedPolicy.commands`, which its `__call__` also evaluates; any other
-policy (a constant, a script, a user callable, or a LinearSpeedPolicy
-subclass) is called row by row. The horizon's across-vehicle mean and std
-are reduced a block of steps at a time and summed in step order, so they
-are the numbers of a step-by-step loop.
+policy (a constant, a user callable, or a LinearSpeedPolicy subclass) is
+called row by row and must return a finite command. The horizon's
+across-vehicle mean and std are reduced a block of steps at a time and
+summed in step order, so they are the numbers of a step-by-step loop.
 
 The policy search advances all its hold durations in lockstep, and its
 refinement is speculative: a proposal's random step does not depend on the
@@ -294,7 +294,6 @@ def initial_state(config: RingConfig, seed: int) -> RingState:
 class RolloutResult:
     mean_speed: float           # -inf if the rollout collided
     speed_std: float            # time-mean of the across-vehicle speed std, scored window
-    commands: list[float]       # one entry per hold boundary, simulation order
     speeds_log: np.ndarray | None = None     # (steps, n) when recorded
     positions_log: np.ndarray | None = None  # (steps, n), wrapped, when recorded
     commands_log: np.ndarray | None = None   # (steps,) applied command, nan if unguided
@@ -313,12 +312,13 @@ def simulate_many(
     is held until the row's next boundary. Guidance is active from t=0.
     The rows due at a boundary whose policy is a LinearSpeedPolicy are
     evaluated together, in one LinearSpeedPolicy.commands call; every other
-    policy, including a LinearSpeedPolicy subclass, is called row by row.
+    policy, including a LinearSpeedPolicy subclass, is called row by row,
+    and a command from it that is not finite raises ValueError. With
+    record=True, commands_log is the record of what a row commanded.
 
     A row that collides stops there and the others run on. Its result has
-    mean_speed -inf, speed_std nan, the commands issued so far, NaN logs
-    from the colliding step on, and the CollisionError that `simulate`
-    raises for it.
+    mean_speed -inf, speed_std nan, NaN logs from the colliding step on,
+    and the CollisionError that `simulate` raises for it.
     """
     n_rows = len(seeds)
     policies = [None] * n_rows if policies is None else list(policies)
@@ -350,8 +350,6 @@ def simulate_many(
         params[row] = policies[row].params()
     line_hold = np.array([hold_steps[row] if linear[row] else 0 for row in live])  # 0: not linear
     commands = np.zeros(n_rows)         # held command of each live line
-    issued: list[list[float]] = [[] for _ in range(n_rows)]
-    groups = []                         # (hold steps, first line, end line, rows, parameter columns, log)
     collisions: list[CollisionError | None] = [None] * n_rows
     speed_sum = np.zeros(n_rows)
     std_sum = np.zeros(n_rows)
@@ -364,29 +362,27 @@ def simulate_many(
     t = 0.0
     for i in range(total):
         if dropped:
-            _extend_issued(issued, groups)
             steer = guided[live]
             steered = steer.any()
             mask = None if steer.all() else steer
             caps = _speed_caps(config, steer)
             n_linear = np.count_nonzero(line_hold)
-            groups = []
+            groups = []                 # (hold steps, first line, end line, parameter columns)
             for every in dict.fromkeys(line_hold[:n_linear].tolist()):
                 a, b = np.searchsorted(line_hold[:n_linear], [every, every + 1]).tolist()
-                groups.append((every, a, b, live[a:b], params[live[a:b]].T, []))
+                groups.append((every, a, b, params[live[a:b]].T))
             callers = [(line, live[line], hold_steps[live[line]])
                        for line in range(n_linear, len(live)) if steer[line]]
             dropped = False
-        for every, a, b, _, columns, log in groups:
+        for every, a, b, columns in groups:
             if i % every == 0:
-                values = LinearSpeedPolicy.commands(columns, speeds[a:b, 0], speeds[a:b, lead], gaps[a:b, 0])
-                commands[a:b] = values
-                log.append(values)
+                commands[a:b] = LinearSpeedPolicy.commands(columns, speeds[a:b, 0], speeds[a:b, lead], gaps[a:b, 0])
         for line, row, every in callers:
             if i % every == 0:
                 command = float(policies[row]((speeds[line, 0], speeds[line, lead], gaps[line, 0])))
+                if not math.isfinite(command):
+                    raise ValueError(f"the policy of row {row} commanded {command} at t={t:.6g}s")
                 commands[line] = command
-                issued[row].append(command)
         positions, speeds, gaps = _advance(
             positions, speeds, gaps, config, caps, commands if steered else None, mask
         )
@@ -415,12 +411,10 @@ def simulate_many(
     speed_std = np.full(n_rows, np.nan)
     mean_speed[live] = speed_sum / n_score
     speed_std[live] = std_sum / n_score
-    _extend_issued(issued, groups)
     return [
         RolloutResult(
             mean_speed=float(mean_speed[row]),
             speed_std=float(speed_std[row]),
-            commands=issued[row],
             speeds_log=speeds_log[row] if record else None,
             positions_log=positions_log[row] if record else None,
             commands_log=commands_log[row] if record else None,
@@ -428,15 +422,6 @@ def simulate_many(
         )
         for row in range(n_rows)
     ]
-
-
-def _extend_issued(issued: list[list[float]], groups) -> None:
-    """Append the commands that each group of linear rows logged, one array
-    per hold boundary, to its rows' lists of issued commands."""
-    for _, _, _, rows, _, log in groups:
-        if log:
-            for row, commands in zip(rows.tolist(), np.array(log).T.tolist()):
-                issued[row].extend(commands)
 
 
 def _score_block(speeds: np.ndarray, speed_sum: np.ndarray, std_sum: np.ndarray):
@@ -466,21 +451,6 @@ def simulate(config: RingConfig, policy, seed: int, record: bool = False) -> Rol
 def rollout_measure(config: RingConfig, policy, seed: int) -> float:
     """Mean speed of all vehicles over the scored horizon."""
     return simulate(config, policy, seed).mean_speed
-
-
-class ScriptedPolicy:
-    """Replays a recorded command sequence, one entry per boundary."""
-
-    def __init__(self, commands):
-        self.commands = list(commands)
-        self.cursor = 0
-
-    def __call__(self, obs) -> float:
-        if self.cursor >= len(self.commands):
-            raise IndexError("scripted command sequence exhausted")
-        value = self.commands[self.cursor]
-        self.cursor += 1
-        return value
 
 
 class LinearSpeedPolicy:

@@ -34,7 +34,6 @@ from temporal_transfer.oracle import best_marginal_cell, coarse_range, exhaustiv
 from temporal_transfer.ringsim import (
     LinearSpeedPolicy,
     RingConfig,
-    ScriptedPolicy,
     rollout_measure,
     simulate,
     train_and_measure_many,
@@ -385,8 +384,8 @@ class TestC9HoldRefinementReplay:
         fine_cfg = replace(RING, guidance=replace(RING.guidance, hold=1.0))
         policy = LinearSpeedPolicy(4.0, 0.6, 0.1, coarse_cfg)
         coarse = simulate(coarse_cfg, policy, seed=11, record=True)
-        doubled = [c for c in coarse.commands for _ in range(2)]
-        fine = simulate(fine_cfg, ScriptedPolicy(doubled), seed=11, record=True)
+        replay = iter(coarse.commands_log[::10].tolist())  # the command at each 1 s boundary
+        fine = simulate(fine_cfg, lambda obs: next(replay), seed=11, record=True)
         same_speeds = np.array_equal(coarse.speeds_log, fine.speeds_log)
         same_positions = np.array_equal(coarse.positions_log, fine.positions_log)
         ok = same_speeds and same_positions

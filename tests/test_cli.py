@@ -76,6 +76,21 @@ def test_unusable_path_is_usage_error(args, tmp_path, capsys):
 
 
 class TestRun:
+    @pytest.mark.parametrize("out", ["file/x", "file/sub/x"])
+    def test_out_under_a_file_fails_before_any_training(self, out, tmp_path, capsys, monkeypatch):
+        from temporal_transfer.trainers import RingTrainer
+
+        monkeypatch.setattr(RingTrainer, "evaluate", lambda *a: pytest.fail("a delta was trained"))
+        (tmp_path / "file").write_text("")
+        code, stdout, err = run_cli(
+            ["run", "--algo", "cttl", "--trainer", "ring", "--budget", "2", "--search-budget", "8",
+             "--warmup", "100", "--horizon", "200", "--out", str(tmp_path / out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"invalid input: [Errno 20] Not a directory: {str(tmp_path / 'file')!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_grid_over_the_cell_limit_is_usage_error(self, tmp_path, capsys):
         # [0, 40] at 1e-9 s would be a 4e10-point grid
         from temporal_transfer.landscape import MAX_CELLS

@@ -19,7 +19,6 @@ from temporal_transfer.ringsim import (
     LinearSpeedPolicy,
     RingConfig,
     RingState,
-    ScriptedPolicy,
     equilibrium_speed,
     idm_acceleration,
     initial_state,
@@ -158,8 +157,8 @@ class TestRollouts:
         fine_cfg = replace(FAST, guidance=replace(FAST.guidance, hold=1.0))
         policy = LinearSpeedPolicy(4.0, 0.6, 0.1, coarse_cfg)
         coarse = simulate(coarse_cfg, policy, seed=5, record=True)
-        doubled = [c for c in coarse.commands for _ in range(2)]
-        fine = simulate(fine_cfg, ScriptedPolicy(doubled), seed=5, record=True)
+        replay = iter(coarse.commands_log[::10].tolist())  # the command at each 1 s boundary
+        fine = simulate(fine_cfg, lambda obs: next(replay), seed=5, record=True)
         np.testing.assert_array_equal(coarse.speeds_log, fine.speeds_log)
         np.testing.assert_array_equal(coarse.positions_log, fine.positions_log)
 
@@ -208,12 +207,6 @@ class TestPolicies:
         slower = policy((5.0, 3.0, 6.4))
         faster = policy((3.0, 5.0, 6.4))
         assert slower < faster
-
-    def test_scripted_policy_exhausts(self):
-        policy = ScriptedPolicy([1.0])
-        assert policy(None) == 1.0
-        with pytest.raises(IndexError):
-            policy(None)
 
     @pytest.mark.parametrize("weights", [(math.nan, 0.0, 0.0), (4.0, math.inf, 0.0), (4.0, 0.0, -math.inf)])
     def test_linear_policy_weights_must_be_finite(self, weights):
@@ -372,7 +365,8 @@ def reference_rollout(config, policy, seed):
     """The one-ring loop on 1-D arrays that the batch integrator replaced.
 
     Returns (speeds_log, positions_log, commands, mean_speed, speed_std), or
-    raises CollisionError."""
+    raises CollisionError. `commands` has one entry per hold boundary: the
+    policy's command, or NaN when the ring is unguided."""
     state = initial_state(config, seed)
     positions, speeds, t = state.positions, state.speeds, 0.0
     g, n = config.guidance, config.n_vehicles
@@ -390,8 +384,8 @@ def reference_rollout(config, policy, seed):
     speed_sum = std_sum = 0.0
     for i in range(n_warm + n_score):
         gaps = gaps_of(positions)
-        if guided and i % round(g.hold / config.dt) == 0:
-            commands.append(float(policy((speeds[0], speeds[1], gaps[0]))))
+        if i % round(g.hold / config.dt) == 0:
+            commands.append(float(policy((speeds[0], speeds[1], gaps[0]))) if guided else math.nan)
         lead = np.roll(speeds, -1)
         accel = idm_acceleration(speeds, gaps, lead, config.idm)
         caps = np.full(n, config.idm.v_desired)
@@ -417,14 +411,14 @@ def reference_rollout(config, policy, seed):
 
 
 def _policy_kinds(config):
-    """Policy factories: a ScriptedPolicy is consumed as it runs, so each
-    rollout needs a fresh one."""
+    """Policy factories: a script is replayed through an iterator that is
+    consumed as it runs, so each rollout needs a fresh one."""
     script = [float(v) for v in np.linspace(2.0, 6.0, 7)] * 60
     return [
         lambda: None,
         lambda: lambda obs: 4.0,
         lambda: lambda obs: 10.0,     # floors the guided car into its leader
-        lambda: ScriptedPolicy(script),
+        lambda: lambda obs, replay=iter(script): next(replay),
         *[lambda w=w: LinearSpeedPolicy(*w, config) for w in LATTICE[::3]],
         lambda: LinearSpeedPolicy(*LATTICE[-1], config),
     ]
@@ -460,7 +454,10 @@ class TestBatchedIntegrator:
             assert np.array_equal(got.speeds_log, one.speeds_log)
             assert np.array_equal(got.positions_log, one.positions_log)
             assert np.array_equal(got.commands_log, one.commands_log, equal_nan=True)
-            assert got.commands == one.commands
+            # each row holds its boundary commands for its own hold
+            every = round(hold / SHORT.dt)
+            held = np.repeat(got.commands_log[::every], every)[: len(got.commands_log)]
+            assert np.array_equal(held, got.commands_log, equal_nan=True)
             assert got.mean_speed == one.mean_speed
             assert got.speed_std == one.speed_std
         # some rows collide mid-run while the others carry on
@@ -475,6 +472,13 @@ class TestBatchedIntegrator:
         assert np.isnan(got.speeds_log[hit:]).all() and not np.isnan(got.speeds_log[:hit]).any()
         assert math.isnan(got.speed_std)
         assert clean.collision is None and not np.isnan(clean.speeds_log).any()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_command_raises(self, value):
+        # row 1 commands 4.0 at t = 0 s and 1 s, then the value at 2 s
+        replay = iter([4.0, 4.0, value])
+        with pytest.raises(ValueError, match=rf"^the policy of row 1 commanded {value} at t=2s$"):
+            simulate_many(SHORT, [0, 0], [lambda obs: 4.0, lambda obs: next(replay)])
 
     # lattice, scripted, colliding lattice, colliding constant, unguided
     @pytest.mark.parametrize("seed, hold, kind", [(0, 0.1, 4), (5, 1.0, 3), (2, 5.0, 6), (1, 1.0, 2), (4, 40.0, 0)])
@@ -492,7 +496,7 @@ class TestBatchedIntegrator:
         speeds_log, positions_log, commands, mean_speed, speed_std = want
         assert np.array_equal(got.speeds_log, speeds_log)
         assert np.array_equal(got.positions_log, positions_log)
-        assert got.commands == commands
+        assert [_bits(v) for v in got.commands_log[:: round(hold / config.dt)]] == [_bits(v) for v in commands]
         assert (got.mean_speed, got.speed_std) == (mean_speed, speed_std)
 
     def test_colliding_one_row_simulate_raises_todays_message(self):
@@ -553,10 +557,11 @@ class TestBlockScoring:
         # does not change the rollout; w0 = 0 is the level 0.0.
         holds = (0.1, 1.0, 5.0, 40.0)
         policy = LinearSpeedPolicy(w0, 0.0, 0.0, SHORT)
-        results = simulate_many(SHORT, [3] * len(holds), [policy] * len(holds), holds)
+        results = simulate_many(SHORT, [3] * len(holds), [policy] * len(holds), holds, record=True)
         level = policy((0.0, 0.0, 0.0))
         for hold, result in zip(holds, results):
-            assert result.commands == [level] * math.ceil((SHORT.warmup + SHORT.horizon) / hold - 1e-9)
+            issued = result.commands_log[:: round(hold / SHORT.dt)].tolist()
+            assert issued == [level] * math.ceil((SHORT.warmup + SHORT.horizon) / hold - 1e-9)
             assert result.collision is None
             assert (_bits(result.mean_speed), _bits(result.speed_std)) == (
                 _bits(results[0].mean_speed), _bits(results[0].speed_std))
@@ -639,10 +644,8 @@ class TestVectorisedLinearPolicy:
 
     def _assert_same(self, batch, scalar):
         for got, want in zip(batch, scalar):
-            assert [_bits(v) for v in got.commands] == [_bits(v) for v in want.commands]
-            assert type(got.commands[0]) is float
+            assert got.commands_log.tobytes() == want.commands_log.tobytes()  # bit for bit
             assert np.array_equal(got.speeds_log, want.speeds_log, equal_nan=True)
-            assert np.array_equal(got.commands_log, want.commands_log, equal_nan=True)
             assert (got.mean_speed, str(got.collision)) == (want.mean_speed, str(want.collision))
 
     def test_batch_of_policies_from_mixed_configs(self):
@@ -659,7 +662,7 @@ class TestVectorisedLinearPolicy:
         holds = [HOLDS[k % len(HOLDS)] for k in range(len(policies))]
         batch, scalar = self._pair(SHORT, policies, holds)
         self._assert_same(batch, scalar)
-        assert len({tuple(r.commands) for r in batch}) > len(configs)
+        assert len({r.commands_log.tobytes() for r in batch}) > len(configs)
 
     def test_subclass_that_overrides_call_is_called(self):
         class Slower(LinearSpeedPolicy):
@@ -673,10 +676,11 @@ class TestVectorisedLinearPolicy:
             pass
 
         policies = [Slower(6.0, 1.2, 0.2, SHORT), Same(6.0, 1.2, 0.2, SHORT), LinearSpeedPolicy(6.0, 1.2, 0.2, SHORT)]
-        batch = simulate_many(SHORT, [0, 0, 0], policies, [1.0, 1.0, 1.0])
-        assert Slower.calls == len(batch[0].commands)
-        assert batch[0].commands[0] == batch[2].commands[0] / 2  # same ring, halved command
-        assert batch[1].commands == batch[2].commands
+        batch = simulate_many(SHORT, [0, 0, 0], policies, [1.0, 1.0, 1.0], record=True)
+        assert batch[0].collision is None
+        assert Slower.calls == math.ceil(SHORT.warmup + SHORT.horizon)  # one call per 1 s boundary
+        assert batch[0].commands_log[0] == batch[2].commands_log[0] / 2  # same ring, halved command
+        assert batch[1].commands_log[::10].tobytes() == batch[2].commands_log[::10].tobytes()
         self._assert_same(*self._pair(SHORT, policies[:2], [1.0, 5.0]))
 
     def test_subclass_is_called_row_by_row_with_the_same_numbers(self):
@@ -692,7 +696,9 @@ class TestVectorisedLinearPolicy:
         weights = [(6.0, 1.2, 0.2), (4.0, 0.6, 0.1)]
         policies = [Counted(*w, SHORT) for w in weights] + [LinearSpeedPolicy(*w, SHORT) for w in weights]
         batch = simulate_many(SHORT, [1] * 4, policies, [1.0, 5.0] * 2, record=True)
-        assert Counted.calls == len(batch[0].commands) + len(batch[1].commands)
+        assert batch[0].collision is None and batch[1].collision is None
+        steps = round((SHORT.warmup + SHORT.horizon) / SHORT.dt)
+        assert Counted.calls == math.ceil(steps / 10) + math.ceil(steps / 50)  # boundaries of 1 s and 5 s
         self._assert_same(batch[:2], batch[2:])
 
 
