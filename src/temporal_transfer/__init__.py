@@ -10,7 +10,6 @@ from .landscape import (
     GapModel,
     HoldRange,
     Landscape,
-    Segments,
     SlopeClass,
     aggregate_area,
     apply_transfer,

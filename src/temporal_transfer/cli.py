@@ -27,16 +27,16 @@ from .landscape import (
     Landscape,
     apply_transfer,
     check_bounds,
+    landscape_csv_text,
     symmetric_model,
-    write_landscape_csv,
 )
 from .selectors import (
     SelectionError,
     SelectorKind,
+    iterations_csv_text,
     run_cttl,
     run_gttl,
     run_selector,
-    write_iterations_csv,
 )
 from .theory import BoundReport, bound_report
 from .trainers import (
@@ -63,11 +63,32 @@ class UsageError(ValueError):
     pass
 
 
-def _emit(text: str, out: str | None) -> None:
+def _usable_out(out: str | None, prefix: bool = False) -> Path | None:
+    """The --out path, checked before any work: its nearest existing ancestor
+    must be a directory, and a single-file --out (not a `prefix` of file
+    names) not a directory. Creates nothing; `_write` makes the directories."""
+    if not (out or prefix):  # printed only
+        return None
+    path = Path(out)
+    nearest = next((p for p in (path.parent, *path.parent.parents) if p.exists()), path.parent)
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(nearest))
+    if not prefix and path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    return path
+
+
+def _write(text: str, out: Path) -> None:
+    """Write an output file, and any directories it needs."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, newline="")
+
+
+def _emit(text: str, out: Path | None) -> None:
     """Print a table and, given --out, write the same text there first, so
     that an --out it cannot write leaves stdout empty."""
     if out:
-        Path(out).write_text(text)
+        _write(text, out)
     sys.stdout.write(text)
 
 
@@ -117,6 +138,7 @@ def _build_trainer(args, hold_range: HoldRange):
 
 
 def cmd_run(args) -> int:
+    out = _usable_out(args.out, prefix=True)  # its directory is made after the run, or not at all
     for flag, readers in _READERS.items():
         if getattr(args, flag) is not None and args.algo not in readers and args.trainer not in readers:
             raise UsageError(f"--{flag.replace('_', '-')} applies only to {', '.join(readers)}")
@@ -124,12 +146,6 @@ def cmd_run(args) -> int:
     model = symmetric_model(args.theta, args.jstar)
     kind = SelectorKind(args.algo)
     trainer = _build_trainer(args, hold_range)
-    # An --out under a file fails before any training; its directory is made
-    # after it, so a run rejected on the way leaves none behind.
-    out = Path(args.out)
-    nearest = next((p for p in (out.parent, *out.parent.parents) if p.exists()), out.parent)
-    if not nearest.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(nearest))
     options = {flag: getattr(args, flag) for flag in ("budget", "epsilon", "seed")
                if kind.value in _READERS[flag]}
     failed = None
@@ -138,9 +154,8 @@ def cmd_run(args) -> int:
     except SelectionError as exc:
         failed, state = exc, exc.state
     # The selectors are anytime: a failed run still writes its valid prefix.
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_iterations_csv(state, f"{out}_iterations.csv")
-    write_landscape_csv(state.landscape, f"{out}_landscape.csv")
+    _write(iterations_csv_text(state), Path(f"{out}_iterations.csv"))
+    _write(landscape_csv_text(state.landscape), Path(f"{out}_landscape.csv"))
     if failed is not None:
         print(f"error: {failed}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -233,6 +248,7 @@ def _verify_l3(grid_cells: int, kmax: int) -> list[BoundReport]:
 
 
 def cmd_verify(args) -> int:
+    out = _usable_out(args.out)
     claims = [c.strip().upper() for c in args.claims.split(",")] if args.claims else list(ALL_CLAIMS)
     unknown = set(claims) - set(ALL_CLAIMS)
     if unknown:
@@ -251,11 +267,12 @@ def cmd_verify(args) -> int:
             rows.extend(verify(args.kmax, *simulated))
         elif claim == "L3":
             rows.extend(_verify_l3(args.grid, args.kmax))
-    _emit(_report_rows(rows), args.out)
+    _emit(_report_rows(rows), out)
     return EXIT_OK if all(r.holds for r in rows) else EXIT_BOUND
 
 
 def cmd_oracle(args) -> int:
+    out = _usable_out(args.out)
     # The oracle and the bound see only the interval, never a fine grid.
     hold_range = HoldRange(args.dmin, args.dmax, args.dmax - args.dmin)
     model = symmetric_model(args.theta, args.jstar)
@@ -269,7 +286,7 @@ def cmd_oracle(args) -> int:
         lines.append(
             f"{k},{best.best_area:.6g},{gttl:.6g},{cttl:.6g},{report.rhs:.6g},{str(report.holds).lower()}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", out)
     return EXIT_OK
 
 
@@ -284,6 +301,7 @@ def _ring_config(args) -> ringsim.RingConfig:
 
 
 def cmd_ring_baseline(args) -> int:
+    out = _usable_out(args.out)
     check_bounds(counts={"--seeds": (args.seeds, 1, MAX_SEEDS)})
     unguided = replace(_ring_config(args), n_guided=0)
     lines = ["seed,mean_speed,speed_std"]
@@ -292,7 +310,7 @@ def cmd_ring_baseline(args) -> int:
             print(f"error: {result.collision}", file=sys.stderr)
             return EXIT_RUNTIME
         lines.append(f"{seed},{result.mean_speed:.6g},{result.speed_std:.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", out)
     return EXIT_OK
 
 
@@ -306,6 +324,7 @@ _SEARCH_TABLES = {
 
 def cmd_ring_search(args) -> int:
     """`ring eval` and `ring sweep`: one policy search over their durations."""
+    out = _usable_out(args.out)
     config = _ring_config(args)
     header, row = _SEARCH_TABLES[args.action]
     sweep = args.action == "sweep"
@@ -320,18 +339,19 @@ def cmd_ring_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     rows = [row.format(r=res, baseline=baseline) for res in results]
-    _emit("\n".join([header, *rows]) + "\n", args.out)
+    _emit("\n".join([header, *rows]) + "\n", out)
     return EXIT_OK
 
 
 def cmd_export_plot(args) -> int:
+    out = _usable_out(args.out)
     lines = Path(args.input).read_text().splitlines()
     if not lines:
         raise UsageError(f"{args.input} is empty")
     header = lines[0].split(",")
     if len(header) < 2:
         raise UsageError(f"{args.input}: need at least two columns to melt")
-    out = ["series,x,y"]
+    rows = ["series,x,y"]
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -340,10 +360,10 @@ def cmd_export_plot(args) -> int:
             raise UsageError(f"{args.input}:{lineno}: expected {len(header)} fields, got {len(fields)}")
         x = fields[0]
         for name, value in zip(header[1:], fields[1:]):
-            out.append(f"{name},{x},{value}")
-    text = "\n".join(out) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+            rows.append(f"{name},{x},{value}")
+    text = "\n".join(rows) + "\n"
+    if out:
+        _write(text, out)
     else:
         sys.stdout.write(text)
     return EXIT_OK

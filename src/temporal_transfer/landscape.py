@@ -100,6 +100,10 @@ class HoldRange:
     def nearest_index(self, duration):
         """Index of the nearest grid duration, halves to even, clamped to the
         range: an int for one duration, an index array for an array of them."""
+        if not isinstance(duration, np.ndarray):
+            # clamped before rounding, which gives the same int; round() is half to even
+            i = (duration - self.d_min) / self.resolution
+            return round(0.0 if i < 0.0 else self.n_cells if i > self.n_cells else i)
         i = np.rint((duration - self.d_min) / self.resolution)
         i = np.minimum(np.maximum(i, 0.0), self.n_cells)
         return int(i) if i.ndim == 0 else i.astype(np.intp)
@@ -147,11 +151,9 @@ def symmetric_model(theta: float, j_star: float) -> GapModel:
 def gap(model: GapModel, d_source, d_target):
     """Performance lost transferring a policy from d_source to d_target: a
     float for two durations, an array for arrays of them (broadcast)."""
-    g = np.where(
-        d_source > d_target,
-        model.theta_left * (d_source - d_target),
-        model.theta_right * (d_target - d_source),
-    )
+    d = np.subtract(d_target, d_source)
+    slope = model.theta_left if model.symmetric else np.where(d < 0, model.theta_left, model.theta_right)
+    g = slope * np.abs(d)
     return float(g) if g.ndim == 0 else g
 
 
@@ -238,74 +240,56 @@ def best_marginal_cell(
     return best
 
 
-# Classification order, first match wins; a segment's code is the position
-# of its class here.
-_CLASS_ORDER = (SlopeClass.FLAT, SlopeClass.SYMMETRIC_V, SlopeClass.POSITIVE, SlopeClass.NEGATIVE)
-
-
-@dataclass(frozen=True, eq=False)
-class Segments:
-    """A landscape's segments, each a maximal stretch between consecutive
-    inflection points, in grid order and held as parallel arrays."""
-
-    left: np.ndarray
-    right: np.ndarray
-    codes: np.ndarray  # positions in _CLASS_ORDER
-
-    def by_class(self, values: dict) -> np.ndarray:
-        """Per segment, the constant given for its slope class; for tuples of
-        constants, one array per tuple entry."""
-        return np.array([values[c] for c in _CLASS_ORDER])[self.codes].T
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-
 def slope_tol(land: Landscape) -> float:
     """The classifier's equality tolerance: SLOPE_TOL relative to the
     largest |estimate|."""
     return SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
 
 
-def classify(land: Landscape, bounds: np.ndarray, tol: float) -> Segments:
-    """The pieces between consecutive entries of the increasing grid indices
-    `bounds`, classified at once, all values of a piece within `tol` counting
-    as equal: FLAT if they are all equal; SYMMETRIC_V if the ends are equal
-    and the minimum lies below both; else POSITIVE or NEGATIVE by the sign of
-    the net change. A piece's class depends on its own values and `tol` only.
+def slope_class(v_left: float, v_right: float, top: float, bottom: float, tol: float) -> SlopeClass:
+    """The class of one segment from its end values, its largest and
+    smallest value, and the tolerance within which values count as equal:
+    FLAT if they are all equal; SYMMETRIC_V if the ends are equal and the
+    minimum lies below both; else POSITIVE or NEGATIVE by the sign of the
+    net change. A segment's class depends on its own values and `tol` only.
     """
-    v = land.values[: bounds[-1] + 1]
-    ends = v[bounds]
-    v_left, v_right = ends[:-1], ends[1:]
-    # reduceat spans [lo, next lo), up to the last bound; the shared right end is folded in after
-    top = np.maximum(np.maximum.reduceat(v, bounds[:-1]), v_right)
-    bottom = np.minimum(np.minimum.reduceat(v, bounds[:-1]), v_right)
+    if top - bottom <= tol:
+        return SlopeClass.FLAT
     rise = v_right - v_left
-    # codes are positions in _CLASS_ORDER; later assignments win, which keeps its order
-    codes = np.where(rise > 0, 2, 3)
-    codes[(bottom < np.minimum(v_left, v_right) - tol) & (np.abs(rise) <= tol)] = 1
-    codes[top - bottom <= tol] = 0
-    points = land.range.grid()[bounds]
-    return Segments(points[:-1], points[1:], codes)
+    if abs(rise) <= tol and bottom < min(v_left, v_right) - tol:
+        return SlopeClass.SYMMETRIC_V
+    return SlopeClass.POSITIVE if rise > 0 else SlopeClass.NEGATIVE
 
 
-def segment_bounds(land: Landscape, picks) -> np.ndarray:
+def segment_bounds(land: Landscape, picks) -> list[int]:
     """Sorted segment ends at the picked grid indices: 0, the picks, the last cell."""
-    return np.array(sorted({0, land.range.n_cells, *picks}))
+    return sorted({0, land.range.n_cells, *picks})
 
 
-def segments(land: Landscape, picks) -> Segments:
-    """Split the range at the picked grid indices and classify every piece
-    (`classify`) at the landscape's own slope tolerance."""
-    return classify(land, segment_bounds(land, picks), slope_tol(land))
+def segment_shapes(land: Landscape, bounds: list[int]) -> list[tuple[float, float, float, float]]:
+    """(first value, last value, largest, smallest) of each piece between
+    consecutive entries of the increasing grid indices `bounds`, ends
+    included: the inputs of `slope_class`, in one reduceat pass."""
+    at = np.fromiter(bounds, np.intp, len(bounds))
+    v = land.values[: bounds[-1] + 1]
+    ends = v[at]
+    # reduceat spans [start, next start), up to the last bound; the shared right end is folded in after
+    top = np.maximum(np.maximum.reduceat(v, at[:-1]), ends[1:]).tolist()
+    bottom = np.minimum(np.minimum.reduceat(v, at[:-1]), ends[1:]).tolist()
+    ends = ends.tolist()
+    return list(zip(ends, ends[1:], top, bottom))
 
 
-def write_landscape_csv(land: Landscape, path) -> None:
-    """CSV with header delta,performance, one row per grid point, 6 sig digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(landscape_csv_text(land))
+def segments(land: Landscape, picks) -> list[tuple[float, float, SlopeClass]]:
+    """Split the range at the picked grid indices: (left duration, right
+    duration, `slope_class`) of each piece in grid order, at the
+    landscape's own slope tolerance."""
+    bounds, tol, point = segment_bounds(land, picks), slope_tol(land), land.range.point
+    return [(point(lo), point(hi), slope_class(*shape, tol))
+            for lo, hi, shape in zip(bounds, bounds[1:], segment_shapes(land, bounds))]
 
 
 def landscape_csv_text(land: Landscape) -> str:
+    """CSV with header delta,performance, one row per grid point, 6 sig digits."""
     rows = np.column_stack((land.range.grid(), land.values))
     return "delta,performance\n" + "%.6g,%.6g\n" * len(rows) % tuple(rows.ravel().tolist())

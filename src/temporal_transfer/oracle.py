@@ -66,6 +66,10 @@ def _area_tables(tents: np.ndarray, weights: np.ndarray, model: GapModel):
     own = cum[idx, idx]  # row i summed over t < i
     i, j = idx[:, None], idx[None, :]
     slopes = model.theta_left + model.theta_right
+    # A crossover's numerator is largest at i = j = n - 1: where that is finite, so is every crossover.
+    if not np.isfinite(model.theta_right * (n - 1) + model.theta_left * (n - 1)):
+        raise ValueError(f"the tent crossovers overflow at slopes theta_left={model.theta_left}, "
+                         f"theta_right={model.theta_right} on a {n}-point grid")
     # Crossover in grid units (the grid is uniform); flat tents split anywhere.
     cross = (model.theta_right * i + model.theta_left * j) / slopes if slopes > 0 else i
     split = np.minimum(np.floor(cross).astype(np.intp) + 1, j)

@@ -9,6 +9,7 @@ for every strategy (truncating a run is the same as replaying its prefix).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,10 +24,11 @@ from .landscape import (
     apply_transfer,
     best_marginal_cell,
     check_bounds,
-    classify,
     segment_bounds,
+    segment_shapes,
     slope_tol,
 )
+from .theory import optimal_pick_and_gain
 from .trainers import EvaluatorResult
 
 
@@ -64,14 +66,15 @@ class SegmentTable:
     `bounds` are the sorted segment ends (grid indices: 0, the picks, the
     last cell), and segment k, from bounds[k] to bounds[k + 1], has its pick
     at grid index `idx[k]` with gain `gains[k]`. Its entries are those of a
-    full rescoring at the slope tolerance `tol`.
+    full rescoring at the slope tolerance `tol`. A table is never changed
+    after it is made, so a later table may share its bounds.
     """
 
     landscape: Landscape
     picks: list[int]
     model: GapModel
     tol: float
-    bounds: np.ndarray
+    bounds: list[int]
     idx: np.ndarray
     gains: np.ndarray
 
@@ -80,40 +83,42 @@ class SegmentTable:
         """Score every segment."""
         bounds = segment_bounds(land, picks)
         tol = slope_tol(land)
-        return cls(land, list(picks), model, tol, bounds, *_score(land, bounds, tol, model, not picks))
+        idx, gains = _score(land, bounds, tol, model, not picks)
+        return cls(land, list(picks), model, tol, bounds, np.array(idx, dtype=np.intp), np.array(gains))
 
-    def after_transfer(self, land: Landscape, i: int) -> "SegmentTable":
+    def after_transfer(self, land: Landscape, picks: list[int]) -> "SegmentTable":
         """The table of `land`, a later landscape of the same range, split at
-        the picks plus grid index i. Only the segments whose values changed,
-        and the one that i splits, are rescored; all of them are after the
-        first pick (which has its own gain rule) and when the largest
-        |estimate|, and so the slope tolerance, moves."""
-        picks = [*self.picks, i]
+        `picks`, the table's picks plus one more. Only the segments whose
+        values changed, and the one that the new pick splits, are rescored;
+        all of them are after the first pick (which has its own gain rule)
+        and when the largest |estimate|, and so the slope tolerance, moves."""
         tol = slope_tol(land)
         if tol != self.tol or not self.picks:
             return SegmentTable.build(land, picks, self.model)
+        i = picks[-1]
         changed = np.flatnonzero(land.values != self.landscape.values)
         lo, hi = (min(i, int(changed[0])), max(i, int(changed[-1]))) if len(changed) else (i, i)
         b = self.bounds
-        lo_at, at, hi_at = b.searchsorted((lo, i, hi + 1)).tolist()
+        at = bisect_left(b, i)
         # segments a .. e-1 touch [lo, hi]: neighbours share their end cells
-        a, e = max(lo_at - 1, 0), min(hi_at, len(b) - 1)
+        a, e = max(bisect_left(b, lo) - 1, 0), min(bisect_left(b, hi + 1), len(b) - 1)
         split = int(b[at] != i)  # i splits one of them in two
         if split:
-            b = np.concatenate((b[:at], [i], b[at:]))
+            b = b.copy()
+            b.insert(at, i)
         idx, gains = _score(land, b[a : e + 1 + split], tol, self.model, False)
-        return SegmentTable(
-            land, picks, self.model, tol, b,
-            np.concatenate((self.idx[:a], idx, self.idx[e:])),
-            np.concatenate((self.gains[:a], gains, self.gains[e:])),
-        )
+        return SegmentTable(land, picks, self.model, tol, b,
+                            np.concatenate((self.idx[:a], idx, self.idx[e:])),
+                            np.concatenate((self.gains[:a], gains, self.gains[e:])))
 
 
-def _score(land: Landscape, bounds: np.ndarray, tol: float, model: GapModel, is_first: bool):
+def _score(land: Landscape, bounds: list[int], tol: float, model: GapModel, is_first: bool):
     """Grid index of the pick, and the estimated gain, of each segment
-    between consecutive `bounds`."""
-    picks, gains = theory.optimal_pick_and_gain(classify(land, bounds, tol), model, is_first)
-    return land.range.nearest_index(picks), gains
+    between consecutive `bounds`, as two tuples."""
+    rng = land.range
+    shapes = [None] if is_first else segment_shapes(land, bounds)
+    return zip(*[optimal_pick_and_gain(model, rng, lo, hi, shape, tol)
+                 for lo, hi, shape in zip(bounds, bounds[1:], shapes)])
 
 
 @dataclass
@@ -176,7 +181,7 @@ def _segment_table(state: SelectionState, model: GapModel) -> SegmentTable:
         if table.landscape is state.landscape and table.picks == state.picks:
             return table
         if len(state.picks) == len(table.picks) + 1 and state.picks[:-1] == table.picks:
-            return table.after_transfer(state.landscape, state.picks[-1])
+            return table.after_transfer(state.landscape, list(state.picks))
     return SegmentTable.build(state.landscape, state.picks, model)
 
 
@@ -191,16 +196,17 @@ def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     used instead, ranked by true marginal gain.
     """
     table = state.table = _segment_table(state, model)
-    land = state.landscape
     idx, gains = table.idx, table.gains
     best = gains.max()
     near = gains >= best - 1e-12 * (abs(best) + 1.0)
     k = int(np.argmax(np.where(near, idx, -1)))
-    i = int(idx[k])
-    if i not in state.picks:
+    i, (lo, hi) = int(idx[k]), table.bounds[k : k + 2]
+    # every pick is a segment end, so only a pick at an end can be taken
+    if lo < i < hi or i not in state.picks:
         return i
+    land = state.landscape
     taken = set(state.picks)
-    found = best_marginal_cell(land, model, *table.bounds[k : k + 2].tolist(), taken)
+    found = best_marginal_cell(land, model, lo, hi, taken)
     if found is None:  # winning segment exhausted; widen to the whole grid
         found = best_marginal_cell(land, model, 0, land.range.n_cells, taken)
     if found is None:
@@ -285,8 +291,3 @@ def iterations_csv_text(state: SelectionState) -> str:
     ):
         lines.append(f"{i},{d:.6g},{res.achieved:.6g},{area:.6g}")
     return "\n".join(lines) + "\n"
-
-
-def write_iterations_csv(state: SelectionState, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(iterations_csv_text(state))

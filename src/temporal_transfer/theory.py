@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .landscape import GapModel, HoldRange, Segments, SlopeClass, check_bounds
+from .landscape import GapModel, HoldRange, SlopeClass, check_bounds, slope_class
 
 
 class UnsupportedAssumptionError(ValueError):
@@ -49,52 +49,43 @@ def full_area(hold_range: HoldRange, model: GapModel) -> float:
     return hold_range.width * model.j_star
 
 
-def _split_weights(model: GapModel) -> tuple[float, float]:
-    """Weights of the left and right ends in the split point: equal for
-    symmetric models, theta = 0 included, and the slopes otherwise."""
-    if model.symmetric:
-        return 1, 1
-    return model.theta_left, model.theta_right
-
-
-def _weighted_point(w_left, w_right, left, right):
-    return (w_left * left + w_right * right) / (w_left + w_right)
-
-
 def split_point(model: GapModel, left: float, right: float) -> float:
-    """Slope-weighted pick for a fresh or V-shaped stretch.
+    """Slope-weighted pick for a fresh or V-shaped stretch: exactly the
+    midpoint (left + right) / 2 for symmetric models, theta = 0 included."""
+    if model.symmetric:
+        return (left + right) / 2
+    return (model.theta_left * left + model.theta_right * right) / (model.theta_left + model.theta_right)
 
-    Exactly the midpoint (left + right) / 2 for symmetric models, theta = 0
-    included.
+
+def optimal_pick_and_gain(model: GapModel, hold_range: HoldRange, lo: int, hi: int, shape,
+                          tol: float) -> tuple[int, float]:
+    """The greedy pick, snapped to its nearest grid index, and the
+    closed-form marginal area gain of the one segment between grid indices
+    lo < hi. `shape` is None for the untouched full range of the first pick,
+    which has its own gain row, and else the segment's (first value, last
+    value, largest, smallest), which `slope_class` classifies at `tol`.
+
+    Flat segments after the first pick take the monotone gain rule with a
+    midpoint pick. Exact for symmetric models; for asymmetric ones a
+    heuristic: split_point for fresh and V segments, trisection for
+    monotone ones, and the mean slope (theta_left + theta_right) / 2 in
+    every gain.
     """
-    return _weighted_point(*_split_weights(model), left, right)
-
-
-def optimal_pick_and_gain(segs: Segments, model: GapModel, is_first: bool):
-    """Within-segment picks and their closed-form marginal area gains, one
-    array entry per segment.
-
-    is_first marks the untouched full range (estimate identically zero), which
-    has its own gain row. Flat segments after the first pick fall back to the
-    monotone gain rule with a midpoint pick. Exact for symmetric models. For
-    asymmetric ones the same rule is a heuristic: split_point for fresh and
-    V segments, trisection for monotone ones, and the mean slope
-    (theta_left + theta_right) / 2 in every gain.
-    """
+    left, right = hold_range.point(lo), hold_range.point(hi)
     theta = (model.theta_left + model.theta_right) / 2
-    length = segs.right - segs.left
-    if is_first:
-        return split_point(model, segs.left, segs.right), 0.75 * theta * (length * length)
-    # per slope class: the weights of the two ends in the pick, and the gain's divisor
-    w_left, w_right, divisor = segs.by_class({
-        SlopeClass.SYMMETRIC_V: (*_split_weights(model), 8),
-        # trisection: a third of the way from the lower end
-        SlopeClass.POSITIVE: (2, 1, 3),
-        SlopeClass.NEGATIVE: (1, 2, 3),
-        SlopeClass.FLAT: (1, 1, 3),  # after the first pick: no direction to trisect toward
-    })
-    pick = _weighted_point(w_left, w_right, segs.left, segs.right)
-    return pick, theta * (length * length) / divisor
+    length = right - left
+    if shape is None:
+        return hold_range.nearest_index(split_point(model, left, right)), 0.75 * theta * (length * length)
+    kind = slope_class(*shape, tol)
+    if kind is SlopeClass.SYMMETRIC_V:
+        pick, divisor = split_point(model, left, right), 8
+    elif kind is SlopeClass.POSITIVE:  # trisection: a third of the way from the lower end
+        pick, divisor = (2 * left + right) / 3, 3
+    elif kind is SlopeClass.NEGATIVE:
+        pick, divisor = (left + 2 * right) / 3, 3
+    else:  # flat after the first pick: no direction to trisect toward
+        pick, divisor = (left + right) / 2, 3
+    return hold_range.nearest_index(pick), theta * (length * length) / divisor
 
 
 def _require_bounded_symmetric(hold_range: HoldRange, model: GapModel, what: str) -> float:

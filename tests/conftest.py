@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import temporal_transfer
-from temporal_transfer.landscape import SlopeClass
 from temporal_transfer.ringsim import RingConfig, simulate_many
 
 RING = RingConfig()
@@ -27,12 +26,6 @@ def cli_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([package_root, inherited]) if inherited else package_root
     return env
-
-
-def segment_triples(segs) -> list[tuple]:
-    """A `Segments` as (left, right, slope class) tuples, in grid order."""
-    classes = segs.by_class({c: c.value for c in SlopeClass})
-    return [(float(lo), float(hi), SlopeClass(c)) for lo, hi, c in zip(segs.left, segs.right, classes)]
 
 
 @pytest.fixture(scope="session")

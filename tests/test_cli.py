@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
+import importlib
 import subprocess
 import sys
 
@@ -53,26 +54,48 @@ def test_negative_seed_is_usage_error(args, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, work",
     [
-        ["run", "--algo", "gttl", "--budget", "1", "--trainer", "csv", "--csv", "{dir}"],
-        ["ring", "baseline", "--config", "{dir}"],
-        ["export-plot", "--input", "{dir}"],
-        ["verify", "--claims", "T2", "--out", "{dir}"],
-        ["run", "--algo", "gttl", "--budget", "1", "--out", "{file}/x"],
+        (["run", "--algo", "gttl", "--budget", "1", "--trainer", "csv", "--csv", "{dir}"], None),
+        (["ring", "baseline", "--config", "{dir}"], None),
+        (["export-plot", "--input", "{dir}"], None),
+        (["verify", "--claims", "T2", "--out", "{dir}"], "theory.ghost_cell_lower_bound"),
+        (["run", "--algo", "gttl", "--budget", "1", "--out", "{file}/x"], "selectors.run_gttl"),
+        (["oracle", "--kmax", "1", "--grid", "2", "--out", "{file}/x"], "oracle.greedy_vs_oracle"),
+        (["oracle", "--kmax", "1", "--grid", "2", "--out", "{dir}"], "oracle.greedy_vs_oracle"),
+        (["ring", "eval", "--delta", "40", "--out", "{file}/x"], "ringsim.train_and_measure_many"),
+        (["ring", "sweep", "--deltas", "1,40", "--out", "{file}/sub/x"], "ringsim.sweep"),
+        (["ring", "baseline", "--out", "{file}/x"], "ringsim.simulate_many"),
+        (["ring", "baseline", "--out", "{dir}"], "ringsim.simulate_many"),
+        (["export-plot", "--input", "{file}", "--out", "{file}/x"], None),
     ],
-    ids=["run-csv-dir", "ring-config-dir", "export-input-dir", "verify-out-dir", "run-out-under-file"],
+    ids=["run-csv-dir", "ring-config-dir", "export-input-dir", "verify-out-dir", "run-out-under-file",
+         "oracle-out-under-file", "oracle-out-dir", "ring-eval-out-under-file",
+         "ring-sweep-out-under-file", "ring-baseline-out-under-file", "ring-baseline-out-dir",
+         "export-out-under-file"],
 )
-def test_unusable_path_is_usage_error(args, tmp_path, capsys):
+def test_unusable_path_is_usage_error(args, work, tmp_path, capsys, monkeypatch):
     # A directory where a file is read or written, or a file where a
-    # directory must be made: exit 2 naming the path, not a traceback.
+    # directory must be made: exit 2 naming the path, not a traceback. An
+    # --out that cannot be written fails before the command's work starts.
+    if work:
+        module, name = work.split(".")
+        monkeypatch.setattr(importlib.import_module(f"temporal_transfer.{module}"), name,
+                            lambda *a, **kw: pytest.fail(f"{work} was reached"))
     (tmp_path / "file").write_text("")
     paths = {"dir": str(tmp_path), "file": str(tmp_path / "file")}
     code, out, err = run_cli([a.format(**paths) for a in args], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: [Errno ") and err.count("\n") == 1
-    named = paths["file"] if "{file}/x" in args else paths["dir"]
+    named = paths["file"] if any(a.startswith("{file}/") for a in args) else paths["dir"]
     assert repr(named) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_out_in_a_missing_directory_is_made(tmp_path, capsys):
+    out = tmp_path / "new" / "sub" / "oracle.csv"
+    code, text, _ = run_cli(["oracle", "--kmax", "1", "--grid", "2", "--out", str(out)], capsys)
+    assert code == 0 and out.read_text() == text
 
 
 class TestRun:
@@ -382,6 +405,13 @@ class TestOracleCommand:
         code, _, err = run_cli(["oracle", "--grid", "3", "--kmax", "4"], capsys)
         assert code == 2
         assert "--kmax = 4 is above the limit of 3" in err
+
+    def test_overflowing_slope_is_usage_error(self, capsys):
+        # finite, but theta * 40 cells overflows in the oracle's tent crossovers
+        code, out, err = run_cli(["oracle", "--theta", "1e307", "--kmax", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("invalid input: the tent crossovers overflow at slopes theta_left=1e+307, "
+                       "theta_right=1e+307 on a 41-point grid\n")
 
 
 class TestRing:

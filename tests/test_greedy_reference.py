@@ -1,20 +1,22 @@
-"""The vectorised segment classification and greedy pick, pinned to the
-per-segment Python references they replaced, and the segment table that a
-greedy run carries from pick to pick, pinned to a full rescoring.
+"""The greedy selection core pinned to per-segment Python references: the
+segment classification and the pick/gain rule (`optimal_pick_and_gain`,
+which scores one segment on Python floats and snaps its pick with
+`nearest_index`'s rounding), the segments they give, the greedy pick, and
+the segment table that a greedy run carries from pick to pick, pinned to a
+full rescoring.
 
 The references below are kept as they were written before the selection
 core was vectorised: `reference_classify` classifies one slice of the
-landscape at a time, and `reference_pick` walks the segments in grid order,
-calling the scalar pick/gain rule once per segment and keeping the running
-best under the tie rule. Landscapes come from random `apply_transfer`
-sequences (hypothesis) and from replayed greedy runs, whose mirror segments
-tie in gain at every step.
+landscape at a time, `reference_pick_and_gain` is the pick/gain rule of one
+segment before snapping, and `reference_pick` walks the segments in grid
+order, keeping the running best under the tie rule. Landscapes come from
+random `apply_transfer` sequences (hypothesis) and from replayed greedy
+runs, whose mirror segments tie in gain at every step.
 """
 
 import numpy as np
 import pytest
-from conftest import segment_triples
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temporal_transfer.landscape import (
@@ -28,6 +30,7 @@ from temporal_transfer.landscape import (
     segments,
     symmetric_model,
 )
+from temporal_transfer.theory import optimal_pick_and_gain
 from temporal_transfer import selectors
 from temporal_transfer.selectors import (
     GridExhausted,
@@ -106,15 +109,36 @@ def reference_pick(state, model):
     return None if found is None else found[0]
 
 
+def assert_rule_matches_reference(land, picks, model):
+    """`segments` and, for each segment, the one pick/gain rule against
+    the reference classifier and rule, the pick snapped by `nearest_index`;
+    returns the reference's (grid index, gain) per segment."""
+    rng = land.range
+    segs = reference_segments(land, picks)
+    assert segments(land, picks) == segs
+    bounds = sorted({0, rng.n_cells, *picks})
+    tol = SLOPE_TOL * max(float(np.abs(land.values).max()), 1e-300)
+    want = []
+    for lo, hi, seg in zip(bounds, bounds[1:], segs):
+        pick, gain = reference_pick_and_gain(seg, model, not picks)
+        # nearest_index of an array rounds with numpy, apart from the rule's Python round()
+        want.append((int(rng.nearest_index(np.array([pick]))[0]), gain))
+        v = land.values[lo : hi + 1]
+        shape = (v[0], v[-1], v.max(), v.min()) if picks else None
+        assert optimal_pick_and_gain(model, rng, lo, hi, shape, tol) == want[-1]
+    return want
+
+
 def assert_matches_reference(state, model):
-    land = state.landscape
-    assert segment_triples(segments(land, state.picks)) == reference_segments(land, state.picks)
+    want = assert_rule_matches_reference(state.landscape, state.picks, model)
     want_pick = reference_pick(state, model)
     if want_pick is None:
         with pytest.raises(GridExhausted):
             find_greedy_transfer_point(state, model)
     else:
         assert find_greedy_transfer_point(state, model) == want_pick
+    # the carried table holds the same rule's entries
+    assert list(zip(state.table.idx, state.table.gains)) == want
 
 
 # Slopes are 0 or at least 1e-3, so distinct gains differ by far more than
@@ -127,15 +151,19 @@ RESOLUTIONS = st.sampled_from([0.1, 0.025, 0.5, 1.0, 0.3])
 @st.composite
 def landscapes(draw, slopes=SLOPES):
     """(state, model): a landscape built by a random apply_transfer sequence."""
-    resolution = draw(RESOLUTIONS)
-    n_cells = draw(st.integers(1, 40))
+    # a small grid, or the 2001-point grid, whose segments run to over 1,000 cells
+    resolution, n_cells = draw(st.one_of(st.tuples(RESOLUTIONS, st.integers(1, 40)),
+                                         st.just((0.02, 2000))))
     d_min = draw(st.sampled_from([0.0, 0.1, 2.5]))
     rng = HoldRange(d_min, d_min + n_cells * resolution, resolution)
     j_star = draw(st.floats(0.1, 4.0))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["symmetric", "asymmetric", "one-sided"]))
+    if shape == "symmetric":  # theta = 0 included
         model = symmetric_model(draw(slopes), j_star)
-    else:
+    elif shape == "asymmetric":
         model = GapModel(draw(slopes), draw(slopes), j_star)
+    else:
+        model = GapModel(draw(slopes), 0.0, j_star)
     n = rng.n_points
     picks = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 12)))
     for end in (0, n - 1):
@@ -157,9 +185,47 @@ def landscapes(draw, slopes=SLOPES):
     return SelectionState(landscape=land, picks=picks), model
 
 
+def case(rng, model, transfers):
+    """(state, model) after the (grid index, achieved) transfers, in order."""
+    land = Landscape.zeros(rng)
+    for i, achieved in transfers:
+        land = apply_transfer(land, model, i, achieved)
+    return SelectionState(landscape=land, picks=[i for i, _ in transfers]), model
+
+
+ONE_SIDED = GapModel(theta_left=0.05, theta_right=0.0, j_star=1.0)
+SKEWED = GapModel(theta_left=0.05, theta_right=0.01, j_star=1.0)
+# Odd cell counts put midpoints on half cells, which round half to even:
+# 2.5 to 2 (first-pick row, and flat segments after the first pick under
+# theta = 0) and 1.5 to 2.
+CASES = [
+    case(HoldRange(0, 5, 1), symmetric_model(1.0, 1.0), []),
+    case(HoldRange(0, 3, 1), symmetric_model(1.0, 1.0), []),
+    case(HoldRange(0, 5, 1), symmetric_model(0.0, 1.0), [(0, 1.0)]),
+    case(HoldRange(0, 8, 1), symmetric_model(0.0, 1.0), [(5, 1.0), (0, 1.0)]),
+    case(HoldRange(0, 40, 0.1), ONE_SIDED, [(200, 1.0), (301, 0.8)]),
+    case(HoldRange(0, 40, 0.1), SKEWED, [(100, 1.0), (300, 1.0)]),
+    # segments of 700 and 1,300 cells on the 2001-point grid
+    case(HoldRange(0, 40, 0.02), symmetric_model(1 / 40, 1.0), [(700, 1.0)]),
+    # values within the slope tolerance of each other, and one-cell segments
+    case(HoldRange(0, 4, 1), symmetric_model(0.0, 1.0), [(0, 1.0), (4, 1 - 0.5 * SLOPE_TOL), (3, 1.0)]),
+    case(HoldRange(0, 6, 1), symmetric_model(1e-10, 1.0), [(1, 1.0), (2, 1.0), (5, 1.0)]),
+]
+
+
+def with_examples(cases):
+    """Each case also as an explicit example of a hypothesis test."""
+    def decorate(test):
+        for c in reversed(cases):
+            test = example(c)(test)
+        return test
+    return decorate
+
+
 class TestAgainstReference:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(landscapes())
+    @with_examples(CASES)
     def test_random_transfer_sequences(self, case):
         state, model = case
         assert_matches_reference(state, model)
@@ -168,9 +234,8 @@ class TestAgainstReference:
     @given(landscapes(slopes=st.floats(0.0, 5.0)))
     def test_segments_at_any_slope(self, case):
         # Slopes far below the slope tolerance give dips and bumps near it.
-        state, _ = case
-        land = state.landscape
-        assert segment_triples(segments(land, state.picks)) == reference_segments(land, state.picks)
+        state, model = case
+        assert_rule_matches_reference(state.landscape, state.picks, model)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -186,7 +251,8 @@ class TestAgainstReference:
         rng = HoldRange(0, len(steps) - 1, 1)
         land = Landscape(rng, scale * (1 + np.array(steps) * SLOPE_TOL))
         picks = data.draw(st.lists(st.integers(0, rng.n_cells), unique=True, max_size=8))
-        assert segment_triples(segments(land, picks)) == reference_segments(land, picks)
+        model = data.draw(st.sampled_from([symmetric_model(0.5, 1.0), SKEWED, ONE_SIDED]))
+        assert_rule_matches_reference(land, picks, model)
 
     @pytest.mark.parametrize(
         "model",
@@ -286,7 +352,7 @@ def assert_table_is_a_full_rescoring(state, model):
     assert table.tol == full.tol
     for name in ("bounds", "idx", "gains"):
         got, want = getattr(table, name), getattr(full, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
 
 
 def edit_by_hand(state, model, kind):

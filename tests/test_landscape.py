@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from conftest import segment_triples as triples
 
 from temporal_transfer.landscape import (
     MAX_CELLS,
@@ -311,19 +310,18 @@ class TestSegments:
         self.model = symmetric_model(1 / 40, 1.0)
 
     def test_fresh_landscape_is_one_flat_segment(self):
-        segs = segments(Landscape.zeros(self.rng), [])
-        assert triples(segs) == [(0.0, 40.0, SlopeClass.FLAT)]
+        assert segments(Landscape.zeros(self.rng), []) == [(0.0, 40.0, SlopeClass.FLAT)]
 
     def test_one_source_splits_positive_negative(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 200, 1.0)
-        segs = triples(segments(land, [200]))
+        segs = segments(land, [200])
         assert [c for _, _, c in segs] == [SlopeClass.POSITIVE, SlopeClass.NEGATIVE]
         assert segs[0][1] == segs[1][0] == pytest.approx(20.0)
 
     def test_two_sources_give_symmetric_v_between(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 200, 1.0)
         land = apply_transfer(land, self.model, 333, 1.0)
-        segs = triples(segments(land, [200, 333]))
+        segs = segments(land, [200, 333])
         assert [c for _, _, c in segs] == [
             SlopeClass.POSITIVE,
             SlopeClass.SYMMETRIC_V,
@@ -336,13 +334,13 @@ class TestSegments:
         for picks in ([], [0], [400], [0, 400], [200], [0, 1, 2, 200, 399, 400]):
             segs = segments(land, picks)
             ends = sorted({0, 400, *picks})
-            assert len(segs) == len(triples(segs)) == len(ends) - 1
-            assert triples(segs)[-1][:2] == (self.rng.point(ends[-2]), self.rng.point(ends[-1]))
+            assert len(segs) == len(ends) - 1
+            assert segs[-1][:2] == (self.rng.point(ends[-2]), self.rng.point(ends[-1]))
 
     def test_unequal_peaks_classified_by_net_change(self):
         land = apply_transfer(Landscape.zeros(self.rng), self.model, 100, 1.0)
         land = apply_transfer(land, self.model, 300, 0.4)
-        assert triples(segments(land, [100, 300]))[1][2] == SlopeClass.NEGATIVE
+        assert segments(land, [100, 300])[1][2] == SlopeClass.NEGATIVE
 
 
 class TestProperties:

@@ -1,6 +1,7 @@
 """The exact best-subset oracle, pinned to brute force, and greedy certification."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ class TestExhaustiveBest:
         cell = coarse_range(UNIT, 21).resolution * MODEL.j_star
         assert coarse.best_area <= fine.best_area + 1e-12
         assert fine.best_area <= coarse.best_area + cell
+
+    @pytest.mark.parametrize("theta_left, theta_right", [(5e306, 5e306), (1e308, 0.0), (1.0, 1e308)])
+    def test_overflowing_slopes_are_rejected(self, theta_left, theta_right):
+        # theta * 40 cells overflows in the crossover of two tents
+        model = GapModel(theta_left, theta_right, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"theta_left={theta_left}, theta_right={theta_right}")):
+            exhaustive_best(HoldRange(0, 1, 1), model, 2, 41)
+
+    def test_huge_finite_crossovers_are_solved(self):
+        # theta * 40 cells stays finite: the optimum of any positive slope above j*
+        result = exhaustive_best(HoldRange(0, 1, 1), symmetric_model(1e306, 1.0), 2, 41)
+        assert result == exhaustive_best(HoldRange(0, 1, 1), symmetric_model(1e3, 1.0), 2, 41)
 
     def test_deterministic(self):
         a = exhaustive_best(UNIT, MODEL, 3, coarse_cells=21)

@@ -1,9 +1,8 @@
 """Closed-form picks, areas, and bound arithmetic."""
 
-import numpy as np
 import pytest
 
-from temporal_transfer.landscape import _CLASS_ORDER, GapModel, HoldRange, Segments, SlopeClass, symmetric_model
+from temporal_transfer.landscape import GapModel, HoldRange, SlopeClass, slope_class, symmetric_model
 from temporal_transfer.selectors import run_cttl
 from temporal_transfer.theory import (
     UnsupportedAssumptionError,
@@ -24,14 +23,33 @@ WIDE = HoldRange(0, 40, 0.1)
 WIDE_MODEL = symmetric_model(1 / 40, 1.0)
 
 
+# (first value, last value, largest, smallest) of a segment of each class
+SHAPES = {
+    SlopeClass.FLAT: (1.0, 1.0, 1.0, 1.0),
+    SlopeClass.SYMMETRIC_V: (1.0, 1.0, 1.0, 0.0),
+    SlopeClass.POSITIVE: (0.0, 1.0, 1.0, 0.0),
+    SlopeClass.NEGATIVE: (1.0, 0.0, 1.0, 0.0),
+}
+
+
 def pick_and_gain(left, right, slope_class, model, is_first):
-    """optimal_pick_and_gain of the one segment [left, right] of a slope class."""
-    segs = Segments(np.array([left]), np.array([right]), np.array([_CLASS_ORDER.index(slope_class)]))
-    (pick,), (gain,) = optimal_pick_and_gain(segs, model, is_first)
-    return float(pick), float(gain)
+    """optimal_pick_and_gain of the one segment [left, right] of WIDE with
+    values of a slope class: the picked grid duration and the gain."""
+    shape = None if is_first else SHAPES[slope_class]
+    i, gain = optimal_pick_and_gain(model, WIDE, WIDE.nearest_index(left), WIDE.nearest_index(right), shape, 0.0)
+    return WIDE.point(i), gain
+
+
+def snapped(duration):
+    """The grid duration of WIDE nearest to `duration`."""
+    return WIDE.point(WIDE.nearest_index(duration))
 
 
 class TestOptimalPickAndGain:
+    def test_shapes_have_their_class(self):
+        for cls, shape in SHAPES.items():
+            assert slope_class(*shape, 0.0) is cls
+
     def test_first_pick_full_range(self):
         point, gain = pick_and_gain(0.0, 40.0, SlopeClass.FLAT, WIDE_MODEL, is_first=True)
         assert point == pytest.approx(20.0)
@@ -44,7 +62,7 @@ class TestOptimalPickAndGain:
 
     def test_positive_slope_trisection(self):
         point, gain = pick_and_gain(0.0, 20.0, SlopeClass.POSITIVE, WIDE_MODEL, is_first=False)
-        assert point == pytest.approx(20 / 3)
+        assert point == snapped(20 / 3)
         assert gain == pytest.approx(400 / 120)  # (1/3) * (1/40) * 400
 
     def test_negative_slope_trisection(self):

@@ -7,8 +7,8 @@ from temporal_transfer.landscape import (
     HoldRange,
     Landscape,
     apply_transfer,
+    landscape_csv_text,
     symmetric_model,
-    write_landscape_csv,
 )
 from temporal_transfer.selectors import run_gttl
 from temporal_transfer.trainers import (
@@ -77,7 +77,7 @@ class TestCsvBackend:
         model = symmetric_model(1 / 40, 1.0)
         land = apply_transfer(Landscape.zeros(RANGE), model, RANGE.nearest_index(20.0), 1.0)
         path = tmp_path / "landscape.csv"
-        write_landscape_csv(land, path)
+        path.write_text(landscape_csv_text(land))
         backend = load_csv_landscape(path)
         for d in (0.0, 20.0, 33.3):
             i = RANGE.nearest_index(d)
@@ -161,7 +161,7 @@ class TestInteractionWithSelectors:
         model = symmetric_model(1 / 40, 1.0)
         ideal_state = run_gttl(IdealTrainer(1.0, RANGE), model, RANGE, budget=3, epsilon=0.0)
         path = tmp_path / "land.csv"
-        write_landscape_csv(ideal_state.landscape, path)
+        path.write_text(landscape_csv_text(ideal_state.landscape))
         replay_state = run_gttl(load_csv_landscape(path), model, RANGE, budget=3, epsilon=0.0)
         assert replay_state.sources == ideal_state.sources
         assert replay_state.area_history == pytest.approx(ideal_state.area_history, rel=1e-6)
