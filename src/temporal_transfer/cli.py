@@ -280,12 +280,10 @@ def cmd_oracle(args) -> int:
     check_bounds(counts={"--kmax": (args.kmax, 1, min(args.grid, MAX_KMAX))})  # before the first solve
     lines = ["k,best_area,gttl_area,cttl_area,bound,holds"]
     coarse_ideal = IdealTrainer(args.jstar, coarse)
-    for k in range(1, args.kmax + 1):
-        best, gttl, report = oracle_mod.greedy_vs_oracle(hold_range, model, k, args.grid)
+    rows = oracle_mod.greedy_vs_oracle(hold_range, model, args.kmax, args.grid)
+    for k, (best, gttl, report) in enumerate(rows, start=1):
         cttl = run_cttl(coarse_ideal, model, coarse, budget=k).area
-        lines.append(
-            f"{k},{best.best_area:.6g},{gttl:.6g},{cttl:.6g},{report.rhs:.6g},{str(report.holds).lower()}"
-        )
+        lines.append(f"{k},{best.best_area:.6g},{gttl:.6g},{cttl:.6g},{report.rhs:.6g},{str(report.holds).lower()}")
     _emit("\n".join(lines) + "\n", out)
     return EXIT_OK
 

@@ -97,16 +97,11 @@ class HoldRange:
         """The grid duration of an index: the last one is d_max exactly."""
         return self.d_max if index == self.n_cells else self.d_min + index * self.resolution
 
-    def nearest_index(self, duration):
-        """Index of the nearest grid duration, halves to even, clamped to the
-        range: an int for one duration, an index array for an array of them."""
-        if not isinstance(duration, np.ndarray):
-            # clamped before rounding, which gives the same int; round() is half to even
-            i = (duration - self.d_min) / self.resolution
-            return round(0.0 if i < 0.0 else self.n_cells if i > self.n_cells else i)
-        i = np.rint((duration - self.d_min) / self.resolution)
-        i = np.minimum(np.maximum(i, 0.0), self.n_cells)
-        return int(i) if i.ndim == 0 else i.astype(np.intp)
+    def nearest_index(self, duration: float) -> int:
+        """Index of the nearest grid duration, halves to even, clamped to the range."""
+        # clamped before rounding, which gives the same int; round() is half to even
+        i = (duration - self.d_min) / self.resolution
+        return round(0.0 if i < 0.0 else self.n_cells if i > self.n_cells else i)
 
 
 @dataclass(frozen=True)

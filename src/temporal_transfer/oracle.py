@@ -5,7 +5,8 @@ chosen set (order plays no role), and between two consecutive chosen cells
 only their two tents can be the maximum. The area therefore splits into
 per-pair terms, and a dynamic program over the last chosen cell finds the
 best K-subset of a coarse grid exactly in O(K n^2), for asymmetric slopes
-too. Used to certify the closed-form picks, areas, and suboptimality bounds
+too. The chosen subset is scored by aggregate_area, as every selector's
+landscape is. Used to certify the closed-form picks, areas, and bounds
 independently of the formulas themselves. The picks are checked with
 best_marginal_cell, the brute-force scan that the greedy selector also
 falls back on; it lives with the landscape and is re-exported here.
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .landscape import GapModel, HoldRange, best_marginal_cell, check_bounds, gap  # noqa: F401  (re-exported)
+from .landscape import GapModel, HoldRange, Landscape, aggregate_area, check_bounds, gap
+from .landscape import best_marginal_cell  # noqa: F401  (re-exported)
 from .selectors import run_gttl
 from .theory import BoundReport, bound_report
 from .trainers import IdealTrainer
@@ -85,16 +87,16 @@ def exhaustive_best(
 
     Dynamic program over the last chosen cell: best[j] is the largest area
     left of cell j with the picks so far ending at j. Ties go to the smaller
-    cell index. best_area is the trapezoid integral of the chosen subset's
-    max-of-tents envelope.
+    cell index. best_area is the aggregate_area of the chosen subset's
+    max-of-tents envelope, which is the landscape that apply_transfer builds
+    from the same picks.
     """
     rng = coarse_range(hold_range, coarse_cells)
     check_bounds(counts={"k": (k, 1, coarse_cells)})
     grid = rng.grid()
     # Row i: the landscape one ideal training at grid[i] reaches.
     tents = np.maximum(model.j_star - gap(model, grid[:, None], grid[None, :]), 0.0)
-    weights = _trapezoid_weights(rng)
-    left, pair, right = _area_tables(tents, weights, model)
+    left, pair, right = _area_tables(tents, _trapezoid_weights(rng), model)
     best = left
     back = []
     for _ in range(k - 1):
@@ -105,31 +107,28 @@ def exhaustive_best(
     for pointers in reversed(back):
         chosen.append(int(pointers[chosen[-1]]))
     chosen.reverse()
-    envelope = tents[chosen].max(axis=0)
+    envelope = Landscape(rng, tents[chosen].max(axis=0))
     return OracleResult(
         best_sequence=tuple(float(grid[i]) for i in chosen),
-        best_area=float(envelope @ weights),
+        best_area=aggregate_area(envelope),
     )
 
 
 def greedy_vs_oracle(
-    hold_range: HoldRange, model: GapModel, k: int, coarse_cells: int = 41
-) -> tuple[OracleResult, float, BoundReport]:
-    """The optimum, the greedy area, and the measured oracle-minus-greedy
-    area gap checked against the bound.
-
-    The greedy run uses the same coarse grid as the oracle; the bound
-    allows one coarse cell of discretization slack.
-    """
+    hold_range: HoldRange, model: GapModel, kmax: int, coarse_cells: int = 41
+) -> list[tuple[OracleResult, float, BoundReport]]:
+    """For each budget K = 1 .. kmax: the optimum, the greedy area, and the
+    oracle-minus-greedy gap checked against the bound plus one coarse cell.
+    The optima and bounds come first, so a model they refuse stops the work
+    before the one greedy run, which is anytime: budget K reads its area
+    after min(K, picks made) picks."""
     rng = coarse_range(hold_range, coarse_cells)
-    best = exhaustive_best(hold_range, model, k, coarse_cells)
-    greedy = run_gttl(IdealTrainer(model.j_star, rng), model, rng, budget=k, epsilon=0.0).area
-    cell = rng.resolution * model.j_star
-    bound = theory.suboptimality_bound(hold_range, model, k) if k >= 2 else 0.0
-    report = bound_report(
-        claim=f"T4-oracle-K{k}",
-        lhs=best.best_area - greedy,
-        rhs=bound + cell,
-        scale=theory.full_area(hold_range, model),
-    )
-    return best, greedy, report
+    check_bounds(counts={"kmax": (kmax, 1, coarse_cells)})
+    budgets = range(1, kmax + 1)
+    optima = [exhaustive_best(hold_range, model, k, coarse_cells) for k in budgets]
+    bounds = [theory.suboptimality_bound(hold_range, model, k) if k >= 2 else 0.0 for k in budgets]
+    history = run_gttl(IdealTrainer(model.j_star, rng), model, rng, budget=kmax, epsilon=0.0).area_history
+    greedy = [history[min(k, len(history)) - 1] for k in budgets]
+    cell, scale = rng.resolution * model.j_star, theory.full_area(hold_range, model)
+    return [(best, area, bound_report(f"T4-oracle-K{k}", best.best_area - area, bound + cell, scale))
+            for k, best, area, bound in zip(budgets, optima, greedy, bounds)]

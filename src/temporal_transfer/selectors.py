@@ -258,7 +258,7 @@ def run_cttl(trainer, model: GapModel, hold_range: HoldRange, budget: int = 15) 
     check_bounds(counts={"budget": (budget, 1, MAX_BUDGET)})
     k = np.arange(budget)
     durations = hold_range.d_max - (2 * k + 1) / (2 * budget) * hold_range.width
-    return _run_plan(trainer, model, hold_range, hold_range.nearest_index(durations))
+    return _run_plan(trainer, model, hold_range, [hold_range.nearest_index(d) for d in durations.tolist()])
 
 
 def run_rttl(

@@ -88,7 +88,9 @@ def optimal_pick_and_gain(model: GapModel, hold_range: HoldRange, lo: int, hi: i
     return hold_range.nearest_index(pick), theta * (length * length) / divisor
 
 
-def _require_bounded_symmetric(hold_range: HoldRange, model: GapModel, what: str) -> float:
+def _area_scale(hold_range: HoldRange, model: GapModel, what: str) -> float:
+    """theta * W^2, the scale of every closed-form area: for a symmetric
+    model with a bounded slope only, and only where it is finite."""
     if not model.symmetric:
         raise UnsupportedAssumptionError(f"{what} requires a symmetric gap model")
     if not model.slope_within_bound(hold_range):
@@ -96,7 +98,12 @@ def _require_bounded_symmetric(hold_range: HoldRange, model: GapModel, what: str
             f"{what} requires theta <= j_star / range width "
             f"(theta={model.theta}, j_star={model.j_star}, width={hold_range.width})"
         )
-    return model.theta
+    try:  # Python's float ** raises OverflowError where numpy would give inf
+        scale = model.theta * hold_range.width**2
+    except OverflowError:
+        scale = math.inf
+    check_bounds(nonnegative={f"theta * width**2 (width={hold_range.width}, theta={model.theta})": scale})
+    return scale
 
 
 def ghost_cell_lower_bound(hold_range: HoldRange, model: GapModel, k: int) -> float:
@@ -106,11 +113,10 @@ def ghost_cell_lower_bound(hold_range: HoldRange, model: GapModel, k: int) -> fl
     intermediate k interpolate with equal steps of theta * W^2 / 2^(2i+1).
     The value is a valid (loose) lower bound whenever theta <= j_star / W.
     """
-    theta = _require_bounded_symmetric(hold_range, model, "ghost_cell_lower_bound")
+    scale = _area_scale(hold_range, model, "ghost_cell_lower_bound")
     check_bounds(counts={"k": (k, 0, math.inf)})
     if k == 0:
         return 0.0
-    scale = theta * hold_range.width**2
     if k <= 2:
         return 0.75 * scale
     i = math.ceil(math.log2(k - 1))  # anchor above: k <= 2^i + 1
@@ -128,16 +134,15 @@ def steps_to_cover(epsilon: float) -> int:
 
 def cttl_optimal_area(hold_range: HoldRange, model: GapModel, k: int) -> float:
     """Closed-form area of the budget-K coarse-to-fine schedule."""
-    theta = _require_bounded_symmetric(hold_range, model, "cttl_optimal_area")
+    scale = _area_scale(hold_range, model, "cttl_optimal_area")
     check_bounds(counts={"k": (k, 1, math.inf)})
-    return (1 - 1 / (4 * k)) * theta * hold_range.width**2
+    return (1 - 1 / (4 * k)) * scale
 
 
 def suboptimality_bound(hold_range: HoldRange, model: GapModel, k: int) -> float:
     """Upper bound on the coarse-to-fine advantage over the greedy selector."""
-    theta = _require_bounded_symmetric(hold_range, model, "suboptimality_bound")
+    scale = _area_scale(hold_range, model, "suboptimality_bound")
     check_bounds(counts={"k": (k, 2, math.inf)})
-    scale = theta * hold_range.width**2
     n = k - 1
     if n & (n - 1) == 0:  # k = 2^i + 1 for some i >= 0
         return scale / (4 * k * (k - 1))

@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
 import importlib
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import cli_env
 
@@ -413,6 +415,28 @@ class TestOracleCommand:
         assert err == ("invalid input: the tent crossovers overflow at slopes theta_left=1e+307, "
                        "theta_right=1e+307 on a 41-point grid\n")
 
+    def test_overflowing_area_scale_is_usage_error(self, tmp_path, capsys):
+        # theta * W^2 overflows in the closed-form bound: exit 2, no file
+        out = tmp_path / "oracle.csv"
+        code, text, err = run_cli(["oracle", "--dmax", "1e300", "--theta", "0", "--kmax", "2",
+                                   "--out", str(out)], capsys)
+        assert (code, text) == (2, "")
+        assert err == "invalid input: theta * width**2 (width=1e+300, theta=0.0) must be finite and >= 0, got inf\n"
+        assert not out.exists()
+
+    def test_one_greedy_run_per_table(self, capsys, monkeypatch):
+        oracle = importlib.import_module("temporal_transfer.oracle")
+        run_gttl, calls = oracle.run_gttl, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["budget"])
+            return run_gttl(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "run_gttl", counted)
+        code, out, _ = run_cli(["oracle", "--kmax", "4"], capsys)
+        assert code == 0 and out.count("\n") == 5
+        assert calls == [4]
+
 
 class TestRing:
     def test_eval_budget_zero_is_usage_error(self, capsys):
@@ -772,7 +796,40 @@ class TestExportPlot:
         assert err == f"usage error: {source}:4: expected 2 fields, got {got}\n"
 
 
+def _numpy_reports(feature: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get(feature, False)
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return ""
+
+
 class TestByteReproducibility:
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernels")
+    @pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
+    def test_certification_bytes_do_not_depend_on_the_blas_kernel(self):
+        # The oracle and verify print the same bytes under OpenBLAS's SSE3
+        # (Prescott) and AVX2 (Haswell) kernels as under the one it picks.
+        child = "import sys\nfrom temporal_transfer.cli import main\nfor a in sys.argv[1:]: print(main(a.split()))"
+        commands = ["verify", "verify --grid 81 --kmax 17", "oracle --grid 81"]
+        kernels = [None, "Prescott", *(["Haswell"] if _numpy_reports("AVX2") else [])]
+        outputs = []
+        for kernel in kernels:
+            env = {k: v for k, v in cli_env().items() if k != "OPENBLAS_CORETYPE"}
+            env.update({"OPENBLAS_CORETYPE": kernel} if kernel else {})
+            done = subprocess.run([sys.executable, "-c", child, *commands], capture_output=True, env=env, check=False)
+            assert (done.returncode, done.stderr) == (0, b""), kernel
+            outputs.append(done.stdout)
+        assert outputs[0].count(b"\n0\n") == 2 and outputs[0].count(b"\n4\n") == 1  # L2-k17 fails at K = 17
+        assert all(out == outputs[0] for out in outputs[1:]), kernels
+
     def _invoke(self, args, cwd):
         return subprocess.run(
             [sys.executable, "-m", "temporal_transfer.cli", *args],

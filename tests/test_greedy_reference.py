@@ -121,8 +121,8 @@ def assert_rule_matches_reference(land, picks, model):
     want = []
     for lo, hi, seg in zip(bounds, bounds[1:], segs):
         pick, gain = reference_pick_and_gain(seg, model, not picks)
-        # nearest_index of an array rounds with numpy, apart from the rule's Python round()
-        want.append((int(rng.nearest_index(np.array([pick]))[0]), gain))
+        # snapped with numpy's rounding, apart from the rule's Python round()
+        want.append((min(max(int(np.rint((pick - rng.d_min) / rng.resolution)), 0), rng.n_cells), gain))
         v = land.values[lo : hi + 1]
         shape = (v[0], v[-1], v.max(), v.min()) if picks else None
         assert optimal_pick_and_gain(model, rng, lo, hi, shape, tol) == want[-1]

@@ -1,17 +1,21 @@
 """The exact best-subset oracle, pinned to brute force, and greedy certification."""
 
+import ast
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import temporal_transfer
 from temporal_transfer.landscape import (
     GapModel,
     HoldRange,
     Landscape,
+    aggregate_area,
     apply_transfer,
     symmetric_model,
 )
@@ -22,7 +26,7 @@ from temporal_transfer.oracle import (
     greedy_vs_oracle,
 )
 from temporal_transfer.selectors import run_cttl, run_gttl, run_rttl
-from temporal_transfer.theory import cttl_optimal_area
+from temporal_transfer.theory import cttl_optimal_area, suboptimality_bound
 from temporal_transfer.trainers import IdealTrainer
 
 UNIT = HoldRange(0, 1, 0.025)
@@ -122,6 +126,33 @@ class TestExhaustiveBest:
         b = exhaustive_best(UNIT, MODEL, 3, coarse_cells=21)
         assert a == b
 
+    def test_default_grid_has_41_cells(self):
+        assert exhaustive_best(UNIT, MODEL, 2) == exhaustive_best(UNIT, MODEL, 2, coarse_cells=41)
+
+    @pytest.mark.parametrize("model", [MODEL, SKEWED, symmetric_model(0.0, 1.5)], ids=["symmetric", "skewed", "flat"])
+    @pytest.mark.parametrize("k, cells", [(1, 41), (2, 41), (3, 21), (5, 81)])
+    def test_area_is_that_of_a_run_of_the_picks(self, model, k, cells):
+        # One area rule: the optimum's area is, bit for bit, aggregate_area
+        # of the landscape that merging its picks builds.
+        result = exhaustive_best(UNIT, model, k, coarse_cells=cells)
+        coarse = coarse_range(UNIT, cells)
+        land = Landscape.zeros(coarse)
+        for d in result.best_sequence:
+            land = apply_transfer(land, model, coarse.nearest_index(d), model.j_star)
+        assert result.best_area.hex() == aggregate_area(land).hex()
+
+    def test_src_calls_no_blas_routine(self):
+        # A BLAS product sums in an order that depends on the CPU's kernel,
+        # so no area in the package goes through one.
+        blas = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+        for path in Path(temporal_transfer.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not isinstance(node, ast.MatMult), f"{path.name}:{node.lineno}"
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    assert name not in blas, f"{path.name}:{node.lineno} calls {name}"
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("model", [MODEL, SKEWED], ids=["symmetric", "skewed"])
@@ -158,19 +189,44 @@ class TestAgainstBruteForce:
 
 class TestGreedyVsOracle:
     def test_first_pick_gap_is_zero(self):
-        _, _, report = greedy_vs_oracle(UNIT, MODEL, 1, coarse_cells=41)
+        _, _, report = greedy_vs_oracle(UNIT, MODEL, 1, coarse_cells=41)[-1]
         assert report.holds
         assert abs(report.lhs) <= 1e-9
 
     def test_k3_within_bound(self):
-        _, _, report = greedy_vs_oracle(UNIT, MODEL, 3, coarse_cells=41)
+        _, _, report = greedy_vs_oracle(UNIT, MODEL, 3, coarse_cells=41)[-1]
         assert report.holds
         assert report.rhs == pytest.approx(1 / 24 + 0.025)
 
     def test_k4_within_bound(self):
-        _, _, report = greedy_vs_oracle(UNIT, MODEL, 4, coarse_cells=41)
+        _, _, report = greedy_vs_oracle(UNIT, MODEL, 4, coarse_cells=41)[-1]
         assert report.holds
         assert report.rhs == pytest.approx(1 / 18 + 0.025)
+
+    def test_default_grid_has_41_cells(self):
+        assert greedy_vs_oracle(UNIT, MODEL, 3) == greedy_vs_oracle(UNIT, MODEL, 3, coarse_cells=41)
+
+    @pytest.mark.parametrize("theta, cells, kmax", [(1.0, 41, 6), (0.5, 5, 5), (0.0, 5, 5)])
+    def test_one_greedy_run_gives_every_budget(self, theta, cells, kmax):
+        # The greedy is anytime: its kmax-pick run read after K picks is the
+        # run of budget K, up to kmax = cells, which leaves no cell free.
+        model = symmetric_model(theta, 1.0)
+        coarse = coarse_range(UNIT, cells)
+        rows = greedy_vs_oracle(UNIT, model, kmax, cells)
+        assert len(rows) == kmax
+        for k, (best, greedy, report) in enumerate(rows, start=1):
+            assert best == exhaustive_best(UNIT, model, k, cells)
+            assert greedy == run_gttl(IdealTrainer(1.0, coarse), model, coarse, budget=k, epsilon=0.0).area
+            assert report.claim == f"T4-oracle-K{k}" and report.lhs == best.best_area - greedy
+        assert rows[0][2].lhs == 0.0  # one rule: at K = 1 both pick the midpoint and score it alike
+
+    def test_slack_is_one_cell_of_j_star(self):
+        # At j* != 1 the one-cell slack is resolution * j*, not resolution / j*.
+        model = symmetric_model(2.5, 2.5)
+        cell = coarse_range(UNIT, 41).resolution * 2.5
+        for k, (_, _, report) in enumerate(greedy_vs_oracle(UNIT, model, 4), start=1):
+            assert report.holds
+            assert report.rhs == (suboptimality_bound(UNIT, model, k) if k >= 2 else 0.0) + cell
 
 
 class TestSelectorOrdering:

@@ -1,10 +1,14 @@
 """Closed-form picks, areas, and bound arithmetic."""
 
+import math
+import re
+
 import pytest
 
 from temporal_transfer.landscape import GapModel, HoldRange, SlopeClass, slope_class, symmetric_model
 from temporal_transfer.selectors import run_cttl
 from temporal_transfer.theory import (
+    REPORT_TOL,
     UnsupportedAssumptionError,
     bound_report,
     cttl_optimal_area,
@@ -123,6 +127,12 @@ class TestGhostCellLowerBound:
         with pytest.raises(UnsupportedAssumptionError):
             ghost_cell_lower_bound(UNIT, symmetric_model(1.5, 1.0), 3)
 
+    def test_k2_is_the_first_anchor(self):
+        # `k <= 2` -> `k < 2` is an equivalent mutant: at k = 2 the anchor
+        # rule has i = 0 and steps_short = 0, which give 0.75 * scale too.
+        model = symmetric_model(0.02, 1.0)
+        assert ghost_cell_lower_bound(WIDE, model, 2) == 0.75 * (0.02 * WIDE.width**2)
+
 
 class TestStepsToCover:
     def test_examples(self):
@@ -190,3 +200,21 @@ class TestBoundReport:
         assert report.holds
         assert bound_report("x", 1.0 + 1e-10, 1.0, scale=1.0).holds is False
         assert bound_report("x", 2.0, 1.0, scale=1.0).slack == -1.0
+
+    @pytest.mark.parametrize("scale", [4.0, -4.0])
+    def test_holds_exactly_up_to_the_tolerance(self, scale):
+        # The slack is REPORT_TOL * |scale|, whatever the sign of scale: lhs
+        # at that edge holds, and the next float above it does not.
+        edge = 1.0 + REPORT_TOL * abs(scale)
+        assert bound_report("x", edge, 1.0, scale).holds
+        assert not bound_report("x", math.nextafter(edge, math.inf), 1.0, scale).holds
+
+
+@pytest.mark.parametrize("closed_form, k", [(ghost_cell_lower_bound, 2), (cttl_optimal_area, 1),
+                                            (suboptimality_bound, 2)])
+@pytest.mark.parametrize("width, theta, j_star", [(1e300, 0.0, 1.0), (1e300, 1.0, 1e307), (1e154, 10.0, 1e160)])
+def test_overflowing_area_scale_is_rejected(closed_form, k, width, theta, j_star):
+    # theta * W^2 overflows: W**2 raises OverflowError at W = 1e300, and the
+    # product is inf at W = 1e154. Either way a ValueError names both.
+    with pytest.raises(ValueError, match=re.escape(f"theta * width**2 (width={width}, theta={theta}) must be finite")):
+        closed_form(HoldRange(0, width, width), symmetric_model(theta, j_star), k)
