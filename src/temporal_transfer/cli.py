@@ -97,20 +97,38 @@ def _report_rows(reports: list[BoundReport]) -> str:
     return "\n".join(["claim,lhs,rhs,holds,slack", *rows]) + "\n"
 
 
-# Each `run` flag that not every run reads, and the --algo and --trainer
-# values that read it. Algorithm and trainer names never collide.
-_READERS = {
-    "budget": ("gttl", "cttl", "rttl"),
-    "epsilon": ("gttl",),
-    "seed": ("rttl", "noisy", "ring"),
-    "csv": ("csv",),
-    "noise_eta": ("noisy",),
-    "decay": ("decaying",),
-    "search_budget": ("ring",),
-    "config": ("ring",),
-    "warmup": ("ring",),
-    "horizon": ("ring",),
+# The flags of `run` and `verify` that not every call reads: each one's type,
+# default (None: that of the function that reads it), the --algo and --trainer
+# values (which never collide) or the claims that read it, and its help text.
+CONDITIONAL_FLAGS = {
+    "run": {
+        "--budget": (int, None, ("gttl", "cttl", "rttl"), "training budget K"),
+        "--epsilon": (float, None, ("gttl",), "uncovered fraction at which to stop"),
+        "--jstar": (float, 1.0, ("gttl", "ideal", "decaying", "noisy"), "performance ceiling J*"),
+        "--seed": (int, None, ("rttl", "noisy", "ring"), "random seed"),
+        "--csv": (str, None, ("csv",), "landscape CSV to replay"),
+        "--noise-eta": (float, None, ("noisy",), "noise amplitude"),
+        "--decay": (float, None, ("decaying",), "fall of the bound across the range"),
+        "--search-budget": (int, None, ("ring",), "policy-search rollouts"),
+        "--config": (str, None, ("ring",), "key=value config file"),
+        "--warmup": (float, None, ("ring",), "warmup seconds"),
+        "--horizon": (float, None, ("ring",), "scored seconds"),
+    },
+    "verify": {
+        "--grid": (int, 41, ("T1", "L3"), "oracle grid points"),
+        "--kmax": (int, 9, ("T4", "L2", "L3"), "largest budget K"),
+    },
 }
+
+
+def _check_readers(args, chosen) -> None:
+    """Reject a given CONDITIONAL_FLAGS flag that no name in `chosen` reads; default the rest."""
+    for flag, (_, default, readers, _) in CONDITIONAL_FLAGS[args.command].items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not set(readers) & set(chosen):
+            raise UsageError(f"{flag} applies only to {', '.join(readers)}")
 
 
 def given(**params) -> dict:
@@ -132,22 +150,18 @@ def _build_trainer(args, hold_range: HoldRange):
         if not args.csv:
             raise UsageError("--csv PATH is required with --trainer csv")
         return load_csv_landscape(args.csv)
-    return RingTrainer(
-        _ring_config(args), **given(search_budget=args.search_budget, seed=args.seed)
-    )
+    return RingTrainer(_ring_config(args), **given(search_budget=args.search_budget, seed=args.seed))
 
 
 def cmd_run(args) -> int:
     out = _usable_out(args.out, prefix=True)  # its directory is made after the run, or not at all
-    for flag, readers in _READERS.items():
-        if getattr(args, flag) is not None and args.algo not in readers and args.trainer not in readers:
-            raise UsageError(f"--{flag.replace('_', '-')} applies only to {', '.join(readers)}")
+    _check_readers(args, (args.algo, args.trainer))
     hold_range = HoldRange(args.dmin, args.dmax, args.resolution)
     model = symmetric_model(args.theta, args.jstar)
     kind = SelectorKind(args.algo)
     trainer = _build_trainer(args, hold_range)
-    options = {flag: getattr(args, flag) for flag in ("budget", "epsilon", "seed")
-               if kind.value in _READERS[flag]}
+    options = {name: getattr(args, name) for name in ("budget", "epsilon", "seed")
+               if kind.value in CONDITIONAL_FLAGS["run"][f"--{name}"][2]}
     failed = None
     try:
         state = run_selector(kind, trainer, model, hold_range, **given(**options))
@@ -253,6 +267,7 @@ def cmd_verify(args) -> int:
     unknown = set(claims) - set(ALL_CLAIMS)
     if unknown:
         raise UsageError(f"unknown claims: {sorted(unknown)} (choose from {ALL_CLAIMS})")
+    _check_readers(args, claims)
     check_bounds(counts={"--kmax": (args.kmax, 1, MAX_KMAX)})
     rows: list[BoundReport] = []
     simulated = None  # greedy and schedule areas, shared by T4 and L2
@@ -367,6 +382,12 @@ def cmd_export_plot(args) -> int:
     return EXIT_OK
 
 
+def _add_conditional(parser: argparse.ArgumentParser, command: str) -> None:
+    """The command's CONDITIONAL_FLAGS, readers first in the help and no default."""
+    for flag, (kind, _, readers, text) in CONDITIONAL_FLAGS[command].items():
+        parser.add_argument(flag, type=kind, help=f"{', '.join(readers)}: {text}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="temporal-transfer",
@@ -379,28 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dmin", type=float, default=0.0)
     run.add_argument("--dmax", type=float, default=40.0)
     run.add_argument("--resolution", type=float, default=0.1)
-    # Selector and backend flags: each applies only to the --algo and
-    # --trainer values that read it (_READERS).
-    run.add_argument("--budget", type=int, help="gttl, cttl, rttl: training budget K")
-    run.add_argument("--epsilon", type=float, help="gttl: uncovered fraction at which to stop")
     run.add_argument("--theta", type=float, default=0.025)
-    run.add_argument("--jstar", type=float, default=1.0)
     run.add_argument("--trainer", default="ideal", choices=["ideal", "decaying", "noisy", "csv", "ring"])
-    run.add_argument("--seed", type=int, help="rttl, noisy, ring: random seed")
-    run.add_argument("--csv", help="csv: landscape CSV to replay")
-    run.add_argument("--noise-eta", type=float, help="noisy: noise amplitude")
-    run.add_argument("--decay", type=float, help="decaying: fall of the bound across the range")
-    run.add_argument("--search-budget", type=int, help="ring: policy-search rollouts")
-    run.add_argument("--config", help="ring: key=value config file")
-    run.add_argument("--warmup", type=float, help="ring: warmup seconds")
-    run.add_argument("--horizon", type=float, help="ring: scored seconds")
+    _add_conditional(run, "run")
     run.add_argument("--out", default="run", help="output path prefix")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="check the analytical claims numerically")
     verify.add_argument("--claims", help=f"comma list from {','.join(ALL_CLAIMS)} (default all)")
-    verify.add_argument("--grid", type=int, default=41)
-    verify.add_argument("--kmax", type=int, default=9)
+    _add_conditional(verify, "verify")
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 

@@ -70,12 +70,10 @@ class HoldRange:
             raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max}]")
         cells = (self.d_max - self.d_min) / self.resolution
         check_bounds(counts={"cells": (cells, 0, MAX_CELLS)})
-        if abs(cells - round(cells)) > 1e-6 * max(cells, 1.0):
-            raise ValueError(
-                f"range width {self.d_max - self.d_min} is not a whole number of "
-                f"{self.resolution}-cells"
-            )
         object.__setattr__(self, "n_cells", round(cells))
+        if self.n_cells < 1 or abs(cells - self.n_cells) > 1e-6 * max(cells, 1.0):
+            raise ValueError(f"range width {self.d_max - self.d_min} is not a positive whole number "
+                             f"of {self.resolution}-cells")
         grid = self.d_min + self.resolution * np.arange(self.n_points)
         grid[-1] = self.d_max  # d_min + n_cells * resolution can round past it
         grid.flags.writeable = False
@@ -143,6 +141,28 @@ def symmetric_model(theta: float, j_star: float) -> GapModel:
     return GapModel(theta_left=theta, theta_right=theta, j_star=j_star)
 
 
+def check_overflow(hold_range: HoldRange, model: GapModel | None = None, **values: float) -> float | None:
+    """The overflow rule of areas and slopes over `hold_range`: theta * W^2 (which
+    bounds theta * W) for the model's steeper slope theta, and v * n_points and
+    v * W for each named value v, the largest that a landscape of the range may
+    hold, must be finite. Raises ValueError naming the first product that is
+    not; returns theta * W^2, None without a model."""
+    width, scale = hold_range.width, None
+    if model is not None:
+        theta = max(model.theta_left, model.theta_right)
+        try:  # Python's float ** raises OverflowError where numpy would give inf
+            scale = theta * width**2
+        except OverflowError:
+            scale = math.inf
+        if not scale < math.inf:  # each message is made only on failure
+            raise ValueError(f"theta * width**2 (width={width}, theta={theta}) must be finite and >= 0, got inf")
+    for name, v in values.items():
+        for of, size in (("n_points", hold_range.n_points), ("width", width)):
+            if not float(v) * size < math.inf:
+                raise ValueError(f"{name} * {of} ({name}={v}, {of}={size}) must be finite and >= 0, got inf")
+    return scale
+
+
 def gap(model: GapModel, d_source, d_target):
     """Performance lost transferring a policy from d_source to d_target: a
     float for two durations, an array for arrays of them (broadcast)."""
@@ -198,6 +218,7 @@ def apply_transfer(land: Landscape, model: GapModel, index: int, achieved: float
     """
     check_bounds(nonnegative={"achieved": achieved})
     rng = land.range
+    check_overflow(rng, achieved=achieved)
     if not (isinstance(index, (int, np.integer)) and 0 <= index <= rng.n_cells):
         raise ValueError(f"source index must be an int in [0, {rng.n_cells}], got {index!r}")
     values = achieved - gap(model, rng.point(index), rng.grid())

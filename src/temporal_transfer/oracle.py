@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .landscape import GapModel, HoldRange, Landscape, aggregate_area, check_bounds, gap
+from .landscape import GapModel, HoldRange, Landscape, aggregate_area, check_bounds, check_overflow, gap
 from .landscape import best_marginal_cell  # noqa: F401  (re-exported)
 from .selectors import run_gttl
 from .theory import BoundReport, bound_report
@@ -93,6 +93,7 @@ def exhaustive_best(
     """
     rng = coarse_range(hold_range, coarse_cells)
     check_bounds(counts={"k": (k, 1, coarse_cells)})
+    check_overflow(rng, model, j_star=model.j_star)
     grid = rng.grid()
     # Row i: the landscape one ideal training at grid[i] reaches.
     tents = np.maximum(model.j_star - gap(model, grid[:, None], grid[None, :]), 0.0)

@@ -24,6 +24,7 @@ from .landscape import (
     apply_transfer,
     best_marginal_cell,
     check_bounds,
+    check_overflow,
     segment_bounds,
     segment_shapes,
     slope_tol,
@@ -229,6 +230,7 @@ def run_gttl(
     check_bounds(counts={"budget": (budget, 1, MAX_BUDGET)})
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    check_overflow(hold_range, model, j_star=model.j_star)
     state = SelectionState(landscape=Landscape.zeros(hold_range))
     if epsilon >= 1:  # degenerate: the coverage target is already met
         return state
@@ -245,6 +247,7 @@ def run_gttl(
 def _run_plan(trainer, model: GapModel, hold_range: HoldRange, plan) -> SelectionState:
     """Train the grid indices of a plan, known up front, in order."""
     check_bounds(counts={"plan length * grid points": (len(plan) * hold_range.n_points, 0, MAX_MERGES)})
+    check_overflow(hold_range, model, j_star=model.j_star)
     state = SelectionState(landscape=Landscape.zeros(hold_range))
     for i in plan:
         _train_and_apply(state, trainer, model, int(i))

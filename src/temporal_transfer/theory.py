@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .landscape import GapModel, HoldRange, SlopeClass, check_bounds, slope_class
+from .landscape import GapModel, HoldRange, SlopeClass, check_bounds, check_overflow, slope_class
 
 
 class UnsupportedAssumptionError(ValueError):
@@ -72,7 +72,8 @@ def optimal_pick_and_gain(model: GapModel, hold_range: HoldRange, lo: int, hi: i
     every gain.
     """
     left, right = hold_range.point(lo), hold_range.point(hi)
-    theta = (model.theta_left + model.theta_right) / 2
+    # the mean slope; a symmetric model's own, which has no sum to overflow
+    theta = model.theta_left if model.symmetric else (model.theta_left + model.theta_right) / 2
     length = right - left
     if shape is None:
         return hold_range.nearest_index(split_point(model, left, right)), 0.75 * theta * (length * length)
@@ -98,12 +99,7 @@ def _area_scale(hold_range: HoldRange, model: GapModel, what: str) -> float:
             f"{what} requires theta <= j_star / range width "
             f"(theta={model.theta}, j_star={model.j_star}, width={hold_range.width})"
         )
-    try:  # Python's float ** raises OverflowError where numpy would give inf
-        scale = model.theta * hold_range.width**2
-    except OverflowError:
-        scale = math.inf
-    check_bounds(nonnegative={f"theta * width**2 (width={hold_range.width}, theta={model.theta})": scale})
-    return scale
+    return check_overflow(hold_range, model)
 
 
 def ghost_cell_lower_bound(hold_range: HoldRange, model: GapModel, k: int) -> float:

@@ -81,8 +81,8 @@ class NoisyTrainer(IdealTrainer):
 
     def __init__(self, j_star: float, hold_range: HoldRange, eta: float = 0.1, seed: int = 0):
         super().__init__(j_star, hold_range)
-        check_bounds(nonnegative={"eta": eta}, counts={"seed": (seed, 0, math.inf)})
-        self.eta = eta
+        check_bounds(nonnegative={"eta": eta, "2 * eta": 2 * eta}, counts={"seed": (seed, 0, math.inf)})
+        self.eta = abs(eta)  # -0.0 as 0.0: the draw needs -eta <= eta
         self.seed = seed
 
     def evaluate(self, delta: float) -> EvaluatorResult:

@@ -100,7 +100,115 @@ def test_out_in_a_missing_directory_is_made(tmp_path, capsys):
     assert code == 0 and out.read_text() == text
 
 
+# A value each conditional flag accepts, and the extra flags each trainer needs.
+FLAG_VALUES = {"--budget": "1", "--epsilon": "0", "--jstar": "2", "--seed": "1", "--csv": "{curve}",
+               "--noise-eta": "0.1", "--decay": "0.5", "--search-budget": "1", "--config": "{config}",
+               "--warmup": "5", "--horizon": "5", "--grid": "21", "--kmax": "2"}
+TRAINER_FLAGS = {"csv": {"--csv": "{curve}"},
+                 "ring": {"--search-budget": "1", "--warmup": "5", "--horizon": "5"}}
+ALGOS = ("gttl", "cttl", "rttl", "exhaustive")
+TRAINERS = ("ideal", "decaying", "noisy", "csv", "ring")
+
+
+def _flag_call(command, flag, names):
+    """A `command` call that gives `flag` and chooses `names`: the --algo and
+    --trainer values of a run, or the claims of a verify."""
+    if command == "verify":
+        return ["verify", "--claims", ",".join(names), flag, FLAG_VALUES[flag]]
+    algo, trainer = names
+    given = {"--dmax": "20", "--resolution": "1", **TRAINER_FLAGS.get(trainer, {}),
+             **({"--budget": "1"} if algo != "exhaustive" else {}), flag: FLAG_VALUES[flag]}
+    return ["run", "--algo", algo, "--trainer", trainer, *[a for kv in given.items() for a in kv]]
+
+
+def _table_rows():
+    from temporal_transfer.cli import ALL_CLAIMS, CONDITIONAL_FLAGS
+
+    for command, table in CONDITIONAL_FLAGS.items():
+        for flag, (_, _, readers, _) in table.items():
+            if command == "verify":
+                unread = [[next(c for c in ALL_CLAIMS if c not in readers)]]
+                read = [[claim] for claim in readers]
+            else:
+                unread = [[next(a for a in ALGOS if a not in readers), next(t for t in TRAINERS if t not in readers)]]
+                read = [[name, "ideal"] if name in ALGOS else ["cttl", name] for name in readers]
+            yield from [pytest.param(command, flag, names, readers, id=f"{command}{flag}-{'-'.join(names)}")
+                        for names in unread + read]
+
+
+class TestConditionalFlags:
+    @pytest.mark.parametrize("command, flag, names, readers", list(_table_rows()))
+    def test_flag_applies_only_where_a_chosen_name_reads_it(self, command, flag, names, readers,
+                                                            tmp_path, capsys):
+        # Every row of each command's table: given with no reader among the
+        # chosen names, the flag exits 2 before any work; with one, it runs.
+        curve = tmp_path / "curve.csv"
+        curve.write_text("delta,performance\n" + "".join(f"{d},1\n" for d in range(21)))
+        config = tmp_path / "ring.cfg"
+        config.write_text(RING_FAST)
+        args = [a.format(curve=curve, config=config) for a in _flag_call(command, flag, names)]
+        out = tmp_path / "out" / "x"
+        code, stdout, err = run_cli([*args, "--out", str(out)], capsys)
+        if set(names) & set(readers):
+            assert (code, err) == (0, "")
+            assert (out.parent / "x_iterations.csv").exists() if command == "run" else out.exists()
+        else:
+            assert (code, stdout) == (2, "")
+            assert err == f"usage error: {flag} applies only to {', '.join(readers)}\n"
+            assert not (tmp_path / "out").exists()
+
+    def test_jstar_is_read_by_the_ideal_trainer(self, tmp_path, capsys):
+        code, out, _ = run_cli(["run", "--algo", "cttl", "--jstar", "2", "--budget", "2",
+                                "--out", str(tmp_path / "x")], capsys)
+        assert (code, out) == (0, "cttl,2,75,1.87469\n")  # 35 and 0.874688 at j* = 1
+
+
+@pytest.mark.parametrize(
+    "args, product",
+    [
+        (["oracle", "--dmax", "1e300", "--jstar", "1e307", "--grid", "49", "--kmax", "1"],
+         "theta * width**2 (width=1e+300, theta=1.0)"),
+        (["oracle", "--dmax", "40", "--jstar", "1e307", "--kmax", "1"],
+         "j_star * n_points (j_star=1e+307, n_points=41)"),
+        (["run", "--algo", "gttl", "--dmax", "1e300", "--resolution", "1e298", "--jstar", "1e307",
+          "--theta", "0", "--budget", "2"], "theta * width**2 (width=1e+300, theta=0.0)"),
+        (["run", "--algo", "cttl", "--trainer", "csv", "--csv", "{huge}"],
+         "achieved * n_points (achieved=1e+308, n_points=401)"),
+        (["run", "--algo", "gttl", "--resolution", "2", "--theta", "1.7e308"],
+         "theta * width**2 (width=40.0, theta=1.7e+308)"),
+        (["oracle", "--dmax", "1e300", "--kmax", "1"], "theta * width**2 (width=1e+300, theta=1.0)"),
+        (["run", "--algo", "rttl", "--dmin", "1", "--theta", "1e307", "--budget", "5", "--seed", "5"],
+         "theta * width**2 (width=39.0, theta=1e+307)"),
+        (["run", "--algo", "gttl", "--trainer", "noisy", "--noise-eta", "1e308", "--budget", "3"], "2 * eta"),
+        (["run", "--resolution", "1e10", "--algo", "gttl"],
+         "range width 40.0 is not a positive whole number of 10000000000.0-cells"),
+        (["run", "--algo", "exhaustive", "--trainer", "csv", "--dmin", "5e-324", "--resolution", "1.7e308",
+          "--csv", "{huge}"], "range width 40.0 is not a positive whole number of 1.7e+308-cells"),
+    ],
+    ids=["oracle-wide-range", "oracle-huge-jstar", "run-wide-range", "run-huge-csv", "run-steep-slope",
+         "oracle-wide-default", "rttl-steep-slope", "noisy-huge-eta", "run-zero-cells", "exhaustive-zero-cells"],
+)
+def test_overflowing_product_is_usage_error(args, product, tmp_path, capsys):
+    # Areas, sums and slopes that would overflow, and a range of no whole
+    # cell, exit 2 naming the product or the cell, before numpy warns (pytest
+    # makes a RuntimeWarning an error), with nothing on stdout and no file.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("delta,performance\n0,1e308\n20,1e308\n40,1e308\n")
+    out = tmp_path / "out" / "x"
+    code, stdout, err = run_cli([*[a.format(huge=huge) for a in args], "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"invalid input: {product}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestRun:
+    def test_steepest_finite_slope_runs(self, tmp_path, capsys):
+        # theta * W^2 is finite on [0, 1]; the gains use the slope itself, not
+        # a sum of the two equal slopes, which would overflow
+        code, out, err = run_cli(["run", "--algo", "gttl", "--dmax", "1", "--theta", "1.7e308",
+                                  "--budget", "2", "--out", str(tmp_path / "x")], capsys)
+        assert (code, out, err) == (0, "gttl,2,0.2,0.181818\n", "")
+
     @pytest.mark.parametrize("out", ["file/x", "file/sub/x"])
     def test_out_under_a_file_fails_before_any_training(self, out, tmp_path, capsys, monkeypatch):
         from temporal_transfer.trainers import RingTrainer

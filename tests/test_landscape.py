@@ -15,6 +15,7 @@ from temporal_transfer.landscape import (
     aggregate_area,
     apply_transfer,
     check_bounds,
+    check_overflow,
     gap,
     landscape_csv_text,
     segments,
@@ -94,6 +95,14 @@ class TestHoldRange:
             HoldRange(0, 1, 0.3)  # not a whole number of cells
         with pytest.raises(ValueError):
             HoldRange(0, 1, -0.1)
+
+    @pytest.mark.parametrize("d_min, d_max, resolution", [(0, 40, 1e10), (5e-324, 40, 1.7e308), (0, 1, 2.5)])
+    def test_range_of_no_whole_cell_is_rejected(self, d_min, d_max, resolution):
+        # a width of 4e-9 cells rounds to 0 cells within the whole-cell tolerance
+        width = d_max - d_min
+        with pytest.raises(ValueError, match=re.escape(f"range width {width} is not a positive whole number "
+                                                       f"of {resolution}-cells")):
+            HoldRange(d_min, d_max, resolution)
 
     def test_grid_is_one_read_only_array(self):
         rng = HoldRange(0, 40, 0.1)
@@ -211,6 +220,27 @@ def test_non_finite_model_and_range_rejected(bad, position):
     bounds[position] = bad
     with pytest.raises(ValueError, match="finite"):
         HoldRange(*bounds)
+
+
+@pytest.mark.parametrize(
+    "d_max, resolution, model, values, message",
+    [
+        # the steeper of two slopes sets theta, whichever side it is on
+        (40.0, 0.1, GapModel(0.0, 1.7e308, 1.0), {}, "theta * width**2 (width=40.0, theta=1.7e+308)"),
+        (40.0, 0.1, GapModel(1.7e308, 0.0, 1.0), {}, "theta * width**2 (width=40.0, theta=1.7e+308)"),
+        (40.0, 0.1, None, {"achieved": 1e307}, "achieved * n_points (achieved=1e+307, n_points=401)"),
+        (4000.0, 100.0, None, {"v": 1e306}, "v * width (v=1e+306, width=4000.0)"),
+    ],
+)
+def test_overflow_rule_names_the_product(d_max, resolution, model, values, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message} must be finite and >= 0, got inf")):
+        check_overflow(HoldRange(0.0, d_max, resolution), model, **values)
+
+
+def test_overflow_rule_returns_theta_times_width_squared():
+    rng = HoldRange(0.0, 40.0, 0.1)
+    assert check_overflow(rng, GapModel(0.5, 0.25, 1.0), v=1e300) == 0.5 * 40.0**2
+    assert check_overflow(rng, v=1e300) is None
 
 
 class TestApplyTransfer:

@@ -311,3 +311,32 @@ def test_readme_library_sketch_runs_as_its_comments_state():
     assert state.sources == [20.0, 33.300000000000004, 6.7]
     assert round(state.area, 2) == 36.67
     assert full_area(names["hold_range"], names["model"]) == 40.0
+
+
+def test_package_root_exports_exactly_the_readme_sketch_names():
+    # The sketch's `from temporal_transfer import (...)` is the package
+    # root's whole public surface; every other name lives in its module.
+    import temporal_transfer
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    imported = re.search(r"from temporal_transfer import \((.*?)\)", readme, re.S).group(1)
+    assert set(temporal_transfer.__all__) == {name.strip() for name in imported.split(",") if name.strip()}
+    assert len(temporal_transfer.__all__) == 6
+
+
+def test_no_file_imports_another_name_from_the_package_root():
+    # `from temporal_transfer import X` names a submodule or a sketch name.
+    import ast
+
+    import temporal_transfer
+
+    root = Path(__file__).resolve().parents[1]
+    package = Path(temporal_transfer.__file__).parent
+    allowed = set(temporal_transfer.__all__) | {p.stem for p in package.glob("*.py")}
+    found = set()
+    for path in [*root.glob("tests/*.py"), *root.glob("perfbench/*.py"), *root.glob("src/temporal_transfer/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "temporal_transfer" and node.level == 0:
+                found |= {(path.name, alias.name) for alias in node.names}
+    assert found, "the scan should see the tests' own submodule imports"
+    assert {(name, alias) for name, alias in found if alias not in allowed} == set()

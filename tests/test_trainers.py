@@ -61,6 +61,16 @@ class TestAnalyticBackends:
         for delta in (0.0, 17.2, 40.0):
             assert noisy.evaluate(delta).achieved == ideal.evaluate(delta).achieved
 
+    def test_negative_zero_eta_is_zero(self):
+        # -0.0 passes the >= 0 rule; a draw from [0.0, -0.0] would fail
+        noisy = NoisyTrainer(1.0, RANGE, eta=-0.0, seed=5)
+        assert [noisy.evaluate(d).achieved for d in (0.0, 17.2, 40.0)] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("eta", [1e308, 1.7e308])
+    def test_eta_whose_draw_range_overflows_is_rejected(self, eta):
+        with pytest.raises(ValueError, match=r"2 \* eta must be finite"):
+            NoisyTrainer(1.0, RANGE, eta=eta)
+
     def test_noise_clamped_at_zero(self):
         trainer = NoisyTrainer(0.01, RANGE, eta=1.0, seed=0)
         achieved = [trainer.evaluate(d).achieved for d in RANGE.grid()[:100]]
