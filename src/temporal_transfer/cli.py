@@ -22,11 +22,11 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import ringsim, theory
 from .landscape import (
-    GapModel,
     HoldRange,
     Landscape,
     apply_transfer,
     check_bounds,
+    check_overflow,
     landscape_csv_text,
     symmetric_model,
 )
@@ -52,7 +52,6 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 EXIT_BOUND = 4
 
-ALL_CLAIMS = ("T1", "T2", "T4", "L2", "L3")
 # The largest --kmax of `oracle` and `verify` and --seeds of `ring baseline`,
 # each about a minute of work (README lists the measurements).
 MAX_KMAX = 48
@@ -138,8 +137,9 @@ def given(**params) -> dict:
 
 
 def _build_trainer(args, hold_range: HoldRange):
-    """The backend that --trainer names, built from its own flags. A ring
-    backend checks its config and budget here, before any training."""
+    """The backend that --trainer names, built from its own flags. An analytic
+    or replayed backend checks its largest result, and a ring backend its
+    config and budget, here, before any training."""
     if args.trainer == "ideal":
         return IdealTrainer(args.jstar, hold_range)
     if args.trainer == "decaying":
@@ -149,12 +149,13 @@ def _build_trainer(args, hold_range: HoldRange):
     if args.trainer == "csv":
         if not args.csv:
             raise UsageError("--csv PATH is required with --trainer csv")
-        return load_csv_landscape(args.csv)
+        trainer = load_csv_landscape(args.csv)
+        check_overflow(hold_range, achieved=float(trainer.performances.max()))  # its largest result
+        return trainer
     return RingTrainer(_ring_config(args), **given(search_budget=args.search_budget, seed=args.seed))
 
 
 def cmd_run(args) -> int:
-    out = _usable_out(args.out, prefix=True)  # its directory is made after the run, or not at all
     _check_readers(args, (args.algo, args.trainer))
     hold_range = HoldRange(args.dmin, args.dmax, args.resolution)
     model = symmetric_model(args.theta, args.jstar)
@@ -168,8 +169,8 @@ def cmd_run(args) -> int:
     except SelectionError as exc:
         failed, state = exc, exc.state
     # The selectors are anytime: a failed run still writes its valid prefix.
-    _write(iterations_csv_text(state), Path(f"{out}_iterations.csv"))
-    _write(landscape_csv_text(state.landscape), Path(f"{out}_landscape.csv"))
+    _write(iterations_csv_text(state), Path(f"{args.out}_iterations.csv"))
+    _write(landscape_csv_text(state.landscape), Path(f"{args.out}_landscape.csv"))
     if failed is not None:
         print(f"error: {failed}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -178,116 +179,103 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_t1(grid_cells: int) -> list[BoundReport]:
-    hold_range = HoldRange(0.0, 1.0, 1.0)
-    model = symmetric_model(1.0, 1.0)
-    coarse = oracle_mod.coarse_range(hold_range, grid_cells)
-    cell = coarse.resolution * model.j_star
-    a_star = theory.full_area(hold_range, model)
-    best = oracle_mod.exhaustive_best(hold_range, model, 1, grid_cells)
+# verify's unit problem: the range [0, 1] with theta = j* = 1, and its area
+# ceiling A*. T1, T2 and L3 read only the interval; T4's cell is the resolution.
+UNIT_RANGE = HoldRange(0.0, 1.0, 1 / 2000)
+UNIT_MODEL = symmetric_model(1.0, 1.0)
+UNIT_AREA = theory.full_area(UNIT_RANGE, UNIT_MODEL)
+
+
+def _verify_t1(args, _) -> list[BoundReport]:
+    coarse = oracle_mod.coarse_range(UNIT_RANGE, args.grid)
+    cell = coarse.resolution * UNIT_MODEL.j_star
+    best = oracle_mod.exhaustive_best(UNIT_RANGE, UNIT_MODEL, 1, args.grid)
     rows = [
-        bound_report("T1-first-pick", abs(best.best_sequence[0] - 0.5), cell, a_star),
-        bound_report("T1-first-area", abs(best.best_area - 0.75 * a_star), cell, a_star),
+        bound_report("T1-first-pick", abs(best.best_sequence[0] - 0.5), cell, UNIT_AREA),
+        bound_report("T1-first-area", abs(best.best_area - 0.75 * UNIT_AREA), cell, UNIT_AREA),
     ]
     i = coarse.nearest_index(0.5)
     mid = coarse.point(i)
-    land = apply_transfer(Landscape.zeros(coarse), model, i, model.j_star)
-    left_pick = coarse.point(oracle_mod.best_marginal_cell(land, model, 0, i)[0])
-    right_pick = coarse.point(oracle_mod.best_marginal_cell(land, model, i, coarse.n_cells)[0])
-    rows.append(bound_report("T1-pos-trisection", abs(left_pick - (2 * coarse.d_min + mid) / 3), cell, a_star))
-    rows.append(bound_report("T1-neg-trisection", abs(right_pick - (mid + 2 * coarse.d_max) / 3), cell, a_star))
+    land = apply_transfer(Landscape.zeros(coarse), UNIT_MODEL, i, UNIT_MODEL.j_star)
+    left_pick = coarse.point(oracle_mod.best_marginal_cell(land, UNIT_MODEL, 0, i)[0])
+    right_pick = coarse.point(oracle_mod.best_marginal_cell(land, UNIT_MODEL, i, coarse.n_cells)[0])
+    rows.append(bound_report("T1-pos-trisection", abs(left_pick - (2 * coarse.d_min + mid) / 3), cell, UNIT_AREA))
+    rows.append(bound_report("T1-neg-trisection", abs(right_pick - (mid + 2 * coarse.d_max) / 3), cell, UNIT_AREA))
     return rows
 
 
-def _verify_t2() -> list[BoundReport]:
-    hold_range = HoldRange(0.0, 1.0, 0.025)
-    model = symmetric_model(1.0, 1.0)
+def _verify_t2(*_) -> list[BoundReport]:
     rows = []
     for i in range(5):
         k = 2**i + 1
-        value = theory.ghost_cell_lower_bound(hold_range, model, k)
-        target = (1 - 1 / 2 ** (i + 2)) * model.theta * hold_range.width**2
+        value = theory.ghost_cell_lower_bound(UNIT_RANGE, UNIT_MODEL, k)
+        target = (1 - 1 / 2 ** (i + 2)) * UNIT_MODEL.theta * UNIT_RANGE.width**2
         rows.append(bound_report(f"T2-anchor-k{k}", abs(value - target), 0.0, 1.0))
     rows.append(bound_report("T2-steps-eps1_16", abs(theory.steps_to_cover(1 / 16) - 5), 0.0, 1.0))
     rows.append(bound_report("T2-steps-eps1_64", abs(theory.steps_to_cover(1 / 64) - 17), 0.0, 1.0))
     return rows
 
 
-def _simulated_areas(kmax: int) -> tuple[list[float], list[float], HoldRange, GapModel]:
-    hold_range = HoldRange(0.0, 1.0, 1 / 2000)
-    model = symmetric_model(1.0, 1.0)
-    ideal = IdealTrainer(model.j_star, hold_range)
-    gttl = run_gttl(ideal, model, hold_range, budget=kmax, epsilon=0.0).area_history
-    cttl = [run_cttl(ideal, model, hold_range, budget=k).area for k in range(1, kmax + 1)]
-    return gttl, cttl, hold_range, model
+def _simulated_areas(kmax: int) -> tuple[list[float], list[float]]:
+    """The greedy and the schedule areas at K = 1 .. kmax on the unit problem."""
+    ideal = IdealTrainer(UNIT_MODEL.j_star, UNIT_RANGE)
+    gttl = run_gttl(ideal, UNIT_MODEL, UNIT_RANGE, budget=kmax, epsilon=0.0).area_history
+    return gttl, [run_cttl(ideal, UNIT_MODEL, UNIT_RANGE, budget=k).area for k in range(1, kmax + 1)]
 
 
-def _verify_t4(kmax: int, gttl, cttl, hold_range: HoldRange, model: GapModel) -> list[BoundReport]:
-    cell = hold_range.resolution * model.j_star
-    a_star = theory.full_area(hold_range, model)
+def _verify_t4(args, areas) -> list[BoundReport]:
+    gttl, cttl = areas()
+    cell = UNIT_RANGE.resolution * UNIT_MODEL.j_star
     rows = []
-    for k in range(2, kmax + 1):
-        bound = theory.suboptimality_bound(hold_range, model, k)
-        rows.append(bound_report(f"T4-gap-K{k}", cttl[k - 1] - gttl[k - 1], bound + cell, a_star))
-    for i in range(5):
-        k = 2**i + 1
-        if k > kmax:
-            break
-        lhs = theory.cttl_optimal_area(hold_range, model, k) - theory.ghost_cell_lower_bound(
-            hold_range, model, k
+    for k in range(2, args.kmax + 1):
+        bound = theory.suboptimality_bound(UNIT_RANGE, UNIT_MODEL, k)
+        rows.append(bound_report(f"T4-gap-K{k}", cttl[k - 1] - gttl[k - 1], bound + cell, UNIT_AREA))
+    for k in [k for k in (2, 3, 5, 9, 17) if k <= args.kmax]:  # the anchors 2^i + 1
+        lhs = theory.cttl_optimal_area(UNIT_RANGE, UNIT_MODEL, k) - theory.ghost_cell_lower_bound(
+            UNIT_RANGE, UNIT_MODEL, k
         )
-        rhs = theory.suboptimality_bound(hold_range, model, k)
-        rows.append(bound_report(f"T4-identity-K{k}", abs(lhs - rhs), 1e-9 * a_star, a_star))
+        rhs = theory.suboptimality_bound(UNIT_RANGE, UNIT_MODEL, k)
+        rows.append(bound_report(f"T4-identity-K{k}", abs(lhs - rhs), 1e-9 * UNIT_AREA, UNIT_AREA))
     return rows
 
 
-def _verify_l2(kmax: int, gttl, _, hold_range: HoldRange, model: GapModel) -> list[BoundReport]:
-    a_star = theory.full_area(hold_range, model)
-    return [bound_report(f"L2-k{k}", theory.ghost_cell_lower_bound(hold_range, model, k), gttl[k - 1], a_star)
-            for k in range(1, kmax + 1)]
+def _verify_l2(args, areas) -> list[BoundReport]:
+    gttl = areas()[0]
+    return [bound_report(f"L2-k{k}", theory.ghost_cell_lower_bound(UNIT_RANGE, UNIT_MODEL, k), gttl[k - 1],
+                         UNIT_AREA) for k in range(1, args.kmax + 1)]
 
 
-def _verify_l3(grid_cells: int, kmax: int) -> list[BoundReport]:
-    hold_range = HoldRange(0.0, 1.0, 1.0)
-    model = symmetric_model(1.0, 1.0)
-    coarse = oracle_mod.coarse_range(hold_range, grid_cells)
-    cell = coarse.resolution * model.j_star
-    a_star = theory.full_area(hold_range, model)
+def _verify_l3(args, _) -> list[BoundReport]:
+    cell = oracle_mod.coarse_range(UNIT_RANGE, args.grid).resolution * UNIT_MODEL.j_star
     rows = []
-    for k in range(1, kmax + 1):
-        best = oracle_mod.exhaustive_best(hold_range, model, k, grid_cells)
-        closed = theory.cttl_optimal_area(hold_range, model, k)
-        rows.append(bound_report(f"L3-K{k}", abs(best.best_area - closed), cell, a_star))
+    for k in range(1, args.kmax + 1):
+        best = oracle_mod.exhaustive_best(UNIT_RANGE, UNIT_MODEL, k, args.grid)
+        closed = theory.cttl_optimal_area(UNIT_RANGE, UNIT_MODEL, k)
+        rows.append(bound_report(f"L3-K{k}", abs(best.best_area - closed), cell, UNIT_AREA))
     return rows
+
+
+# Each claim's rows, from the parsed flags and a call that gives the
+# simulated (greedy, schedule) areas.
+CLAIMS = {"T1": _verify_t1, "T2": _verify_t2, "T4": _verify_t4, "L2": _verify_l2, "L3": _verify_l3}
+ALL_CLAIMS = tuple(CLAIMS)
 
 
 def cmd_verify(args) -> int:
-    out = _usable_out(args.out)
     claims = [c.strip().upper() for c in args.claims.split(",")] if args.claims else list(ALL_CLAIMS)
     unknown = set(claims) - set(ALL_CLAIMS)
     if unknown:
         raise UsageError(f"unknown claims: {sorted(unknown)} (choose from {ALL_CLAIMS})")
     _check_readers(args, claims)
     check_bounds(counts={"--kmax": (args.kmax, 1, MAX_KMAX)})
-    rows: list[BoundReport] = []
-    simulated = None  # greedy and schedule areas, shared by T4 and L2
-    for claim in claims:
-        if claim == "T1":
-            rows.extend(_verify_t1(args.grid))
-        elif claim == "T2":
-            rows.extend(_verify_t2())
-        elif claim in ("T4", "L2"):
-            simulated = simulated or _simulated_areas(args.kmax)
-            verify = _verify_t4 if claim == "T4" else _verify_l2
-            rows.extend(verify(args.kmax, *simulated))
-        elif claim == "L3":
-            rows.extend(_verify_l3(args.grid, args.kmax))
-    _emit(_report_rows(rows), out)
+    # one simulation of the areas, made at the first claim that reads them (T4 or L2)
+    areas = functools.cache(lambda: _simulated_areas(args.kmax))
+    rows = [row for claim in claims for row in CLAIMS[claim](args, areas)]
+    _emit(_report_rows(rows), args.out)
     return EXIT_OK if all(r.holds for r in rows) else EXIT_BOUND
 
 
 def cmd_oracle(args) -> int:
-    out = _usable_out(args.out)
     # The oracle and the bound see only the interval, never a fine grid.
     hold_range = HoldRange(args.dmin, args.dmax, args.dmax - args.dmin)
     model = symmetric_model(args.theta, args.jstar)
@@ -299,7 +287,7 @@ def cmd_oracle(args) -> int:
     for k, (best, gttl, report) in enumerate(rows, start=1):
         cttl = run_cttl(coarse_ideal, model, coarse, budget=k).area
         lines.append(f"{k},{best.best_area:.6g},{gttl:.6g},{cttl:.6g},{report.rhs:.6g},{str(report.holds).lower()}")
-    _emit("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -314,7 +302,6 @@ def _ring_config(args) -> ringsim.RingConfig:
 
 
 def cmd_ring_baseline(args) -> int:
-    out = _usable_out(args.out)
     check_bounds(counts={"--seeds": (args.seeds, 1, MAX_SEEDS)})
     unguided = replace(_ring_config(args), n_guided=0)
     lines = ["seed,mean_speed,speed_std"]
@@ -323,7 +310,7 @@ def cmd_ring_baseline(args) -> int:
             print(f"error: {result.collision}", file=sys.stderr)
             return EXIT_RUNTIME
         lines.append(f"{seed},{result.mean_speed:.6g},{result.speed_std:.6g}")
-    _emit("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -337,7 +324,6 @@ _SEARCH_TABLES = {
 
 def cmd_ring_search(args) -> int:
     """`ring eval` and `ring sweep`: one policy search over their durations."""
-    out = _usable_out(args.out)
     config = _ring_config(args)
     header, row = _SEARCH_TABLES[args.action]
     sweep = args.action == "sweep"
@@ -352,12 +338,11 @@ def cmd_ring_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     rows = [row.format(r=res, baseline=baseline) for res in results]
-    _emit("\n".join([header, *rows]) + "\n", out)
+    _emit("\n".join([header, *rows]) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_export_plot(args) -> int:
-    out = _usable_out(args.out)
     lines = Path(args.input).read_text().splitlines()
     if not lines:
         raise UsageError(f"{args.input} is empty")
@@ -375,8 +360,8 @@ def cmd_export_plot(args) -> int:
         for name, value in zip(header[1:], fields[1:]):
             rows.append(f"{name},{x},{value}")
     text = "\n".join(rows) + "\n"
-    if out:
-        _write(text, out)
+    if args.out:
+        _write(text, args.out)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -464,6 +449,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # every command's --out, before its work; run's is a prefix whose
+        # directory is made after the run, or not at all
+        args.out = _usable_out(args.out, prefix=args.func is cmd_run)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

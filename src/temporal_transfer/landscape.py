@@ -143,7 +143,8 @@ def symmetric_model(theta: float, j_star: float) -> GapModel:
 
 def check_overflow(hold_range: HoldRange, model: GapModel | None = None, **values: float) -> float | None:
     """The overflow rule of areas and slopes over `hold_range`: theta * W^2 (which
-    bounds theta * W) for the model's steeper slope theta, and v * n_points and
+    bounds theta * W) for the model's steeper slope theta, (theta_left +
+    theta_right) * d_max for an asymmetric model, and v * n_points and
     v * W for each named value v, the largest that a landscape of the range may
     hold, must be finite. Raises ValueError naming the first product that is
     not; returns theta * W^2, None without a model."""
@@ -156,6 +157,11 @@ def check_overflow(hold_range: HoldRange, model: GapModel | None = None, **value
             scale = math.inf
         if not scale < math.inf:  # each message is made only on failure
             raise ValueError(f"theta * width**2 (width={width}, theta={theta}) must be finite and >= 0, got inf")
+        # An asymmetric model's slope sum bounds its mean slope, and the sum
+        # times d_max (the largest |duration|, as 0 <= d_min) split_point's numerator.
+        if not (model.symmetric or (model.theta_left + model.theta_right) * hold_range.d_max < math.inf):
+            raise ValueError(f"(theta_left + theta_right) * d_max (theta_left={model.theta_left}, theta_right="
+                             f"{model.theta_right}, d_max={hold_range.d_max}) must be finite and >= 0, got inf")
     for name, v in values.items():
         for of, size in (("n_points", hold_range.n_points), ("width", width)):
             if not float(v) * size < math.inf:

@@ -161,11 +161,12 @@ def _train_and_apply(state: SelectionState, trainer, model: GapModel, i: int) ->
         if snapped not in state.picks:
             i = snapped
     delta = rng.point(i)
-    try:
+    try:  # a result that apply_transfer refuses fails as a trainer error does
         result = trainer.evaluate(delta)
+        landscape = apply_transfer(state.landscape, model, i, result.achieved)
     except Exception as exc:  # anytime property: partial state stays valid
         raise SelectionError(f"trainer failed at delta={delta:.6g}: {exc}", state) from exc
-    state.landscape = apply_transfer(state.landscape, model, i, result.achieved)
+    state.landscape = landscape
     state.picks.append(i)
     state.results.append(result)
     state.area_history.append(aggregate_area(state.landscape))

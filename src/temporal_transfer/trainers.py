@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import HoldRange, check_bounds
+from .landscape import HoldRange, check_bounds, check_overflow
 
 
 class TrainingError(RuntimeError):
@@ -83,6 +83,7 @@ class NoisyTrainer(IdealTrainer):
         super().__init__(j_star, hold_range)
         check_bounds(nonnegative={"eta": eta, "2 * eta": 2 * eta}, counts={"seed": (seed, 0, math.inf)})
         self.eta = abs(eta)  # -0.0 as 0.0: the draw needs -eta <= eta
+        check_overflow(hold_range, **{"(j_star + eta)": j_star + self.eta})  # its largest result
         self.seed = seed
 
     def evaluate(self, delta: float) -> EvaluatorResult:

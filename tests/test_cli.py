@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
-from temporal_transfer.cli import main
+from temporal_transfer.cli import ALL_CLAIMS, main
 
 RING_FAST = "warmup = 20\nhorizon = 40\n"
 
@@ -70,11 +70,15 @@ def test_negative_seed_is_usage_error(args, tmp_path, capsys):
         (["ring", "baseline", "--out", "{file}/x"], "ringsim.simulate_many"),
         (["ring", "baseline", "--out", "{dir}"], "ringsim.simulate_many"),
         (["export-plot", "--input", "{file}", "--out", "{file}/x"], None),
+        # the --out is checked before a flag that no chosen name reads
+        (["verify", "--claims", "T2", "--grid", "81", "--out", "{file}/x"], "theory.ghost_cell_lower_bound"),
+        (["run", "--algo", "cttl", "--trainer", "csv", "--csv", "{file}", "--jstar", "2", "--out", "{file}/x"],
+         "selectors.run_cttl"),
     ],
     ids=["run-csv-dir", "ring-config-dir", "export-input-dir", "verify-out-dir", "run-out-under-file",
          "oracle-out-under-file", "oracle-out-dir", "ring-eval-out-under-file",
          "ring-sweep-out-under-file", "ring-baseline-out-under-file", "ring-baseline-out-dir",
-         "export-out-under-file"],
+         "export-out-under-file", "verify-out-before-unread-grid", "run-out-before-unread-jstar"],
 )
 def test_unusable_path_is_usage_error(args, work, tmp_path, capsys, monkeypatch):
     # A directory where a file is read or written, or a file where a
@@ -184,18 +188,31 @@ class TestConditionalFlags:
          "range width 40.0 is not a positive whole number of 10000000000.0-cells"),
         (["run", "--algo", "exhaustive", "--trainer", "csv", "--dmin", "5e-324", "--resolution", "1.7e308",
           "--csv", "{huge}"], "range width 40.0 is not a positive whole number of 1.7e+308-cells"),
+        # the largest result a trainer can return, checked before the first training
+        (["run", "--algo", "gttl", "--trainer", "csv", "--csv", "{half}", "--budget", "5"],
+         "achieved * n_points (achieved=1e+308, n_points=401)"),
+        (["run", "--algo", "gttl", "--trainer", "noisy", "--jstar", "1e305", "--noise-eta", "1e306", "--theta", "0"],
+         "(j_star + eta) * n_points ((j_star + eta)=1.1e+306, n_points=401)"),
     ],
     ids=["oracle-wide-range", "oracle-huge-jstar", "run-wide-range", "run-huge-csv", "run-steep-slope",
-         "oracle-wide-default", "rttl-steep-slope", "noisy-huge-eta", "run-zero-cells", "exhaustive-zero-cells"],
+         "oracle-wide-default", "rttl-steep-slope", "noisy-huge-eta", "run-zero-cells", "exhaustive-zero-cells",
+         "csv-huge-past-20s", "noisy-huge-sum"],
 )
-def test_overflowing_product_is_usage_error(args, product, tmp_path, capsys):
+def test_overflowing_product_is_usage_error(args, product, tmp_path, capsys, monkeypatch):
     # Areas, sums and slopes that would overflow, and a range of no whole
-    # cell, exit 2 naming the product or the cell, before numpy warns (pytest
-    # makes a RuntimeWarning an error), with nothing on stdout and no file.
-    huge = tmp_path / "huge.csv"
+    # cell, exit 2 naming the product or the cell, before any training and
+    # before numpy warns (pytest makes a RuntimeWarning an error), with
+    # nothing on stdout and no file.
+    from temporal_transfer import trainers
+
+    for backend in (trainers.IdealTrainer, trainers.DecayingTrainer, trainers.NoisyTrainer,
+                    trainers.CsvReplayTrainer):
+        monkeypatch.setattr(backend, "evaluate", lambda *a: pytest.fail("a delta was trained"))
+    huge, half = tmp_path / "huge.csv", tmp_path / "half.csv"
     huge.write_text("delta,performance\n0,1e308\n20,1e308\n40,1e308\n")
+    half.write_text("delta,performance\n" + "".join(f"{d / 10},{1e308 if d > 200 else 1}\n" for d in range(401)))
     out = tmp_path / "out" / "x"
-    code, stdout, err = run_cli([*[a.format(huge=huge) for a in args], "--out", str(out)], capsys)
+    code, stdout, err = run_cli([*[a.format(huge=huge, half=half) for a in args], "--out", str(out)], capsys)
     assert (code, stdout) == (2, "")
     assert err.startswith(f"invalid input: {product}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
@@ -486,6 +503,20 @@ class TestVerify:
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify", "--claims", "T9"], capsys)
         assert code == 2
+        assert ALL_CLAIMS == ("T1", "T2", "T4", "L2", "L3")  # the claims table, in order
+
+    def test_t4_and_l2_share_one_greedy_run(self, capsys, monkeypatch):
+        cli = importlib.import_module("temporal_transfer.cli")
+        run_gttl, calls = cli.run_gttl, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["budget"])
+            return run_gttl(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_gttl", counted)
+        code, out, _ = run_cli(["verify", "--claims", "T4,L2", "--kmax", "5"], capsys)
+        assert code == 0 and out.count("\n") == 1 + 4 + 3 + 5
+        assert calls == [5]
 
     def test_l2_reports_known_k17_shortfall(self, capsys):
         code, out, _ = run_cli(["verify", "--claims", "L2", "--kmax", "17"], capsys)

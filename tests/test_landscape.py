@@ -228,6 +228,11 @@ def test_non_finite_model_and_range_rejected(bad, position):
         # the steeper of two slopes sets theta, whichever side it is on
         (40.0, 0.1, GapModel(0.0, 1.7e308, 1.0), {}, "theta * width**2 (width=40.0, theta=1.7e+308)"),
         (40.0, 0.1, GapModel(1.7e308, 0.0, 1.0), {}, "theta * width**2 (width=40.0, theta=1.7e+308)"),
+        # an asymmetric model's slope sum, and the sum times d_max, where theta * W^2 is finite
+        (1.0, 0.25, GapModel(1.7e308, 1.6e308, 1.0), {},
+         "(theta_left + theta_right) * d_max (theta_left=1.7e+308, theta_right=1.6e+308, d_max=1.0)"),
+        (1.5, 0.5, GapModel(7.9e307, 7.8e307, 1.0), {},
+         "(theta_left + theta_right) * d_max (theta_left=7.9e+307, theta_right=7.8e+307, d_max=1.5)"),
         (40.0, 0.1, None, {"achieved": 1e307}, "achieved * n_points (achieved=1e+307, n_points=401)"),
         (4000.0, 100.0, None, {"v": 1e306}, "v * width (v=1e+306, width=4000.0)"),
     ],

@@ -109,16 +109,19 @@ class TestExhaustiveBest:
         assert coarse.best_area <= fine.best_area + 1e-12
         assert fine.best_area <= coarse.best_area + cell
 
-    @pytest.mark.parametrize("theta_left, theta_right", [(5e306, 5e306), (1e308, 0.0), (1.0, 1e308)])
+    @pytest.mark.parametrize("theta_left, theta_right",
+                             [(5e306, 5e306), (1e308, 0.0), (1.0, 1e308), (2.26e306, 2.26e306)])
     def test_overflowing_slopes_are_rejected(self, theta_left, theta_right):
-        # theta * 40 cells overflows in the crossover of two tents
+        # theta_right * 40 cells + theta_left * 40 cells overflows in the
+        # crossover of two tents (the last case: the sum only)
         model = GapModel(theta_left, theta_right, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"theta_left={theta_left}, theta_right={theta_right}")):
             exhaustive_best(HoldRange(0, 1, 1), model, 2, 41)
 
-    def test_huge_finite_crossovers_are_solved(self):
-        # theta * 40 cells stays finite: the optimum of any positive slope above j*
-        result = exhaustive_best(HoldRange(0, 1, 1), symmetric_model(1e306, 1.0), 2, 41)
+    @pytest.mark.parametrize("theta", [1e306, 2.2e306])
+    def test_huge_finite_crossovers_are_solved(self, theta):
+        # 2 * theta * 40 cells stays finite: the optimum of any positive slope above j*
+        result = exhaustive_best(HoldRange(0, 1, 1), symmetric_model(theta, 1.0), 2, 41)
         assert result == exhaustive_best(HoldRange(0, 1, 1), symmetric_model(1e3, 1.0), 2, 41)
 
     def test_deterministic(self):

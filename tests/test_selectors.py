@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from temporal_transfer.landscape import (
+    GapModel,
     HoldRange,
     Landscape,
     aggregate_area,
@@ -51,15 +52,20 @@ def grid_area(hold_range, model, transfers):
 
 
 class FailingTrainer(IdealTrainer):
-    def __init__(self, j_star, hold_range, fail_at_call):
+    """Fails at call `fail_at_call`: raises, or given `achieved`, returns it."""
+
+    def __init__(self, j_star, hold_range, fail_at_call, achieved=None):
         super().__init__(j_star, hold_range)
         self.calls = 0
         self.fail_at_call = fail_at_call
+        self.achieved = achieved
 
     def evaluate(self, delta):
         self.calls += 1
         if self.calls == self.fail_at_call:
-            raise RuntimeError("synthetic trainer outage")
+            if self.achieved is None:
+                raise RuntimeError("synthetic trainer outage")
+            return EvaluatorResult(delta=delta, achieved=self.achieved, policy_id="failing")
         return super().evaluate(delta)
 
 
@@ -137,13 +143,18 @@ class TestRunGttl:
             run_gttl(trainer, WIDE_MODEL, WIDE, budget=0)
         with pytest.raises(ValueError):
             run_gttl(trainer, WIDE_MODEL, WIDE, budget=1, epsilon=-0.1)
+        # an asymmetric slope sum that overflows, refused before any pick
+        with pytest.raises(ValueError, match=re.escape("(theta_left + theta_right) * d_max")):
+            run_gttl(trainer, GapModel(1.7e308, 1.6e308, 1.0), HoldRange(0.0, 1.0, 0.25), budget=3, epsilon=0.0)
 
-    def test_trainer_failure_carries_partial_state(self):
-        trainer = FailingTrainer(1.0, WIDE, fail_at_call=3)
+    # a trainer exception, and a result whose areas overflow
+    @pytest.mark.parametrize("achieved", [None, 1e308])
+    def test_trainer_failure_carries_partial_state(self, achieved):
+        trainer = FailingTrainer(1.0, WIDE, fail_at_call=3, achieved=achieved)
         with pytest.raises(SelectionError) as err:
             run_gttl(trainer, WIDE_MODEL, WIDE, budget=5, epsilon=0.0)
         partial = err.value.state
-        assert len(partial.sources) == 2
+        assert len(partial.sources) == 2 == len(partial.area_history)
         assert partial.area == pytest.approx(
             grid_area(WIDE, WIDE_MODEL, [(d, 1.0) for d in partial.sources]), rel=1e-12
         )

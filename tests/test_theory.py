@@ -64,10 +64,11 @@ class TestOptimalPickAndGain:
         assert point == pytest.approx(10.0)
         assert gain == pytest.approx(1.25)  # (1/8) * (1/40) * 400
 
-    def test_positive_slope_trisection(self):
-        point, gain = pick_and_gain(0.0, 20.0, SlopeClass.POSITIVE, WIDE_MODEL, is_first=False)
-        assert point == snapped(20 / 3)
-        assert gain == pytest.approx(400 / 120)  # (1/3) * (1/40) * 400
+    @pytest.mark.parametrize("left, right", [(0.0, 20.0), (10.0, 30.0)])
+    def test_positive_slope_trisection(self, left, right):
+        point, gain = pick_and_gain(left, right, SlopeClass.POSITIVE, WIDE_MODEL, is_first=False)
+        assert point == snapped((2 * left + right) / 3)
+        assert gain == pytest.approx(400 / 120)  # (1/3) * (1/40) * 20^2
 
     def test_negative_slope_trisection(self):
         point, _ = pick_and_gain(10.0, 40.0, SlopeClass.NEGATIVE, WIDE_MODEL, is_first=False)
