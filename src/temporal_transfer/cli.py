@@ -34,8 +34,6 @@ from .selectors import (
     SelectionError,
     SelectorKind,
     iterations_csv_text,
-    run_cttl,
-    run_gttl,
     run_selector,
 )
 from .theory import BoundReport, bound_report
@@ -150,7 +148,7 @@ def _build_trainer(args, hold_range: HoldRange):
         if not args.csv:
             raise UsageError("--csv PATH is required with --trainer csv")
         trainer = load_csv_landscape(args.csv)
-        check_overflow(hold_range, achieved=float(trainer.performances.max()))  # its largest result
+        check_overflow(hold_range, achieved=trainer.largest_answer(hold_range))  # its largest result
         return trainer
     return RingTrainer(_ring_config(args), **given(search_budget=args.search_budget, seed=args.seed))
 
@@ -191,7 +189,7 @@ def _verify_t1(args, _) -> list[BoundReport]:
     cell = coarse.resolution * UNIT_MODEL.j_star
     best = oracle_mod.exhaustive_best(UNIT_RANGE, UNIT_MODEL, 1, args.grid)
     rows = [
-        bound_report("T1-first-pick", abs(best.best_sequence[0] - 0.5), cell, UNIT_AREA),
+        bound_report("T1-first-pick", abs(coarse.point(best.picks[0]) - 0.5), cell, UNIT_AREA),
         bound_report("T1-first-area", abs(best.best_area - 0.75 * UNIT_AREA), cell, UNIT_AREA),
     ]
     i = coarse.nearest_index(0.5)
@@ -214,13 +212,6 @@ def _verify_t2(*_) -> list[BoundReport]:
     rows.append(bound_report("T2-steps-eps1_16", abs(theory.steps_to_cover(1 / 16) - 5), 0.0, 1.0))
     rows.append(bound_report("T2-steps-eps1_64", abs(theory.steps_to_cover(1 / 64) - 17), 0.0, 1.0))
     return rows
-
-
-def _simulated_areas(kmax: int) -> tuple[list[float], list[float]]:
-    """The greedy and the schedule areas at K = 1 .. kmax on the unit problem."""
-    ideal = IdealTrainer(UNIT_MODEL.j_star, UNIT_RANGE)
-    gttl = run_gttl(ideal, UNIT_MODEL, UNIT_RANGE, budget=kmax, epsilon=0.0).area_history
-    return gttl, [run_cttl(ideal, UNIT_MODEL, UNIT_RANGE, budget=k).area for k in range(1, kmax + 1)]
 
 
 def _verify_t4(args, areas) -> list[BoundReport]:
@@ -256,7 +247,7 @@ def _verify_l3(args, _) -> list[BoundReport]:
 
 
 # Each claim's rows, from the parsed flags and a call that gives the
-# simulated (greedy, schedule) areas.
+# simulated (greedy, CTTL) areas.
 CLAIMS = {"T1": _verify_t1, "T2": _verify_t2, "T4": _verify_t4, "L2": _verify_l2, "L3": _verify_l3}
 ALL_CLAIMS = tuple(CLAIMS)
 
@@ -269,7 +260,7 @@ def cmd_verify(args) -> int:
     _check_readers(args, claims)
     check_bounds(counts={"--kmax": (args.kmax, 1, MAX_KMAX)})
     # one simulation of the areas, made at the first claim that reads them (T4 or L2)
-    areas = functools.cache(lambda: _simulated_areas(args.kmax))
+    areas = functools.cache(lambda: oracle_mod.simulated_areas(UNIT_RANGE, UNIT_MODEL, args.kmax))
     rows = [row for claim in claims for row in CLAIMS[claim](args, areas)]
     _emit(_report_rows(rows), args.out)
     return EXIT_OK if all(r.holds for r in rows) else EXIT_BOUND
@@ -279,13 +270,11 @@ def cmd_oracle(args) -> int:
     # The oracle and the bound see only the interval, never a fine grid.
     hold_range = HoldRange(args.dmin, args.dmax, args.dmax - args.dmin)
     model = symmetric_model(args.theta, args.jstar)
-    coarse = oracle_mod.coarse_range(hold_range, args.grid)
+    oracle_mod.coarse_range(hold_range, args.grid)  # the --grid error before the --kmax one
     check_bounds(counts={"--kmax": (args.kmax, 1, min(args.grid, MAX_KMAX))})  # before the first solve
     lines = ["k,best_area,gttl_area,cttl_area,bound,holds"]
-    coarse_ideal = IdealTrainer(args.jstar, coarse)
     rows = oracle_mod.greedy_vs_oracle(hold_range, model, args.kmax, args.grid)
-    for k, (best, gttl, report) in enumerate(rows, start=1):
-        cttl = run_cttl(coarse_ideal, model, coarse, budget=k).area
+    for k, (best, gttl, cttl, report) in enumerate(rows, start=1):
         lines.append(f"{k},{best.best_area:.6g},{gttl:.6g},{cttl:.6g},{report.rhs:.6g},{str(report.holds).lower()}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

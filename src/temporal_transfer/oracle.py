@@ -21,14 +21,14 @@ import numpy as np
 from . import theory
 from .landscape import GapModel, HoldRange, Landscape, aggregate_area, check_bounds, check_overflow, gap
 from .landscape import best_marginal_cell  # noqa: F401  (re-exported)
-from .selectors import run_gttl
+from .selectors import run_cttl, run_gttl
 from .theory import BoundReport, bound_report
 from .trainers import IdealTrainer
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    best_sequence: tuple[float, ...]
+    picks: tuple[int, ...]  # the chosen cells of the coarse grid, ascending
     best_area: float
 
 
@@ -67,13 +67,10 @@ def _area_tables(tents: np.ndarray, weights: np.ndarray, model: GapModel):
     idx = np.arange(n)
     own = cum[idx, idx]  # row i summed over t < i
     i, j = idx[:, None], idx[None, :]
-    slopes = model.theta_left + model.theta_right
-    # A crossover's numerator is largest at i = j = n - 1: where that is finite, so is every crossover.
-    if not np.isfinite(model.theta_right * (n - 1) + model.theta_left * (n - 1)):
-        raise ValueError(f"the tent crossovers overflow at slopes theta_left={model.theta_left}, "
-                         f"theta_right={model.theta_right} on a {n}-point grid")
-    # Crossover in grid units (the grid is uniform); flat tents split anywhere.
-    cross = (model.theta_right * i + model.theta_left * j) / slopes if slopes > 0 else i
+    # Crossover in grid units (the grid is uniform): theta_left / (theta_left + theta_right) of
+    # the way from i to j, a sum that check_overflow keeps finite, and halfway when symmetric.
+    frac = 0.5 if model.symmetric else model.theta_left / (model.theta_left + model.theta_right)
+    cross = i + frac * (j - i)
     split = np.minimum(np.floor(cross).astype(np.intp) + 1, j)
     pair = (cum[i, split] - own[:, None]) + (own[None, :] - cum[j, split])
     pair[i >= j] = -np.inf
@@ -109,27 +106,32 @@ def exhaustive_best(
         chosen.append(int(pointers[chosen[-1]]))
     chosen.reverse()
     envelope = Landscape(rng, tents[chosen].max(axis=0))
-    return OracleResult(
-        best_sequence=tuple(float(grid[i]) for i in chosen),
-        best_area=aggregate_area(envelope),
-    )
+    return OracleResult(picks=tuple(chosen), best_area=aggregate_area(envelope))
+
+
+def simulated_areas(hold_range: HoldRange, model: GapModel, kmax: int) -> tuple[list[float], list[float]]:
+    """The greedy and the CTTL areas at K = 1 .. kmax under the ideal trainer: one anytime
+    greedy run of kmax picks, read after min(K, picks made) picks, and one CTTL run per K."""
+    ideal = IdealTrainer(model.j_star, hold_range)
+    history = run_gttl(ideal, model, hold_range, budget=kmax, epsilon=0.0).area_history
+    budgets = range(1, kmax + 1)
+    return ([history[min(k, len(history)) - 1] for k in budgets],
+            [run_cttl(ideal, model, hold_range, budget=k).area for k in budgets])
 
 
 def greedy_vs_oracle(
     hold_range: HoldRange, model: GapModel, kmax: int, coarse_cells: int = 41
-) -> list[tuple[OracleResult, float, BoundReport]]:
-    """For each budget K = 1 .. kmax: the optimum, the greedy area, and the
-    oracle-minus-greedy gap checked against the bound plus one coarse cell.
-    The optima and bounds come first, so a model they refuse stops the work
-    before the one greedy run, which is anytime: budget K reads its area
-    after min(K, picks made) picks."""
+) -> list[tuple[OracleResult, float, float, BoundReport]]:
+    """For each budget K = 1 .. kmax: the optimum, the greedy and the CTTL
+    areas, and the oracle-minus-greedy gap checked against the bound plus one
+    coarse cell. The optima and bounds come first, so a model they refuse
+    stops the work before the selectors run."""
     rng = coarse_range(hold_range, coarse_cells)
     check_bounds(counts={"kmax": (kmax, 1, coarse_cells)})
     budgets = range(1, kmax + 1)
     optima = [exhaustive_best(hold_range, model, k, coarse_cells) for k in budgets]
     bounds = [theory.suboptimality_bound(hold_range, model, k) if k >= 2 else 0.0 for k in budgets]
-    history = run_gttl(IdealTrainer(model.j_star, rng), model, rng, budget=kmax, epsilon=0.0).area_history
-    greedy = [history[min(k, len(history)) - 1] for k in budgets]
+    greedy, cttl = simulated_areas(rng, model, kmax)
     cell, scale = rng.resolution * model.j_star, theory.full_area(hold_range, model)
-    return [(best, area, bound_report(f"T4-oracle-K{k}", best.best_area - area, bound + cell, scale))
-            for k, best, area, bound in zip(budgets, optima, greedy, bounds)]
+    return [(best, area, schedule, bound_report(f"T4-oracle-K{k}", best.best_area - area, bound + cell, scale))
+            for k, best, area, schedule, bound in zip(budgets, optima, greedy, cttl, bounds)]

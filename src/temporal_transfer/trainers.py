@@ -108,6 +108,15 @@ class CsvReplayTrainer:
             # A single gap gives no meaningful spacing statistic; answer
             # exact-row queries only.
             self.tolerance = 0.0
+        # Inclusive boundary, with float slack: a query exactly halfway
+        # between two rows is still answerable.
+        self._reach = self.tolerance + 1e-9 * max(self.tolerance, 1.0)
+
+    def largest_answer(self, hold_range: HoldRange) -> float:
+        """The largest performance that a query in [d_min, d_max] can read:
+        the maximum over the rows within reach of the range, 0 when none is."""
+        outside = np.maximum(hold_range.d_min - self.deltas, self.deltas - hold_range.d_max)
+        return float(self.performances.max(initial=0.0, where=outside <= self._reach))
 
     def evaluate(self, delta: float) -> EvaluatorResult:
         idx = int(np.searchsorted(self.deltas, delta))
@@ -117,9 +126,7 @@ class CsvReplayTrainer:
                 dist = abs(float(self.deltas[j]) - delta)
                 if dist < best_dist:
                     best, best_dist = j, dist
-        # Inclusive boundary, with float slack: a query exactly halfway
-        # between two rows is still answerable.
-        if best is None or best_dist > self.tolerance + 1e-9 * max(self.tolerance, 1.0):
+        if best is None or best_dist > self._reach:
             raise MissingDataError(
                 f"no row within {self.tolerance:.6g} of delta={delta:.6g} in {self.source}"
             )

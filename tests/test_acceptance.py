@@ -75,7 +75,7 @@ class TestC1SinglePickCertification:
             coarse = coarse_range(UNIT, cells)
             cell = coarse.resolution * UNIT_MODEL.j_star
             best = exhaustive_best(UNIT, UNIT_MODEL, 1, coarse_cells=cells)
-            oks.append(abs(best.best_sequence[0] - 0.5) <= cell)
+            oks.append(abs(coarse.point(best.picks[0]) - 0.5) <= cell)
             oks.append(abs(best.best_area - 0.75) <= cell)
         coarse = coarse_range(UNIT, 41)
         cell = coarse.resolution

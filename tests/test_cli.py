@@ -191,12 +191,15 @@ class TestConditionalFlags:
         # the largest result a trainer can return, checked before the first training
         (["run", "--algo", "gttl", "--trainer", "csv", "--csv", "{half}", "--budget", "5"],
          "achieved * n_points (achieved=1e+308, n_points=401)"),
+        # a row half a spacing past d_max answers a query at d_max
+        (["run", "--algo", "gttl", "--trainer", "csv", "--csv", "{half}", "--dmax", "20.05", "--resolution", "0.05",
+          "--budget", "5"], "achieved * n_points (achieved=1e+308, n_points=402)"),
         (["run", "--algo", "gttl", "--trainer", "noisy", "--jstar", "1e305", "--noise-eta", "1e306", "--theta", "0"],
          "(j_star + eta) * n_points ((j_star + eta)=1.1e+306, n_points=401)"),
     ],
     ids=["oracle-wide-range", "oracle-huge-jstar", "run-wide-range", "run-huge-csv", "run-steep-slope",
          "oracle-wide-default", "rttl-steep-slope", "noisy-huge-eta", "run-zero-cells", "exhaustive-zero-cells",
-         "csv-huge-past-20s", "noisy-huge-sum"],
+         "csv-huge-past-20s", "csv-huge-within-reach", "noisy-huge-sum"],
 )
 def test_overflowing_product_is_usage_error(args, product, tmp_path, capsys, monkeypatch):
     # Areas, sums and slopes that would overflow, and a range of no whole
@@ -314,6 +317,21 @@ class TestRun:
         assert code == 0
         assert out.startswith("gttl,17,")
         assert len((tmp_path / "n_iterations.csv").read_text().splitlines()) == 18
+
+    def test_csv_rows_no_query_reaches_are_not_checked(self, tmp_path, capsys):
+        # the rows from 20.1 s on lie more than half a spacing past 20 s and answer
+        # no query of [0, 20], so their 1e308 refuses nothing: the run is that on
+        # the curve cut at 20 s
+        rows = [f"{d / 10},{1e308 if d > 200 else 1}\n" for d in range(401)]
+        runs = []
+        for name, kept in (("half", rows), ("cut", rows[:201])):
+            curve = tmp_path / f"{name}.csv"
+            curve.write_text("delta,performance\n" + "".join(kept))
+            result = run_cli(["run", "--algo", "gttl", "--trainer", "csv", "--csv", str(curve), "--dmax", "20",
+                              "--budget", "3", "--out", str(tmp_path / name)], capsys)
+            runs.append((*result, *((tmp_path / f"{name}_{t}.csv").read_text() for t in ("iterations", "landscape"))))
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[0] == runs[1]
 
     def test_trainer_failure_writes_partial_csvs(self, tmp_path, capsys):
         curve = tmp_path / "short.csv"
@@ -506,14 +524,14 @@ class TestVerify:
         assert ALL_CLAIMS == ("T1", "T2", "T4", "L2", "L3")  # the claims table, in order
 
     def test_t4_and_l2_share_one_greedy_run(self, capsys, monkeypatch):
-        cli = importlib.import_module("temporal_transfer.cli")
-        run_gttl, calls = cli.run_gttl, []
+        oracle = importlib.import_module("temporal_transfer.oracle")
+        run_gttl, calls = oracle.run_gttl, []
 
         def counted(*args, **kwargs):
             calls.append(kwargs["budget"])
             return run_gttl(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_gttl", counted)
+        monkeypatch.setattr(oracle, "run_gttl", counted)
         code, out, _ = run_cli(["verify", "--claims", "T4,L2", "--kmax", "5"], capsys)
         assert code == 0 and out.count("\n") == 1 + 4 + 3 + 5
         assert calls == [5]
@@ -547,12 +565,19 @@ class TestOracleCommand:
         assert code == 2
         assert "--kmax = 4 is above the limit of 3" in err
 
-    def test_overflowing_slope_is_usage_error(self, capsys):
-        # finite, but theta * 40 cells overflows in the oracle's tent crossovers
+    def test_huge_finite_slope_is_solved(self, capsys):
+        # theta * 40 cells + theta * 40 cells would overflow; the tent
+        # crossovers never compute it
+        code, out, err = run_cli(["oracle", "--theta", "1e307", "--kmax", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "k,best_area,gttl_area,cttl_area,bound,holds\n1,0.025,0.025,0.025,0.025,true\n"
+
+    def test_unbounded_slope_is_usage_error(self, capsys):
+        # K = 2 needs the closed-form bound, which holds only for theta <= j* / W
         code, out, err = run_cli(["oracle", "--theta", "1e307", "--kmax", "2"], capsys)
         assert (code, out) == (2, "")
-        assert err == ("invalid input: the tent crossovers overflow at slopes theta_left=1e+307, "
-                       "theta_right=1e+307 on a 41-point grid\n")
+        assert err == ("invalid input: suboptimality_bound requires theta <= j_star / range width "
+                       "(theta=1e+307, j_star=1.0, width=1.0)\n")
 
     def test_overflowing_area_scale_is_usage_error(self, tmp_path, capsys):
         # theta * W^2 overflows in the closed-form bound: exit 2, no file

@@ -14,11 +14,15 @@ from temporal_transfer.landscape import (
     SlopeClass,
     aggregate_area,
     apply_transfer,
+    best_marginal_cell,
     check_bounds,
     check_overflow,
     gap,
     landscape_csv_text,
+    segment_shapes,
     segments,
+    slope_class,
+    slope_tol,
     symmetric_model,
 )
 
@@ -61,7 +65,7 @@ def on_grid(hold_range, d):
 
 class TestHoldRange:
     def test_grid_shape(self):
-        rng = HoldRange(0, 40, 0.1)
+        rng = HoldRange(0, 40)  # the default resolution, 0.1
         assert rng.n_cells == 400
         assert rng.n_points == 401
         assert rng.grid()[0] == 0.0
@@ -87,7 +91,7 @@ class TestHoldRange:
         assert scalar == want
 
     def test_invalid_ranges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("need d_min < d_max, got [5, 5]")):
             HoldRange(5, 5, 0.1)
         with pytest.raises(ValueError):
             HoldRange(-1, 5, 0.1)
@@ -96,9 +100,12 @@ class TestHoldRange:
         with pytest.raises(ValueError):
             HoldRange(0, 1, -0.1)
 
-    @pytest.mark.parametrize("d_min, d_max, resolution", [(0, 40, 1e10), (5e-324, 40, 1.7e308), (0, 1, 2.5)])
+    @pytest.mark.parametrize("d_min, d_max, resolution",
+                             [(0, 40, 1e10), (5e-324, 40, 1.7e308), (0, 1, 2.5), (1, 41, 1e10), (0, 1 + 1.5e-6, 1)])
     def test_range_of_no_whole_cell_is_rejected(self, d_min, d_max, resolution):
-        # a width of 4e-9 cells rounds to 0 cells within the whole-cell tolerance
+        # a width of 4e-9 cells rounds to 0 cells within the whole-cell
+        # tolerance, and one of 1 + 1.5e-6 cells is 1.5e-6 cells past the
+        # tolerance of 1e-6 cells that a range of at most one cell has
         width = d_max - d_min
         with pytest.raises(ValueError, match=re.escape(f"range width {width} is not a positive whole number "
                                                        f"of {resolution}-cells")):
@@ -136,6 +143,12 @@ class TestHoldRange:
         assert rng.point(rng.nearest_index(-3.0)) == 0.0
         assert rng.point(rng.nearest_index(45.0)) == pytest.approx(40.0)
         assert rng.nearest_index(rng.point(123)) == 123
+        assert rng.nearest_index(0.07) == 1  # 0.7 cells: not clamped, rounded up
+
+    def test_range_that_starts_above_zero(self):
+        rng = HoldRange(1, 3, 0.5)
+        assert rng.width == 2.0
+        assert [rng.nearest_index(d) for d in (0.0, 1.0, 2.0, 2.8, 4.0)] == [0, 0, 2, 4, 4]
 
 
 class TestGap:
@@ -152,6 +165,12 @@ class TestGap:
         m = GapModel(theta_left=0.1, theta_right=0.02, j_star=1.0)
         assert gap(m, 20, 5) == pytest.approx(1.5)
         assert gap(m, 5, 20) == pytest.approx(0.3)
+
+    def test_slope_bound_is_inclusive(self):
+        rng = HoldRange(0, 40, 0.1)
+        assert symmetric_model(0.025, 1.0).slope_within_bound(rng)  # theta = j* / W exactly
+        assert not GapModel(0.025, 0.03, 1.0).slope_within_bound(rng)
+        assert not symmetric_model(0.5, 1.0).slope_within_bound(rng)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -336,6 +355,67 @@ class TestAggregateArea:
         land = apply_transfer(Landscape.zeros(rng), model, on_grid(rng, 20.0), 1.0)
         # 0.75 * theta * width^2 = 30; grid integral is exact here (kinks on grid)
         assert aggregate_area(land) == pytest.approx(30.0, abs=rng.resolution * model.j_star)
+
+
+    def test_end_values_count_half(self):
+        land = Landscape(HoldRange(0, 4, 1), np.array([1.0, 0.0, 0.0, 0.0, 3.0]))
+        assert aggregate_area(land) == 2.0
+
+
+class TestBestMarginalCell:
+    # five cells of [0, 1] under theta = j* = 1: every area is a binary fraction
+    RNG = HoldRange(0, 1, 0.25)
+    MODEL = symmetric_model(1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi, taken, want", [
+        (1, 4, (), (3, 0.34375)),
+        (1, 3, (), (3, 0.34375)),
+        (1, 2, (), (2, 0.3125)),
+        (1, 4, (3,), (2, 0.3125)),
+    ])
+    def test_largest_true_gain_in_range(self, lo, hi, taken, want):
+        # after a transfer at cell 0 the gains of cells 1 .. 4 are
+        # 0.21875, 0.3125, 0.34375 and 0.25
+        land = apply_transfer(Landscape.zeros(self.RNG), self.MODEL, 0, 1.0)
+        assert best_marginal_cell(land, self.MODEL, lo, hi, taken) == want
+
+    def test_exact_tie_goes_to_the_coarser_cell(self):
+        # cells 1 and 3 of an empty landscape gain 0.6875 each
+        land = Landscape.zeros(self.RNG)
+        assert best_marginal_cell(land, self.MODEL, 1, 3, taken=(2,)) == (3, 0.6875)
+
+    def test_gain_exactly_1e_15_below_the_best_still_ties(self):
+        # one-cell tents: cell 3 gains 1.25 - (b - a), which rounds to exactly 1.25 - 1e-15
+        land = Landscape(HoldRange(0, 4, 1), np.array([0.0, 0.0, 0.25, 0.25000000000000105, 0.0]))
+        assert best_marginal_cell(land, symmetric_model(1e3, 1.5), 2, 3) == (3, 1.25 - 1e-15)
+
+    def test_every_cell_taken(self):
+        assert best_marginal_cell(Landscape.zeros(self.RNG), self.MODEL, 1, 2, taken={1, 2}) is None
+
+
+class TestSlopeClass:
+    # (first, last, largest, smallest) of a segment, and the tolerance
+    @pytest.mark.parametrize("shape, tol, want", [
+        ((1.0, 1.0, 1.0, 1.0), 0.25, SlopeClass.FLAT),
+        ((0.0, 0.5, 0.5, 0.0), 0.5, SlopeClass.FLAT),  # top - bottom = tol
+        ((0.0, 1.0, 1.0, 0.0), 0.25, SlopeClass.POSITIVE),
+        ((1.0, 0.0, 1.0, 0.0), 0.25, SlopeClass.NEGATIVE),
+        ((1.0, 1.0, 1.0, 0.5), 0.25, SlopeClass.SYMMETRIC_V),
+        ((1.0, 1.25, 1.25, 0.0), 0.25, SlopeClass.SYMMETRIC_V),  # |rise| = tol
+        ((1.0, 1.0, 2.0, 0.75), 0.25, SlopeClass.NEGATIVE),  # bottom = min(ends) - tol, no rise
+    ])
+    def test_class_at_each_edge_of_the_tolerance(self, shape, tol, want):
+        assert slope_class(*shape, tol) == want
+
+    def test_tolerance_is_relative_to_the_largest_estimate(self):
+        rng = HoldRange(0, 4, 1)
+        assert slope_tol(Landscape(rng, np.array([0.0, -0.5, 0.25, 0.0, 0.0]))) == 0.5e-9
+        assert slope_tol(Landscape(rng, np.full(5, 4.0))) == 4e-9
+        assert slope_tol(Landscape.zeros(rng)) == 1e-309
+
+    def test_shapes_stop_at_the_last_bound(self):
+        land = Landscape(HoldRange(0, 6, 1), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 9.0, 5.0]))
+        assert segment_shapes(land, [0, 2, 4]) == [(0.0, 2.0, 2.0, 0.0), (2.0, 4.0, 4.0, 2.0)]
 
 
 class TestSegments:

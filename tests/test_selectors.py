@@ -12,13 +12,16 @@ from temporal_transfer.landscape import (
     Landscape,
     aggregate_area,
     apply_transfer,
+    slope_tol,
     symmetric_model,
 )
 from temporal_transfer.selectors import (
+    SegmentTable,
     SelectionError,
     SelectionState,
     SelectorKind,
     find_greedy_transfer_point,
+    iterations_csv_text,
     run_cttl,
     run_exhaustive,
     run_gttl,
@@ -87,6 +90,16 @@ class TestFindGreedyTransferPoint:
         state = SelectionState(landscape=land, picks=[200])
         assert rng.point(find_greedy_transfer_point(state, model)) == pytest.approx(6.7)
 
+    @pytest.mark.parametrize("below", [1.5e-12, 2e-12])
+    def test_gains_within_the_tie_tolerance_go_to_the_coarser_pick(self, below):
+        # a table made by hand: segment 0 picks cell 100 at gain 1, segment 1
+        # cell 300 at a gain `below` lower, within 1e-12 * (|1| + 1) (inclusive)
+        land = apply_transfer(Landscape.zeros(WIDE), WIDE_MODEL, 200, 1.0)
+        state = SelectionState(landscape=land, picks=[200])
+        state.table = SegmentTable(land, [200], WIDE_MODEL, slope_tol(land), [0, 200, 400],
+                                   np.array([100, 300]), np.array([1.0, 1.0 - below]))
+        assert find_greedy_transfer_point(state, WIDE_MODEL) == 300
+
     def test_duplicate_guard_returns_fresh_cell(self):
         rng = HoldRange(0, 1, 0.5)  # grid {0, 0.5, 1}
         model = symmetric_model(1.0, 1.0)
@@ -111,6 +124,22 @@ class TestRunGttl:
         assert state.area == pytest.approx(36.67, abs=0.1)
         # the closed-form construction value is only a lower bound
         assert state.area >= ghost_cell_lower_bound(WIDE, WIDE_MODEL, 3)
+
+    def test_defaults_are_budget_15_and_epsilon_5_percent(self):
+        trainer = IdealTrainer(1.0, WIDE)
+        assert run_gttl(trainer, WIDE_MODEL, WIDE, epsilon=0.0).iteration == 15
+        assert run_gttl(trainer, WIDE_MODEL, WIDE, budget=40).picks == run_gttl(
+            trainer, WIDE_MODEL, WIDE, budget=40, epsilon=0.05).picks
+
+    def test_backend_snap_moves_a_pick_unless_it_retrains_one(self):
+        class Thirds(IdealTrainer):  # trains at whole multiples of 3 s only
+            def snap_delta(self, delta):
+                return 3.0 * round(delta / 3)
+
+        state = run_gttl(Thirds(1.0, WIDE), WIDE_MODEL, WIDE, budget=20, epsilon=0.0)
+        assert state.sources[:3] == [21.0, 6.0, 33.0]
+        # the 14 multiples of 3 are all taken by then: later picks stay on the grid
+        assert len(set(state.picks)) == 20 and state.sources[14] == 37.5
 
     def test_epsilon_one_returns_empty(self):
         state = run_gttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=5, epsilon=1.0)
@@ -143,6 +172,8 @@ class TestRunGttl:
             run_gttl(trainer, WIDE_MODEL, WIDE, budget=0)
         with pytest.raises(ValueError):
             run_gttl(trainer, WIDE_MODEL, WIDE, budget=1, epsilon=-0.1)
+        with pytest.raises(ValueError, match=re.escape("epsilon must be in [0, 1], got 1.5")):
+            run_gttl(trainer, WIDE_MODEL, WIDE, budget=1, epsilon=1.5)
         # an asymmetric slope sum that overflows, refused before any pick
         with pytest.raises(ValueError, match=re.escape("(theta_left + theta_right) * d_max")):
             run_gttl(trainer, GapModel(1.7e308, 1.6e308, 1.0), HoldRange(0.0, 1.0, 0.25), budget=3, epsilon=0.0)
@@ -216,6 +247,18 @@ class TestCttl:
         with pytest.raises(ValueError):
             run_cttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=0)
 
+    def test_default_budget_is_15(self):
+        assert run_cttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE).iteration == 15
+
+    def test_plan_over_the_merge_limit_is_rejected_before_training(self):
+        rng = HoldRange(0, 1, 1 / 70_000)  # 70,001 points: 4.9e9 merged points for 70,001 picks
+        with pytest.raises(ValueError, match=re.escape("plan length * grid points")):
+            run_cttl(FailingTrainer(1.0, rng, fail_at_call=1), UNIT_MODEL, rng, budget=rng.n_points)
+
+    def test_iterations_csv_text(self):
+        state = run_cttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=2)
+        assert iterations_csv_text(state) == "iteration,delta,achieved,area\n1,30,1,27.5\n2,10,1,35\n"
+
 
 class TestRttl:
     def test_seeded_determinism(self):
@@ -223,6 +266,13 @@ class TestRttl:
         b = run_rttl(IdealTrainer(1.0, WIDE), WIDE_MODEL, WIDE, budget=5, seed=7)
         assert a.sources == b.sources
         assert a.area_history == b.area_history
+
+    def test_defaults_are_budget_15_and_seed_0(self):
+        trainer = IdealTrainer(1.0, WIDE)
+        state = run_rttl(trainer, WIDE_MODEL, WIDE)
+        assert state.iteration == 15
+        assert state.picks == run_rttl(trainer, WIDE_MODEL, WIDE, budget=15, seed=0).picks
+        assert run_rttl(trainer, WIDE_MODEL, WIDE, budget=1, seed=0).iteration == 1
 
     def test_exhaustive_limit(self):
         rng = HoldRange(0, 1, 0.1)
@@ -321,6 +371,7 @@ def test_readme_library_sketch_runs_as_its_comments_state():
     assert state.picks == [200, 333, 67]
     assert state.sources == [20.0, 33.300000000000004, 6.7]
     assert round(state.area, 2) == 36.67
+    assert names["best"].picks == (7, 20, 33)
     assert full_area(names["hold_range"], names["model"]) == 40.0
 
 

@@ -112,6 +112,19 @@ class TestCsvBackend:
         with pytest.raises(MissingDataError):
             backend.evaluate(40.06)
 
+    @pytest.mark.parametrize(
+        "d_min, d_max, resolution, largest",
+        [(0.5, 9.5, 0.5, 100.0), (0.6, 9.5, 0.1, 50.0), (0.5, 9.4, 0.1, 100.0), (0.6, 9.4, 0.1, 9.0),
+         (3.0, 4.0, 1.0, 4.0), (10.6, 12.0, 0.1, 0.0)],
+        ids=["both-ends-within", "low-end-out", "high-end-out", "both-out", "inside", "no-row"],
+    )
+    def test_largest_answer_reads_the_rows_a_range_can_query(self, tmp_path, d_min, d_max, resolution, largest):
+        # rows 0 .. 10, answering within 0.5 (inclusive) of their delta
+        perf = {0: 100, 10: 50}
+        rows = "".join(f"{d},{perf.get(d, d)}\n" for d in range(11))
+        backend = load_csv_landscape(self._write(tmp_path, "delta,performance\n" + rows))
+        assert backend.largest_answer(HoldRange(d_min, d_max, resolution)) == largest
+
     def test_negative_performance_rejected_with_line(self, tmp_path):
         path = self._write(tmp_path, "delta,performance\n1,0.5\n2,-1\n")
         with pytest.raises(CsvFormatError, match=":3:"):

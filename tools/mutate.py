@@ -49,6 +49,31 @@ EQUIVALENT = {
         "at k = 2 the anchor rule gives the same 0.75 * scale: i = 0 and no step short",
     ("oracle.py", "2001", "2002"):  # MAX_COARSE_CELLS
         "a limit that the tests read from the constant: one more accepted grid size changes no result",
+    ("landscape.py", "1_000_000", "1000001"):  # MAX_CELLS
+        "a limit that the tests read from the constant: one more accepted cell changes no result",
+    ("landscape.py", "abs(cells - self.n_cells) > 1e-6 * max(cells, 1.0)", ">="):  # HoldRange
+        "no float width lies exactly 1e-6 * cells from a whole count: none does at resolution 1 up to MAX_CELLS",
+    ("landscape.py", "i < 0.0", "<="):  # nearest_index
+        "at i = 0 both branches give round(0.0) = 0",
+    ("landscape.py", "i > self.n_cells", ">="):  # nearest_index
+        "at i = n_cells both branches give round(n_cells) = n_cells",
+    ("landscape.py", "d < 0", "<="):  # gap
+        "at d = 0 either finite slope times |d| is a zero gap",
+    ("selectors.py", "1_000_000", "1000001"):  # MAX_BUDGET
+        "a limit that the tests read from the constant: one more accepted training changes no result",
+    ("selectors.py", "4_000_000_000", "4000000001"):  # MAX_MERGES
+        "a limit that the tests read from the constant: one more accepted merge changes no result",
+    ("selectors.py", "bisect_left(b, lo) - 1", "bisect_left(b, lo) - 2"):  # SegmentTable.after_transfer
+        "rescores one more unchanged segment, which gives its table entry again at the same tolerance",
+    ("selectors.py", "hi + 1", "hi + 2"):  # SegmentTable.after_transfer
+        "rescores one more unchanged segment, which gives its table entry again at the same tolerance",
+    ("selectors.py", "len(b) - 1", "+"):  # SegmentTable.after_transfer
+        "the clamp only matters past the last segment, where both slices stop at the end of the list",
+    ("selectors.py", "np.where(near, idx, -1)", "np.where(near, idx, -2)"):  # find_greedy_transfer_point
+        "the best segment is always near, so the fill below every grid index never wins",
+    ("selectors.py", "(len(plan) * hold_range.n_points, 0, MAX_MERGES)",
+     "(len(plan) * hold_range.n_points, 1, MAX_MERGES)"):  # _run_plan
+        "a plan has at least one index and a range at least two points, so the product is never below 2",
 }
 
 
@@ -80,13 +105,20 @@ def mutate(node: ast.AST, j: int | None) -> str:
 
 
 def mutants(source: str):
-    """(line, mutated expression, replacement, mutated source) of each site."""
+    """(line, mutated expression, replacement, mutated source) of each site.
+    A constant inside an expression is named by that expression, before and
+    after the change (`hi + 1 -> hi + 2`): a bare `1 -> 2` matches many sites."""
     for k in range(len(sites(ast.parse(source)))):
         tree = ast.parse(source)  # a fresh tree per mutant: one change at a time
         node, j = sites(tree)[k]
-        expression = ast.get_source_segment(source, node)
+        parents = {child: p for p in ast.walk(tree) for child in ast.iter_child_nodes(p)}
+        context = node
+        while isinstance(context, (ast.Constant, ast.UnaryOp)) and isinstance(parents.get(context),
+                                                                              (ast.expr, ast.keyword)):
+            context = parents[context]
+        expression = ast.get_source_segment(source, node) if context is node else ast.unparse(context)
         replacement = mutate(node, j)
-        yield node.lineno, expression, replacement, ast.unparse(tree)
+        yield node.lineno, expression, replacement if context is node else ast.unparse(context), ast.unparse(tree)
 
 
 def run_tests(tests: list[str], package_root: Path, timeout: float | None) -> bool | None:
