@@ -98,9 +98,10 @@ MAX_STEPS = 1_000_000
 # Most rollouts of one policy search, durations times budget: one duration at
 # the default config scores 12 a batch at about a second a batch.
 MAX_ROLLOUTS = 720
-# Most vehicles on the ring: `ring baseline` of its 10 default seeds over the
-# default 15,000 steps takes under a minute at about 3 ms a step.
-MAX_VEHICLES = 10_000
+# Most rows times vehicles of one simulate_many batch, and so most vehicles
+# on the ring: `ring baseline` of 10 seeds at 10,000 vehicles, or of 4,000
+# seeds at the default 22, over the default 15,000 steps takes about a minute.
+MAX_BATCH = 100_000
 # Scored steps of a rollout whose across-vehicle mean and std are computed
 # together: each step copies its speeds into the block, and a full block is
 # reduced in a few numpy calls. A longer block reads a higher peak memory.
@@ -132,7 +133,7 @@ class RingConfig:
             raise ValueError("vehicles do not fit on the ring")
         warmup = _hold_steps("warmup", self.warmup, self.dt, least=0)
         steps = warmup + _hold_steps("horizon", self.horizon, self.dt)
-        check_bounds(counts={"n_vehicles": (self.n_vehicles, 1, MAX_VEHICLES),
+        check_bounds(counts={"n_vehicles": (self.n_vehicles, 1, MAX_BATCH),
                              "warmup + horizon steps": (steps, 1, MAX_STEPS)})
         _hold_steps("hold", self.guidance.hold, self.dt)
 
@@ -187,16 +188,14 @@ def equilibrium_speed(config: RingConfig) -> float:
     def residual(v: float) -> float:
         return 1 - (v / p.v_desired) ** p.exponent - ((p.s0 + v * p.time_headway) / s_gap) ** 2
 
+    # residual(0) = 1 - (s0 / s_gap) ** 2 > 0, as s_gap > s0, and residual(v_desired) < 0
     lo, hi = 0.0, p.v_desired
-    if residual(lo) <= 0:
-        return 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
+    while lo < (mid := (lo + hi) / 2) < hi:  # until lo and hi are neighbouring floats
         if residual(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return mid
 
 
 def idm_acceleration(speeds: np.ndarray, gaps: np.ndarray, lead_speeds: np.ndarray, p: IdmParams) -> np.ndarray:
@@ -300,12 +299,19 @@ class RolloutResult:
     collision: CollisionError | None = None  # what ended a collided rollout
 
 
+def check_batch(config: RingConfig, rows: int) -> None:
+    """Raise ValueError unless `rows` rings of the config fit in one
+    simulate_many batch: at most MAX_BATCH rows times vehicles."""
+    check_bounds(counts={"rows * vehicles": (rows * config.n_vehicles, 0, MAX_BATCH)})
+
+
 def simulate_many(
     config: RingConfig, seeds, policies=None, holds=None, record: bool = False
 ) -> list[RolloutResult]:
     """Warmup-plus-horizon rollouts of a batch of rings, one row per seed.
 
-    Row r starts from initial_state(config, seeds[r]). Its policy
+    The batch must pass check_batch, which is checked before anything is
+    allocated. Row r starts from initial_state(config, seeds[r]). Its policy
     (policies[r]; None leaves the row unguided) is called at every boundary
     of its hold, holds[r] seconds (default: the config's hold), with the
     (ego speed, leader speed, headway) observed at that instant; the command
@@ -321,6 +327,7 @@ def simulate_many(
     and the CollisionError that `simulate` raises for it.
     """
     n_rows = len(seeds)
+    check_batch(config, n_rows)
     policies = [None] * n_rows if policies is None else list(policies)
     holds = [config.guidance.hold] * n_rows if holds is None else list(holds)
     if len(policies) != n_rows or len(holds) != n_rows:
@@ -502,9 +509,11 @@ _REFINE_SCALE = np.array([1.2, 0.4, 0.15])
 def check_search(config: RingConfig, search_budget: int, durations: int = 1) -> None:
     """Raise ValueError unless the policy search can run: a budget of at
     least one rollout, at most MAX_ROLLOUTS rollouts over its `durations`,
-    and one vehicle guided in speed mode."""
+    batches that fit check_batch, and one vehicle guided in speed mode."""
     check_bounds(counts={"search budget": (search_budget, 1, math.inf),
                          "durations * search budget": (durations * search_budget, 0, MAX_ROLLOUTS)})
+    # a batch holds at most one lattice of rounds a duration, and the baseline
+    check_batch(config, durations * min(search_budget, len(_LATTICE_W0) * len(_LATTICE_FEEDBACK)) + 1)
     mode = config.guidance.mode
     if mode != "speed":
         raise ValueError(

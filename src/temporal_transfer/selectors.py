@@ -62,7 +62,7 @@ MAX_MERGES = 4_000_000_000
 @dataclass
 class SegmentTable:
     """The greedy pick and estimated gain of every segment of one landscape
-    split at one list of picks, under one gap model.
+    split at its picks, under one gap model.
 
     `bounds` are the sorted segment ends (grid indices: 0, the picks, the
     last cell), and segment k, from bounds[k] to bounds[k + 1], has its pick
@@ -72,8 +72,6 @@ class SegmentTable:
     """
 
     landscape: Landscape
-    picks: list[int]
-    model: GapModel
     tol: float
     bounds: list[int]
     idx: np.ndarray
@@ -85,31 +83,30 @@ class SegmentTable:
         bounds = segment_bounds(land, picks)
         tol = slope_tol(land)
         idx, gains = _score(land, bounds, tol, model, not picks)
-        return cls(land, list(picks), model, tol, bounds, np.array(idx, dtype=np.intp), np.array(gains))
+        return cls(land, tol, bounds, np.array(idx, dtype=np.intp), np.array(gains))
 
-    def after_transfer(self, land: Landscape, picks: list[int]) -> "SegmentTable":
-        """The table of `land`, a later landscape of the same range, split at
-        `picks`, the table's picks plus one more. Only the segments whose
-        values changed, and the one that the new pick splits, are rescored;
-        all of them are after the first pick (which has its own gain rule)
-        and when the largest |estimate|, and so the slope tolerance, moves."""
-        tol = slope_tol(land)
-        if tol != self.tol or not self.picks:
-            return SegmentTable.build(land, picks, self.model)
-        i = picks[-1]
-        changed = np.flatnonzero(land.values != self.landscape.values)
-        lo, hi = (min(i, int(changed[0])), max(i, int(changed[-1]))) if len(changed) else (i, i)
+    def after_transfer(self, land: Landscape, i: int, model: GapModel) -> "SegmentTable":
+        """The table of `land`, this table's landscape after a transfer at
+        grid index `i`, split at one more pick: `i`. This table is past the
+        first pick, which has its own gain rule. Only the segments whose
+        values changed, and the one that `i` splits, are rescored; when the
+        largest |estimate|, and so the slope tolerance, moves, the table is
+        built again from the new bounds."""
         b = self.bounds
         at = bisect_left(b, i)
-        # segments a .. e-1 touch [lo, hi]: neighbours share their end cells
-        a, e = max(bisect_left(b, lo) - 1, 0), min(bisect_left(b, hi + 1), len(b) - 1)
-        split = int(b[at] != i)  # i splits one of them in two
+        split = int(b[at] != i)  # i splits one segment in two
         if split:
             b = b.copy()
             b.insert(at, i)
-        idx, gains = _score(land, b[a : e + 1 + split], tol, self.model, False)
-        return SegmentTable(land, picks, self.model, tol, b,
-                            np.concatenate((self.idx[:a], idx, self.idx[e:])),
+        tol = slope_tol(land)
+        if tol != self.tol:
+            return SegmentTable.build(land, b, model)  # the bounds hold every pick
+        changed = np.flatnonzero(land.values != self.landscape.values)
+        lo, hi = (min(i, int(changed[0])), max(i, int(changed[-1]))) if len(changed) else (i, i)
+        # segments a .. e-1 touch [lo, hi]: neighbours share their end cells
+        a, e = max(bisect_left(self.bounds, lo) - 1, 0), bisect_left(self.bounds, hi + 1)
+        idx, gains = _score(land, b[a : e + 1 + split], tol, model, False)
+        return SegmentTable(land, tol, b, np.concatenate((self.idx[:a], idx, self.idx[e:])),
                             np.concatenate((self.gains[:a], gains, self.gains[e:])))
 
 
@@ -125,17 +122,12 @@ def _score(land: Landscape, bounds: list[int], tol: float, model: GapModel, is_f
 @dataclass
 class SelectionState:
     """Everything accumulated across selection iterations; picks are grid
-    indices of the landscape's range.
-
-    The greedy selector keeps its segment table here and brings it up to
-    date at each pick.
-    """
+    indices of the landscape's range."""
 
     landscape: Landscape
     picks: list[int] = field(default_factory=list)
     results: list[EvaluatorResult] = field(default_factory=list)
     area_history: list[float] = field(default_factory=list)
-    table: SegmentTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def sources(self) -> list[float]:
@@ -172,24 +164,10 @@ def _train_and_apply(state: SelectionState, trainer, model: GapModel, i: int) ->
     state.area_history.append(aggregate_area(state.landscape))
 
 
-def _segment_table(state: SelectionState, model: GapModel) -> SegmentTable:
-    """The state's segment table under `model`, brought up to date: as it
-    is if it still describes the state's landscape and picks; through
-    `after_transfer` if the state has one pick more, as after each transfer
-    of a greedy run; built afresh otherwise, as for the first pick or for a
-    state replaced or edited by hand."""
-    table = state.table
-    if table is not None and table.model == model and table.landscape.range is state.landscape.range:
-        if table.landscape is state.landscape and table.picks == state.picks:
-            return table
-        if len(state.picks) == len(table.picks) + 1 and state.picks[:-1] == table.picks:
-            return table.after_transfer(state.landscape, list(state.picks))
-    return SegmentTable.build(state.landscape, state.picks, model)
-
-
-def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
+def find_greedy_transfer_point(state: SelectionState, model: GapModel, table: SegmentTable) -> int:
     """Grid index of the pick of the segment with the largest estimated
-    marginal area gain, read from the state's segment table.
+    marginal area gain, read from `table`, the segment table of the state's
+    landscape and picks.
 
     Gains within 1e-12 * (|best| + 1) of the best tie, and ties (mirror
     segments, equal-gain candidates) go to the coarser (larger) index, then
@@ -197,7 +175,6 @@ def find_greedy_transfer_point(state: SelectionState, model: GapModel) -> int:
     index, the best non-duplicate grid cell inside the winning segment is
     used instead, ranked by true marginal gain.
     """
-    table = state.table = _segment_table(state, model)
     idx, gains = table.idx, table.gains
     best = gains.max()
     near = gains >= best - 1e-12 * (abs(best) + 1.0)
@@ -237,8 +214,12 @@ def run_gttl(
         return state
     target = (1 - epsilon) * theory.full_area(hold_range, model)
     while state.iteration < budget and aggregate_area(state.landscape, cap=model.j_star) <= target:
+        # the run's segment table: scored in full for the first two picks (the
+        # first has its own gain rule), then brought up to date after each transfer
+        table = (SegmentTable.build(state.landscape, state.picks, model) if state.iteration < 2
+                 else table.after_transfer(state.landscape, state.picks[-1], model))
         try:
-            i = find_greedy_transfer_point(state, model)
+            i = find_greedy_transfer_point(state, model, table)
         except GridExhausted:
             break
         _train_and_apply(state, trainer, model, i)

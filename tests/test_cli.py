@@ -104,6 +104,35 @@ def test_out_in_a_missing_directory_is_made(tmp_path, capsys):
     assert code == 0 and out.read_text() == text
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "--algo", "cttl", "--budget", "2", "--out", ""], "--out must not be empty"),
+        (["verify", "--claims", "T2", "--out", ""], "--out must not be empty"),
+        (["oracle", "--kmax", "1", "--grid", "2", "--out", ""], "--out must not be empty"),
+        (["ring", "baseline", "--seeds", "1", "--out", ""], "--out must not be empty"),
+        (["ring", "eval", "--delta", "40", "--out", ""], "--out must not be empty"),
+        (["ring", "sweep", "--deltas", "1,40", "--out", ""], "--out must not be empty"),
+        (["export-plot", "--input", "{input}", "--out", ""], "--out must not be empty"),
+        (["verify", "--claims", ""], f"unknown claims: [''] (choose from {ALL_CLAIMS})"),
+    ],
+    ids=["run", "verify", "oracle", "ring-baseline", "ring-eval", "ring-sweep", "export-plot",
+         "verify-claims"],
+)
+def test_empty_out_or_claims_is_usage_error(args, message, tmp_path, capsys, monkeypatch):
+    # An empty --out is neither "print only" nor a file name ("" as a run's
+    # prefix would write ._iterations.csv here), and empty --claims is not
+    # "every claim".
+    source = tmp_path / "run.csv"
+    source.write_text("iteration,delta,area\n1,30,27.5\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run_cli([a.format(input=source) for a in args], capsys)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+    assert list(work.iterdir()) == []
+
+
 # A value each conditional flag accepts, and the extra flags each trainer needs.
 FLAG_VALUES = {"--budget": "1", "--epsilon": "0", "--jstar": "2", "--seed": "1", "--csv": "{curve}",
                "--noise-eta": "0.1", "--decay": "0.5", "--search-budget": "1", "--config": "{config}",

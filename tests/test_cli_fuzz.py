@@ -13,6 +13,7 @@ too slow, and its commands have their own tests in test_cli.py.
 import contextlib
 import io
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -26,11 +27,13 @@ NUMBERS = ["0", "-1", "-0.0", "5e-324", "1e-300", "0.5", "1", "2", "3.7", "40", 
 COUNTS = ["0", "-1", "1", "2", "3", "5", "17", "41", "81", "abc"]
 GRIDS = ["2", "3", "21", "41", "49", "81"]
 KMAX = ["1", "2", "4", "5", "9"]
-# Every flag's pool; {smooth} and {huge} name the two curves the test writes.
+# Every flag's pool; {smooth} and {huge} name the two curves the test writes,
+# and {out} the output path in the test's own directory. --claims also draws
+# lists of claims.
 POOLS = {"--dmin": NUMBERS, "--dmax": NUMBERS, "--resolution": NUMBERS, "--theta": NUMBERS,
          "--jstar": NUMBERS, "--epsilon": NUMBERS, "--noise-eta": NUMBERS, "--decay": NUMBERS,
          "--budget": COUNTS, "--seed": COUNTS, "--csv": ["{smooth}", "{huge}"], "--grid": GRIDS,
-         "--kmax": KMAX}
+         "--kmax": KMAX, "--out": ["{out}", ""], "--claims": [""]}
 SMOOTH = "delta,performance\n" + "".join(f"{d},{1 - 0.3 * (d / 40) ** 2:.6g}\n" for d in range(41))
 HUGE = "delta,performance\n0,1e308\n20,1e308\n40,1e308\n"
 
@@ -46,6 +49,13 @@ def flags(draw, names):
 
 
 @st.composite
+def out_flag(draw):
+    """An --out, which every call gives: a `run` without one writes in the
+    working directory."""
+    return ["--out", draw(st.sampled_from(POOLS["--out"]))]
+
+
+@st.composite
 def run_calls(draw):
     algo = draw(st.sampled_from(["gttl", "cttl", "rttl", "exhaustive"]))
     trainer = draw(st.sampled_from(["ideal", "decaying", "noisy", "csv"]))
@@ -55,18 +65,21 @@ def run_calls(draw):
     unread = [f for f in table if f in POOLS and f not in read]
     stray = draw(st.lists(st.sampled_from(unread), max_size=1))
     args = ["run", "--algo", algo, "--trainer", trainer]
-    return args + draw(flags(["--dmin", "--dmax", "--resolution", "--theta", *read, *stray]))
+    return args + draw(flags(["--dmin", "--dmax", "--resolution", "--theta", *read, *stray])) + draw(out_flag())
 
 
 @st.composite
 def verify_calls(draw):
-    claims = draw(st.lists(st.sampled_from(ALL_CLAIMS), min_size=1, max_size=3, unique=True))
-    return ["verify", "--claims", ",".join(claims), *draw(flags(["--grid", "--kmax"]))]
+    claims = draw(st.one_of(st.sampled_from(POOLS["--claims"]),
+                            st.lists(st.sampled_from(ALL_CLAIMS), min_size=1, max_size=3, unique=True)
+                            .map(",".join)))
+    return ["verify", "--claims", claims, *draw(flags(["--grid", "--kmax"])), *draw(out_flag())]
 
 
 @st.composite
 def oracle_calls(draw):
-    return ["oracle", *draw(flags(["--dmin", "--dmax", "--theta", "--jstar", "--grid", "--kmax"]))]
+    names = ["--dmin", "--dmax", "--theta", "--jstar", "--grid", "--kmax"]
+    return ["oracle", *draw(flags(names)), *draw(out_flag())]
 
 
 def _numbers_are_finite(text: str) -> bool:
@@ -113,21 +126,34 @@ def _call(argv: list[str]) -> tuple[int, str]:
 @example(["verify", "--claims", "T1", "--kmax", "3"])
 @example(["run", "--algo", "cttl", "--trainer", "csv", "--csv", "{smooth}", "--jstar", "2"])
 @example(["run", "--algo", "cttl", "--jstar", "2"])
+# Empty --out and --claims
+@example(["run", "--algo", "cttl", "--budget", "2", "--out", ""])
+@example(["oracle", "--kmax", "1", "--out", ""])
+@example(["verify", "--claims", "", "--out", "{out}"])
 def test_any_call_exits_cleanly(argv):
+    if "--out" not in argv:
+        argv = [*argv, "--out", "{out}"]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "smooth.csv").write_text(SMOOTH)
         (tmp / "huge.csv").write_text(HUGE)
-        out = tmp / "out" / ("x" if argv[0] == "run" else "x.csv")
-        args = [a.format(smooth=tmp / "smooth.csv", huge=tmp / "huge.csv") for a in argv]
-        code, stdout = _call([*args, "--out", str(out)])
+        work = tmp / "work"  # the working directory, and every file written
+        work.mkdir()
+        out = work / "out" / ("x" if argv[0] == "run" else "x.csv")
+        args = [a.format(smooth=tmp / "smooth.csv", huge=tmp / "huge.csv", out=out) for a in argv]
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            code, stdout = _call(args)
+        finally:
+            os.chdir(cwd)
         assert code in (0, 2, 3, 4)
-        written = sorted(out.parent.glob("*")) if out.parent.exists() else []
+        written = sorted(p for p in work.rglob("*") if p.is_file())
         if code == 2:
             assert stdout == "" and written == []
         if code == 0:
             assert _numbers_are_finite(stdout)
             assert all(_numbers_are_finite(p.read_text()) for p in written)
         if code == 3:
-            iterations = (tmp / "out" / "x_iterations.csv").read_text()
+            iterations = (work / "out" / "x_iterations.csv").read_text()
             assert iterations.startswith("iteration,delta,achieved,area\n")

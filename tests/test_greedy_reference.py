@@ -2,8 +2,8 @@
 segment classification and the pick/gain rule (`optimal_pick_and_gain`,
 which scores one segment on Python floats and snaps its pick with
 `nearest_index`'s rounding), the segments they give, the greedy pick, and
-the segment table that a greedy run carries from pick to pick, pinned to a
-full rescoring.
+the segment table that a greedy run brings up to date from pick to pick,
+pinned to a full rescoring.
 
 The references below are kept as they were written before the selection
 core was vectorised: `reference_classify` classifies one slice of the
@@ -132,13 +132,14 @@ def assert_rule_matches_reference(land, picks, model):
 def assert_matches_reference(state, model):
     want = assert_rule_matches_reference(state.landscape, state.picks, model)
     want_pick = reference_pick(state, model)
+    table = SegmentTable.build(state.landscape, state.picks, model)
     if want_pick is None:
         with pytest.raises(GridExhausted):
-            find_greedy_transfer_point(state, model)
+            find_greedy_transfer_point(state, model, table)
     else:
-        assert find_greedy_transfer_point(state, model) == want_pick
-    # the carried table holds the same rule's entries
-    assert list(zip(state.table.idx, state.table.gains)) == want
+        assert find_greedy_transfer_point(state, model, table) == want_pick
+    # the table holds the same rule's entries
+    assert list(zip(table.idx, table.gains)) == want
 
 
 # Slopes are 0 or at least 1e-3, so distinct gains differ by far more than
@@ -307,7 +308,8 @@ class TestTieRule:
         near = [rng.nearest_index(p) for p, g in gains if g >= best - 1e-12 * (abs(best) + 1.0)]
         coarsest = max(near)
         if coarsest not in state.picks:
-            assert find_greedy_transfer_point(state, model) == coarsest
+            table = SegmentTable.build(state.landscape, state.picks, model)
+            assert find_greedy_transfer_point(state, model, table) == coarsest
 
 
 def curve_trainer(rng):
@@ -345,36 +347,13 @@ GRIDS = {
 full_rescoring = SegmentTable.build  # kept from before any patching
 
 
-def assert_table_is_a_full_rescoring(state, model):
-    table = state.table
+def assert_table_is_a_full_rescoring(table, state, model):
     full = full_rescoring(state.landscape, state.picks, model)
-    assert table.landscape is state.landscape and table.picks == state.picks
+    assert table.landscape is state.landscape
     assert table.tol == full.tol
     for name in ("bounds", "idx", "gains"):
         got, want = getattr(table, name), getattr(full, name)
         assert np.array(got).tobytes() == np.array(want).tobytes(), name
-
-
-def edit_by_hand(state, model, kind):
-    """The state after a transfer, edited by hand between two picks."""
-    if kind == 0:  # a new state object, without the table
-        return SelectionState(landscape=state.landscape, picks=list(state.picks))
-    if kind == 1:  # the same values in a new landscape
-        state.landscape = Landscape(state.landscape.range, state.landscape.values)
-    elif kind == 2:  # the last pick forgotten: the table's picks, other values
-        del state.picks[-1]
-    elif kind == 3:  # the first pick moved to a free cell: one pick more, others changed
-        state.picks[0] = min(set(range(state.landscape.range.n_points)) - set(state.picks))
-    else:  # the table brought up to date, then the first pick forgotten
-        find_greedy_transfer_point(state, model)
-        del state.picks[0]
-    return state
-
-
-# Kinds of edit_by_hand after which the next pick rebuilds the table, and
-# after which the state has one pick fewer.
-REBUILT = {0, 2, 3, 4}
-FORGETS = {2, 4}
 
 
 class TestCarriedTable:
@@ -386,41 +365,40 @@ class TestCarriedTable:
         # every landscape and table of the range reads this one grid
         assert not rng.grid().flags.writeable
         model = MODELS[model_name](rng.width)
-        trainer = TRAINERS[trainer_name](rng)
-        builds, fallbacks = [], []
+        builds, fallbacks, exhausted = [], [], []
         build = SegmentTable.build.__func__
         monkeypatch.setattr(SegmentTable, "build", classmethod(
             lambda cls, *a: builds.append(1) or build(cls, *a)))
         monkeypatch.setattr(selectors, "best_marginal_cell",
                             lambda *a: fallbacks.append(1) or best_marginal_cell(*a))
-        state = SelectionState(landscape=Landscape.zeros(rng))
-        budget = picks or rng.n_points + 1
-        edits = []
-        for step in range(budget):
-            if step % 5 == 4:
-                edits.append(step // 5 % 5)
-                state = edit_by_hand(state, model, edits[-1])
+
+        def checked_pick(state, model, table):
+            # the table that run_gttl's update rule made for this pick
+            assert_table_is_a_full_rescoring(table, state, model)
             want = reference_pick(state, model)
             if want is None:
+                exhausted.append(1)
                 with pytest.raises(GridExhausted):
-                    find_greedy_transfer_point(state, model)
-                break
-            assert find_greedy_transfer_point(state, model) == want
-            assert_table_is_a_full_rescoring(state, model)
-            _train_and_apply(state, trainer, model, want)
+                    find_greedy_transfer_point(state, model, table)
+                raise GridExhausted
+            got = find_greedy_transfer_point(state, model, table)
+            assert got == want
+            return got
+
+        monkeypatch.setattr(selectors, "find_greedy_transfer_point", checked_pick)
+        run = run_gttl(TRAINERS[trainer_name](rng), model, rng, budget=picks or rng.n_points + 1, epsilon=0.0)
         # a 5-point grid is used up: five picks, then GridExhausted
-        assert len(state.picks) + sum(kind in FORGETS for kind in edits) == (picks or rng.n_points)
+        assert (len(run.picks), bool(exhausted)) == (picks or rng.n_points, picks is None)
         # the duplicate fallback runs under flat tents on the 401-point grid,
         # and wherever the 5-point grid's segments run out of free cells
         assert bool(fallbacks) == {"401": model_name == "flat", "2001": False, "5": True}[grid]
         # All other picks rescore only the segments that the last transfer
-        # changed or split. The table is rebuilt for the first two picks,
-        # after edits by hand, and where the largest estimate moves, which
-        # under the ideal trainer it does only at the first pick.
-        rebuilt = 2 + sum(kind in REBUILT for kind in edits)
+        # changed or split. The table is built for the first two picks, and
+        # rebuilt where the largest estimate moves, which under the ideal
+        # trainer it does only at the first pick.
         if trainer_name == "ideal":
-            assert len(builds) == rebuilt
-        assert rebuilt <= len(builds) < len(state.picks) or rng.n_points == 5
+            assert len(builds) == 2
+        assert 2 <= len(builds) < len(run.picks) or rng.n_points == 5
 
     def test_a_rise_of_the_largest_estimate_rescores_every_segment(self):
         # The slope tolerance is relative to the largest estimate, so a
@@ -434,25 +412,9 @@ class TestCarriedTable:
         values[:5] = 1.0
         values[4] -= 1.2e-9
         state = SelectionState(landscape=Landscape(rng, values), picks=[4, 7])
-        find_greedy_transfer_point(state, model)
-        assert state.table.idx[0] == 3
+        table = SegmentTable.build(state.landscape, state.picks, model)
+        assert table.idx[0] == 3
         _train_and_apply(state, IdealTrainer(1.5, rng), model, 10)
-        find_greedy_transfer_point(state, model)
-        assert_table_is_a_full_rescoring(state, model)
-        assert state.table.idx[0] == 2
-
-    def test_a_state_moved_to_another_range_rebuilds_its_table(self):
-        # Same grid length, other cells, and a transfer that changes one
-        # cell: still no entry of the old table carries over.
-        model = symmetric_model(1 / 40, 1.0)
-        state = SelectionState(landscape=Landscape.zeros(HoldRange(0, 40, 0.1)))
-        for _ in range(3):
-            _train_and_apply(state, IdealTrainer(1.0, state.landscape.range), model,
-                             find_greedy_transfer_point(state, model))
-        find_greedy_transfer_point(state, model)  # the table of the three picks
-        wide = HoldRange(0, 80, 0.2)
-        land = Landscape(wide, state.landscape.values)
-        state.landscape = apply_transfer(land, model, 150, 0.0)
-        state.picks.append(150)
-        assert find_greedy_transfer_point(state, model) == reference_pick(state, model)
-        assert_table_is_a_full_rescoring(state, model)
+        table = table.after_transfer(state.landscape, 10, model)
+        assert_table_is_a_full_rescoring(table, state, model)
+        assert table.idx[0] == 2

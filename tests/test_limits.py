@@ -21,12 +21,15 @@ from temporal_transfer import cli
 from temporal_transfer.landscape import MAX_CELLS, HoldRange, symmetric_model
 from temporal_transfer.oracle import MAX_COARSE_CELLS, coarse_range, exhaustive_best
 from temporal_transfer.ringsim import (
+    MAX_BATCH,
     MAX_ROLLOUTS,
     MAX_SPEED_LEVELS,
     MAX_STEPS,
-    MAX_VEHICLES,
     GuidanceParams,
     RingConfig,
+    check_batch,
+    check_search,
+    simulate_many,
     train_and_measure_many,
 )
 from temporal_transfer.selectors import (
@@ -45,6 +48,16 @@ MODEL = symmetric_model(1.0, 1.0)
 FAST = RingConfig(warmup=20.0, horizon=40.0)
 
 
+def _ring(n_vehicles: int) -> RingConfig:
+    """FAST with `n_vehicles` on a ring long enough to hold them."""
+    return RingConfig(n_vehicles=n_vehicles, circumference=12.0 * n_vehicles, warmup=20.0, horizon=40.0)
+
+
+# The most vehicles whose one-duration policy search fits a batch: its 12
+# lattice rounds and the baseline are 13 rows.
+SEARCH_VEHICLES = MAX_BATCH // 13
+
+
 def _selector(run, hold_range, **options):
     return lambda: run(IdealTrainer(1.0, hold_range), MODEL, hold_range, **options)
 
@@ -59,7 +72,13 @@ def _cases():
         "cells": lambda: HoldRange(0, MAX_CELLS + 1, 1.0),
         "warmup + horizon steps": lambda: RingConfig(warmup=0.0, horizon=(MAX_STEPS + 1) * 0.1),
         "n_guided": lambda: RingConfig(n_guided=2),
-        "n_vehicles": lambda: RingConfig(n_vehicles=MAX_VEHICLES + 1, circumference=12.0 * (MAX_VEHICLES + 1)),
+        "n_vehicles": lambda: _ring(MAX_BATCH + 1),
+        "rows * vehicles": lambda: simulate_many(FAST, range(MAX_BATCH // FAST.n_vehicles + 1)),
+        "rows * vehicles (search)": lambda: train_and_measure_many(_ring(SEARCH_VEHICLES + 1), [1.0], 24, 0),
+        "rows * vehicles (search budget below a lattice)": lambda: train_and_measure_many(
+            _ring(MAX_BATCH // 3 + 1), [1.0], 2, 0
+        ),
+        "rows * vehicles (trainer)": lambda: RingTrainer(_ring(SEARCH_VEHICLES + 1), search_budget=24),
         "n_speed_levels": lambda: GuidanceParams(n_speed_levels=MAX_SPEED_LEVELS + 1),
         "durations * search budget": lambda: train_and_measure_many(FAST, [1.0], MAX_ROLLOUTS + 1, 0),
         "durations * search budget (durations)": lambda: train_and_measure_many(
@@ -100,7 +119,10 @@ def test_largest_accepted_counts_pass_the_rule():
     # One below each over-limit case above: accepted, and only checked here.
     HoldRange(0, MAX_CELLS, 1.0)
     RingConfig(warmup=0.0, horizon=MAX_STEPS * 0.1)
-    RingConfig(n_vehicles=MAX_VEHICLES, circumference=12.0 * MAX_VEHICLES)
+    _ring(MAX_BATCH)
+    check_batch(FAST, MAX_BATCH // FAST.n_vehicles)
+    check_search(_ring(SEARCH_VEHICLES), 24)
+    check_search(_ring(MAX_BATCH // 3), 2)
     GuidanceParams(n_speed_levels=MAX_SPEED_LEVELS)
     RingTrainer(FAST, search_budget=MAX_ROLLOUTS)
     assert coarse_range(UNIT, MAX_COARSE_CELLS).n_points == MAX_COARSE_CELLS
@@ -133,13 +155,14 @@ def test_small_command_runs_under_the_cap(tmp_path):
         (["oracle", "--grid", "100000", "--kmax", "1"], "coarse_cells", MAX_COARSE_CELLS),
         (["verify", "--grid", "100000"], "coarse_cells", MAX_COARSE_CELLS),
         (["verify", "--claims", "T4", "--kmax", "1000000"], "--kmax", cli.MAX_KMAX),
-        (["ring", "baseline", "--seeds", "1000000000"], "--seeds", cli.MAX_SEEDS),
+        (["ring", "baseline", "--seeds", "1000000000"], "rows * vehicles", MAX_BATCH),
+        (["ring", "baseline", "--seeds", "1" + "0" * 30], "rows * vehicles", MAX_BATCH),
         (["ring", "eval", "--delta", "1", "--budget", "1000000000"], "durations * search budget", MAX_ROLLOUTS),
         (["ring", "sweep", "--deltas", ",".join(f"{0.1 * i:g}" for i in range(1, 1001))],
          "durations * search budget", MAX_ROLLOUTS),
     ],
     ids=["cttl-budget", "exhaustive-merges", "oracle-grid", "verify-grid", "verify-kmax", "baseline-seeds",
-         "eval-budget", "sweep-durations"],
+         "baseline-seeds-past-len", "eval-budget", "sweep-durations"],
 )
 def test_over_limit_command_exits_2_in_a_capped_child(args, size, limit, tmp_path):
     done = run_capped([*args, "--out", "x"], tmp_path)
@@ -148,14 +171,25 @@ def test_over_limit_command_exits_2_in_a_capped_child(args, size, limit, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
-def test_over_limit_vehicles_exit_2_in_a_capped_child(tmp_path):
-    # The ring is long enough for the vehicles, so only the limit rejects them.
-    n = MAX_VEHICLES + 1
+@pytest.mark.parametrize(
+    "args, n_vehicles, rows",
+    [
+        (["ring", "baseline"], MAX_BATCH // 10 + 1, 10),
+        (["ring", "baseline", "--seeds", "4000", "--warmup", "0", "--horizon", "0.1"], 10_000, 4000),
+        (["ring", "eval", "--delta", "1"], 10_000, 13),
+        (["run", "--algo", "cttl", "--trainer", "ring", "--budget", "2"], 10_000, 13),
+    ],
+    ids=["baseline-default-seeds", "baseline-composed", "eval", "run-ring-trainer"],
+)
+def test_over_limit_batch_exits_2_in_a_capped_child(args, n_vehicles, rows, tmp_path):
+    # The ring is long enough for the vehicles, and each size alone is within
+    # its limit: only their product, the batch, is over.
     config = tmp_path / "vehicles.cfg"
-    config.write_text(f"total_number_of_vehicles = {n}\ncircumference = {12 * n}\n")
+    config.write_text(f"total_number_of_vehicles = {n_vehicles}\ncircumference = {12 * n_vehicles}\n")
     work = tmp_path / "work"
     work.mkdir()
-    done = run_capped(["ring", "baseline", "--config", str(config), "--out", "x"], work)
+    done = run_capped([*args, "--config", str(config), "--out", "x"], work)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"invalid input: n_vehicles = {n:,} is above the limit of {MAX_VEHICLES:,}\n"
+    assert done.stderr == (f"invalid input: rows * vehicles = {rows * n_vehicles:,} "
+                           f"is above the limit of {MAX_BATCH:,}\n")
     assert list(work.iterdir()) == []

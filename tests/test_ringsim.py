@@ -1,6 +1,8 @@
 """Ring micro-simulation: dynamics, guidance, determinism, search."""
 
+import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -45,13 +47,79 @@ def uniform_state(config, speed=None):
     return RingState(positions=spacing * np.arange(n), speeds=np.full(n, v))
 
 
+# Two vehicles on 13 m, vehicle 1 at rest s0 = 2 m behind vehicle 0, so its
+# car-following acceleration is exactly 0, and vehicle 0 1 m behind vehicle 1,
+# holding its speed under an acceleration command of 0 for dt = 0.5 s.
+TOUCHING = RingConfig(circumference=13.0, n_vehicles=2, dt=0.5, guidance=GuidanceParams(mode="acceleration"))
+
+
+def touching_state(speed):
+    return RingState(positions=np.array([0.0, 6.0]), speeds=np.array([speed, 0.0]))
+
+
 class TestDynamics:
-    def test_equilibrium_is_fixed_point(self):
-        config = FAST_UNGUIDED
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FAST_UNGUIDED,
+            replace(FAST_UNGUIDED, idm=IdmParams(time_headway=1.5)),
+            # gaps of 2.045 m, just above s0: an equilibrium below 1 m/s
+            replace(FAST_UNGUIDED, circumference=155.0),
+            # gaps of 1e-300 m: a root that 200 halvings of [0, v_desired] do not reach
+            replace(FAST_UNGUIDED, circumference=22 * 3e-300, vehicle_length=1e-300,
+                    idm=IdmParams(s0=1e-300, v_desired=1e-150)),
+        ],
+        ids=["default", "headway", "dense", "tiny"],
+    )
+    def test_equilibrium_is_fixed_point(self, config):
         state = uniform_state(config)
         gaps = ring_gaps(state.positions, config)
         accel = idm_acceleration(state.speeds, gaps, np.roll(state.speeds, -1), config.idm)
         assert np.max(np.abs(accel)) < 1e-9
+
+    def test_equilibrium_is_pinned_bit_for_bit(self):
+        # Every rollout starts from it. Here the bisection meets an exact zero
+        # of the residual, and the side it closes in from sets the last bit.
+        assert equilibrium_speed(RingConfig(circumference=293.082662323396)) == 6.313771901559017
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # 22 vehicles of 5 m on 154 m: gaps of exactly s0 = 2 m
+            (RingConfig(circumference=154.0), "^ring too dense"),
+            # gaps of 0.5 m: (s0 + v_desired * time_headway) / gap is 2e154, whose square is not a float
+            (RingConfig(circumference=22 * 5.5, idm=IdmParams(s0=0.1, v_desired=10.0, time_headway=1e153)),
+             "^desired gap s0 \\+ v_desired \\* time_headway = 1e\\+154 m overflows$"),
+        ],
+        ids=["gap-at-s0", "desired-gap-overflows"],
+    )
+    def test_equilibrium_rejects(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            equilibrium_speed(config)
+
+    def test_jitter_that_makes_vehicles_touch_is_rejected(self, monkeypatch):
+        # a jitter of +-1/8 of the 10 m spacing leaves two 7.5 m vehicles bumper to bumper
+        class Jitter:
+            def uniform(self, low, high, size):
+                return np.array([0.125, -0.125])
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Jitter())
+        with pytest.raises(ValueError, match="^initial jitter produced overlapping vehicles$"):
+            initial_state(RingConfig(circumference=20.0, n_vehicles=2, vehicle_length=7.5), seed=0)
+
+    def test_time_starts_at_zero_and_advances_by_dt(self):
+        state = initial_state(FAST, seed=0)
+        assert (state.t, step(state, FAST).t) == (0.0, FAST.dt)
+
+    @pytest.mark.parametrize("speed, gap", [(2.0, None), (1.0, 0.5)])
+    def test_a_step_that_closes_a_gap_exactly_collides(self, speed, gap):
+        # at 2 m/s vehicle 0 closes its 1 m gap to nothing: touching bumpers collide
+        state = touching_state(speed)
+        if gap is None:
+            with pytest.raises(CollisionError, match="^vehicle 0 hit vehicle 1 at t=0.5s$"):
+                step(state, TOUCHING, command=0.0)
+        else:
+            assert ring_gaps(step(state, TOUCHING, command=0.0).positions, TOUCHING)[0] == gap
 
     def test_free_road_acceleration_near_max(self):
         p = IdmParams()
@@ -251,6 +319,21 @@ class TestConfig:
             RingConfig(circumference=100.0, n_vehicles=22)
         with pytest.raises(ValueError, match="vehicles do not fit on the ring"):
             RingConfig(n_vehicles=10**400)
+        with pytest.raises(ValueError, match="vehicles do not fit on the ring"):
+            RingConfig(circumference=110.0)  # 22 vehicles of 5 m, bumper to bumper
+
+    def test_duration_off_a_whole_step_count_by_the_tolerance_is_whole(self):
+        # 1e-9 steps from a whole count, the tolerance itself: a zero-step warmup
+        assert RingConfig(dt=1.0, warmup=1e-9).warmup == 1e-9
+
+    def test_one_vehicle_ring_is_its_own_leader(self):
+        config = replace(FAST_UNGUIDED, n_vehicles=1, circumference=20.0)
+        assert simulate(config, None, seed=0).mean_speed == pytest.approx(equilibrium_speed(config), rel=1e-3)
+
+    def test_zero_warmup_scores_from_the_first_step(self):
+        result = simulate(replace(FAST_UNGUIDED, warmup=0.0), None, seed=0, record=True)
+        assert result.speeds_log.shape == (400, 22)
+        assert result.mean_speed == pytest.approx(result.speeds_log.mean(), rel=1e-12)
 
     def test_step_limit(self):
         # warmup + horizon at most MAX_STEPS steps; the config is only built
@@ -301,9 +384,16 @@ class TestConfig:
         assert config.warmup == 7.0
 
     def test_unknown_key_rejected(self, tmp_path):
+        # the message names the file's line, counted from 1, comments and blanks included
         path = tmp_path / "bad.cfg"
-        path.write_text("wheelbase = 3\n")
-        with pytest.raises(ValueError, match="wheelbase"):
+        path.write_text("# a ring\n\nwheelbase = 3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: unknown parameter 'wheelbase'$"):
+            load_ring_config(path)
+
+    def test_a_value_keeps_its_equals_signs(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("guidance_mode = speed=fast\n")
+        with pytest.raises(ValueError, match="^unknown guidance mode 'speed=fast'$"):
             load_ring_config(path)
 
     @pytest.mark.parametrize("key, field, text, want", CONFIG_KEYS)
@@ -463,6 +553,17 @@ class TestBatchedIntegrator:
         # some rows collide mid-run while the others carry on
         assert 0 < collided < len(rows)
         assert any(0 < r.collision.time < SHORT.warmup + SHORT.horizon - 1 for r in batch if r.collision)
+
+    def test_no_rows_is_an_empty_batch(self):
+        assert simulate_many(FAST, []) == []
+
+    @pytest.mark.parametrize("speed, time", [(2.0, "0.5"), (1.0, "1.5")])
+    def test_a_rollout_ends_when_a_gap_closes_exactly(self, speed, time, monkeypatch):
+        # the step test's rings as rollouts: a gap of exactly 0 ends one at
+        # its first step, and a gap of 0.5 m does not
+        monkeypatch.setattr(ringsim, "initial_state", lambda config, seed: touching_state(speed))
+        with pytest.raises(CollisionError, match=f"^vehicle 0 hit vehicle 1 at t={time}s$"):
+            simulate(TOUCHING, lambda obs: 0.0, seed=0)
 
     def test_collided_row_stops_with_nan_logs(self):
         got, clean = simulate_many(
@@ -648,6 +749,12 @@ class TestVectorisedLinearPolicy:
             assert np.array_equal(got.speeds_log, want.speeds_log, equal_nan=True)
             assert (got.mean_speed, str(got.collision)) == (want.mean_speed, str(want.collision))
 
+    def test_holds_one_step_apart(self):
+        # rows of 10- and 11-step holds are scheduled apart, as are rows of 1 and 2 steps
+        policies = [LinearSpeedPolicy(*w, SHORT) for w in LATTICE[1::3]]
+        batch, scalar = self._pair(SHORT, policies, [1.0, 1.1, 0.1, 0.2])
+        self._assert_same(batch, scalar)
+
     def test_batch_of_policies_from_mixed_configs(self):
         # Each row discretizes with its own policy's limit, levels and
         # spacing; the batch config caps the guided vehicle's speed.
@@ -712,6 +819,36 @@ class TestLockstepSearch:
         for delta, got in zip(self.DELTAS, many):
             one = train_and_measure(self.CONFIG, delta, budget, 0)
             assert got == one  # achieved, policy_id, delta and cost
+
+    def test_no_durations_is_an_empty_search(self):
+        assert train_and_measure_many(self.CONFIG, [], 24, 0) == []
+
+    def test_refinement_proposals_are_clipped_onto_the_weight_box(self, monkeypatch):
+        # Proposal steps of +-100 standard deviations put every refinement
+        # candidate on a corner of the box w0 in [0, 10], w1 in [0, 2], w2 in [0, 1].
+        signs = list(itertools.product((-1.0, 1.0), repeat=3))
+        real = np.random.default_rng
+
+        class Extreme:
+            def __init__(self):
+                self.signs = iter(signs)
+
+            def normal(self, size):
+                return 100.0 * np.array(next(self.signs))
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Extreme() if isinstance(seed, np.random.SeedSequence) else real(seed))
+        simulated = []
+        batch = ringsim.simulate_many
+
+        def recorded(config, seeds, policies, holds):
+            simulated.extend(tuple(p.w) for p in policies)
+            return batch(config, seeds, policies, holds)
+
+        monkeypatch.setattr(ringsim, "simulate_many", recorded)
+        train_and_measure_many(self.CONFIG, [1.0], 12 + len(signs), 0)
+        corners = set(itertools.product((0.0, 10.0), (0.0, 2.0), (0.0, 1.0)))
+        assert set(simulated) - set(LATTICE) == corners
 
     @pytest.mark.parametrize("deltas, failing", [((40.0, 5.0, 1.0, 0.1), 5), ((15.0, 1.0, 5.0), 1)])
     def test_first_failing_delta_in_input_order_raises(self, deltas, failing):

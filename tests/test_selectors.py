@@ -72,15 +72,20 @@ class FailingTrainer(IdealTrainer):
         return super().evaluate(delta)
 
 
+def greedy_pick(state: SelectionState, model: GapModel) -> int:
+    """The greedy pick, from a segment table built for the state."""
+    return find_greedy_transfer_point(state, model, SegmentTable.build(state.landscape, state.picks, model))
+
+
 class TestFindGreedyTransferPoint:
     def test_fresh_state_picks_midpoint(self):
         state = SelectionState(landscape=Landscape.zeros(WIDE))
-        assert WIDE.point(find_greedy_transfer_point(state, WIDE_MODEL)) == pytest.approx(20.0)
+        assert WIDE.point(greedy_pick(state, WIDE_MODEL)) == pytest.approx(20.0)
 
     def test_second_pick_breaks_tie_toward_coarser(self):
         land = apply_transfer(Landscape.zeros(WIDE), WIDE_MODEL, 200, 1.0)
         state = SelectionState(landscape=land, picks=[200])
-        pick = WIDE.point(find_greedy_transfer_point(state, WIDE_MODEL))
+        pick = WIDE.point(greedy_pick(state, WIDE_MODEL))
         assert pick == pytest.approx(33.3)  # (20 + 2*40)/3 snapped to grid
 
     def test_positive_segment_alone_gives_trisection(self):
@@ -88,17 +93,18 @@ class TestFindGreedyTransferPoint:
         model = symmetric_model(1 / 40, 1.0)
         land = apply_transfer(Landscape.zeros(rng), model, 200, 1.0)
         state = SelectionState(landscape=land, picks=[200])
-        assert rng.point(find_greedy_transfer_point(state, model)) == pytest.approx(6.7)
+        assert rng.point(greedy_pick(state, model)) == pytest.approx(6.7)
 
-    @pytest.mark.parametrize("below", [1.5e-12, 2e-12])
-    def test_gains_within_the_tie_tolerance_go_to_the_coarser_pick(self, below):
+    @pytest.mark.parametrize("below, pick", [(1.5e-12, 300), (2e-12, 300), (2.5e-12, 100)])
+    def test_gains_within_the_tie_tolerance_go_to_the_coarser_pick(self, below, pick):
         # a table made by hand: segment 0 picks cell 100 at gain 1, segment 1
-        # cell 300 at a gain `below` lower, within 1e-12 * (|1| + 1) (inclusive)
+        # cell 300 at a gain `below` lower; within 1e-12 * (|1| + 1), inclusive,
+        # the two tie and the coarser cell wins, and past it the larger gain
         land = apply_transfer(Landscape.zeros(WIDE), WIDE_MODEL, 200, 1.0)
         state = SelectionState(landscape=land, picks=[200])
-        state.table = SegmentTable(land, [200], WIDE_MODEL, slope_tol(land), [0, 200, 400],
-                                   np.array([100, 300]), np.array([1.0, 1.0 - below]))
-        assert find_greedy_transfer_point(state, WIDE_MODEL) == 300
+        table = SegmentTable(land, slope_tol(land), [0, 200, 400], np.array([100, 300]),
+                             np.array([1.0, 1.0 - below]))
+        assert find_greedy_transfer_point(state, WIDE_MODEL, table) == pick
 
     def test_duplicate_guard_returns_fresh_cell(self):
         rng = HoldRange(0, 1, 0.5)  # grid {0, 0.5, 1}
@@ -107,7 +113,7 @@ class TestFindGreedyTransferPoint:
         for i in (1, 2):
             land = apply_transfer(land, model, i, 1.0)
         state = SelectionState(landscape=land, picks=[1, 2])
-        assert rng.point(find_greedy_transfer_point(state, model)) == 0.0
+        assert rng.point(greedy_pick(state, model)) == 0.0
 
 
 class TestRunGttl:

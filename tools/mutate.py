@@ -2,7 +2,8 @@
 
 Makes one mutant of a module at a time and runs the given test files
 against it. A mutant that some test fails on is killed; one that passes
-them all survived, and is printed. The mutants are of four kinds:
+them all survived, and is printed with its line and its key in the
+EQUIVALENT allowlist. The mutants are of four kinds:
 
 - a flipped comparison: < and <= into each other, > and >= likewise,
   == and != likewise, `is` and `is not`, `in` and `not in`;
@@ -42,37 +43,62 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 # Mutants that no test can kill because they compute the same thing, keyed
-# by (file name, source of the mutated expression, replacement), each with
-# the reason it is equivalent.
+# by (file name, *key of `mutants`), each with the reason it is equivalent.
 EQUIVALENT = {
-    ("theory.py", "k <= 2", "<"):  # ghost_cell_lower_bound
+    ("theory.py", "ghost_cell_lower_bound", "k <= 2", "<", 1):
         "at k = 2 the anchor rule gives the same 0.75 * scale: i = 0 and no step short",
-    ("oracle.py", "2001", "2002"):  # MAX_COARSE_CELLS
+    ("oracle.py", "<module>", "2001", "2002", 1):  # MAX_COARSE_CELLS
         "a limit that the tests read from the constant: one more accepted grid size changes no result",
-    ("landscape.py", "1_000_000", "1000001"):  # MAX_CELLS
+    ("landscape.py", "<module>", "1_000_000", "1000001", 1):  # MAX_CELLS
         "a limit that the tests read from the constant: one more accepted cell changes no result",
-    ("landscape.py", "abs(cells - self.n_cells) > 1e-6 * max(cells, 1.0)", ">="):  # HoldRange
+    ("landscape.py", "HoldRange.__post_init__", "abs(cells - self.n_cells) > 1e-6 * max(cells, 1.0)", ">=", 1):
         "no float width lies exactly 1e-6 * cells from a whole count: none does at resolution 1 up to MAX_CELLS",
-    ("landscape.py", "i < 0.0", "<="):  # nearest_index
+    ("landscape.py", "HoldRange.nearest_index", "i < 0.0", "<=", 1):
         "at i = 0 both branches give round(0.0) = 0",
-    ("landscape.py", "i > self.n_cells", ">="):  # nearest_index
+    ("landscape.py", "HoldRange.nearest_index", "i > self.n_cells", ">=", 1):
         "at i = n_cells both branches give round(n_cells) = n_cells",
-    ("landscape.py", "d < 0", "<="):  # gap
+    ("landscape.py", "gap", "d < 0", "<=", 1):
         "at d = 0 either finite slope times |d| is a zero gap",
-    ("selectors.py", "1_000_000", "1000001"):  # MAX_BUDGET
+    ("ringsim.py", "<module>", "2 ** 53", "3 ** 53", 1):  # MAX_SPEED_LEVELS
+        "a limit that the tests read from the constant: more accepted levels change no result",
+    ("ringsim.py", "<module>", "2 ** 53", "2 ** 54", 1):  # MAX_SPEED_LEVELS
+        "a limit that the tests read from the constant: more accepted levels change no result",
+    ("ringsim.py", "<module>", "720", "721", 1):  # MAX_ROLLOUTS
+        "a limit that the tests read from the constant: one more accepted rollout changes no result",
+    ("ringsim.py", "<module>", "100_000", "100001", 1):  # MAX_BATCH
+        "a limit that the tests read from the constant: one more accepted row vehicle changes no result",
+    ("ringsim.py", "LinearSpeedPolicy.commands", "np.rint(raw / limit * top) + 0.0", "-", 1):
+        "np.maximum(raw, 0.0) returns its second operand, +0.0, for raw = -0.0, so rint never makes a -0.0 level",
+    ("ringsim.py", "simulate_many", "gaps.min() > 0", "gaps.min() > 1", 1):
+        "the test only decides whether to look row by row: rows leave at gaps <= 0, so gaps in (0, 1] stay",
+    ("ringsim.py", "simulate_many", "(1, 0)", "(2, 0)", 1):
+        "the key only puts the other rows after the linear rows' (0, hold steps); the stable sort keeps their order",
+    ("ringsim.py", "simulate_many", "(1, 0)", "(1, 1)", 1):
+        "the key only puts the other rows after the linear rows' (0, hold steps); the stable sort keeps their order",
+    ("ringsim.py", "_search", "policy.commands(policy.params(), 0.0, 0.0, 0.0)",
+     "policy.commands(policy.params(), 1.0, 0.0, 0.0)", 1):
+        "the key is taken only at w1 = w2 = 0, where the command is the snapped w0 whatever the observation",
+    ("ringsim.py", "_search", "policy.commands(policy.params(), 0.0, 0.0, 0.0)",
+     "policy.commands(policy.params(), 0.0, 1.0, 0.0)", 1):
+        "the key is taken only at w1 = w2 = 0, where the command is the snapped w0 whatever the observation",
+    ("ringsim.py", "_search", "policy.commands(policy.params(), 0.0, 0.0, 0.0)",
+     "policy.commands(policy.params(), 0.0, 0.0, 1.0)", 1):
+        "the key is taken only at w1 = w2 = 0, where the command is the snapped w0 whatever the observation",
+    ("ringsim.py", "load_ring_config", "line.split('#', 1)", "line.split('#', 2)", 1):
+        "only the text before the first '#' is kept, however many pieces the rest is split into",
+    ("selectors.py", "<module>", "1_000_000", "1000001", 1):  # MAX_BUDGET
         "a limit that the tests read from the constant: one more accepted training changes no result",
-    ("selectors.py", "4_000_000_000", "4000000001"):  # MAX_MERGES
+    ("selectors.py", "<module>", "4_000_000_000", "4000000001", 1):  # MAX_MERGES
         "a limit that the tests read from the constant: one more accepted merge changes no result",
-    ("selectors.py", "bisect_left(b, lo) - 1", "bisect_left(b, lo) - 2"):  # SegmentTable.after_transfer
+    ("selectors.py", "SegmentTable.after_transfer", "bisect_left(self.bounds, lo) - 1",
+     "bisect_left(self.bounds, lo) - 2", 1):
         "rescores one more unchanged segment, which gives its table entry again at the same tolerance",
-    ("selectors.py", "hi + 1", "hi + 2"):  # SegmentTable.after_transfer
+    ("selectors.py", "SegmentTable.after_transfer", "hi + 1", "hi + 2", 1):
         "rescores one more unchanged segment, which gives its table entry again at the same tolerance",
-    ("selectors.py", "len(b) - 1", "+"):  # SegmentTable.after_transfer
-        "the clamp only matters past the last segment, where both slices stop at the end of the list",
-    ("selectors.py", "np.where(near, idx, -1)", "np.where(near, idx, -2)"):  # find_greedy_transfer_point
+    ("selectors.py", "find_greedy_transfer_point", "np.where(near, idx, -1)", "np.where(near, idx, -2)", 1):
         "the best segment is always near, so the fill below every grid index never wins",
-    ("selectors.py", "(len(plan) * hold_range.n_points, 0, MAX_MERGES)",
-     "(len(plan) * hold_range.n_points, 1, MAX_MERGES)"):  # _run_plan
+    ("selectors.py", "_run_plan", "(len(plan) * hold_range.n_points, 0, MAX_MERGES)",
+     "(len(plan) * hold_range.n_points, 1, MAX_MERGES)", 1):
         "a plan has at least one index and a range at least two points, so the product is never below 2",
 }
 
@@ -93,9 +119,10 @@ def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
 
 
 def mutate(node: ast.AST, j: int | None) -> str:
-    """Apply one mutation in place and name its replacement."""
+    """Apply one mutation to the node, setting one of its fields to a new
+    value, and name its replacement."""
     if isinstance(node, ast.Compare):
-        node.ops[j] = FLIPS[type(node.ops[j])]()
+        node.ops = [FLIPS[type(op)]() if i == j else op for i, op in enumerate(node.ops)]
         return SYMBOLS[type(node.ops[j])]
     if isinstance(node, ast.BinOp):
         node.op = SWAPS[type(node.op)]()
@@ -105,20 +132,38 @@ def mutate(node: ast.AST, j: int | None) -> str:
 
 
 def mutants(source: str):
-    """(line, mutated expression, replacement, mutated source) of each site.
-    A constant inside an expression is named by that expression, before and
+    """(line, key, tree) of each site, the module's tree holding that one
+    change until the next mutant is drawn. The key is (enclosing
+    function, mutated expression, replacement, occurrence): the function's
+    qualified name (`<module>` outside any); the replacement is the new
+    operator, but the whole mutated text for a chained comparison, whose
+    operators share one expression; and the occurrence counts the sites of
+    that function with the same expression and replacement, from 1. A
+    constant inside an expression is named by that expression, before and
     after the change (`hi + 1 -> hi + 2`): a bare `1 -> 2` matches many sites."""
-    for k in range(len(sites(ast.parse(source)))):
-        tree = ast.parse(source)  # a fresh tree per mutant: one change at a time
-        node, j = sites(tree)[k]
-        parents = {child: p for p in ast.walk(tree) for child in ast.iter_child_nodes(p)}
+    tree = ast.parse(source)
+    parents = {child: p for p in ast.walk(tree) for child in ast.iter_child_nodes(p)}
+    seen = {}
+    for node, j in sites(tree):
+        names, scope = [], parents.get(node)
+        while scope is not None:
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.insert(0, scope.name)
+            scope = parents.get(scope)
         context = node
         while isinstance(context, (ast.Constant, ast.UnaryOp)) and isinstance(parents.get(context),
                                                                               (ast.expr, ast.keyword)):
             context = parents[context]
         expression = ast.get_source_segment(source, node) if context is node else ast.unparse(context)
+        field = "ops" if isinstance(node, ast.Compare) else "op" if isinstance(node, ast.BinOp) else "value"
+        kept = getattr(node, field)
         replacement = mutate(node, j)
-        yield node.lineno, expression, replacement if context is node else ast.unparse(context), ast.unparse(tree)
+        if context is not node or isinstance(node, ast.Compare) and len(node.ops) > 1:
+            replacement = ast.unparse(context)
+        site = (".".join(names) or "<module>", expression, replacement)
+        seen[site] = seen.get(site, 0) + 1
+        yield node.lineno, (*site, seen[site]), tree
+        setattr(node, field, kept)
 
 
 def run_tests(tests: list[str], package_root: Path, timeout: float | None) -> bool | None:
@@ -152,15 +197,15 @@ def main(argv=None) -> int:
             source = module.read_text()
             target = copy / module.name
             counts = {"killed": 0, "equivalent": 0, "survived": 0}
-            for line, expression, replacement, mutated in mutants(source):
-                target.write_text(mutated)
+            for line, key, tree in mutants(source):
+                target.write_text(ast.unparse(tree))
                 if run_tests(args.tests, Path(scratch), timeout) is not True:
                     counts["killed"] += 1
-                elif (module.name, expression, replacement) in EQUIVALENT:
+                elif (module.name, *key) in EQUIVALENT:
                     counts["equivalent"] += 1
                 else:
                     counts["survived"] += 1
-                    print(f"{module.name}:{line}: {expression} -> {replacement}", flush=True)
+                    print(f"line {line}: {(module.name, *key)!r}", flush=True)
             target.write_text(source)
             print(f"{module.name}: " + ", ".join(f"{n} {kind}" for kind, n in counts.items()), flush=True)
             any_survived = any_survived or counts["survived"] > 0
